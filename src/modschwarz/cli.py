@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .modforms import (
 from .numeric import EvalConfig, check_equivariance, check_schwarz_numeric, generators_for
 from .series import LaurentSeries, format_rational
 from .solver import (
+    CROSS_RATIO_MIN_OVERLAP,
     ResidualNonzero,
     build_B,
     classify_theta_cross_ratio,
@@ -35,8 +37,17 @@ from .solver import (
 _JSON_KW = {"sort_keys": True, "indent": 2}
 
 
+class UsageError(Exception):
+    """Invalid command-line arguments; reported as JSON with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modschwarz",
         description=(
             "Exact quasi-modular solutions of y'' + pi^2 r^2 E4 y = 0 and "
@@ -81,19 +92,32 @@ def _error_json(exc: Exception) -> str:
     )
 
 
-def _validate_r_order(parser, r: int, order: int) -> None:
-    if r < 1:
-        parser.error("--r must be >= 1")
-    if order < minimum_order(r):
-        parser.error(
-            f"--order must be >= {minimum_order(r)} for r={r}"
-        )
+def _validate(args) -> None:
+    """Reject arguments that no command could honour (raises UsageError)."""
+    if getattr(args, "r", None) is not None:
+        if args.r < 1:
+            raise UsageError("--r must be >= 1")
+        if args.order < minimum_order(args.r):
+            raise UsageError(f"--order must be >= {minimum_order(args.r)} for r={args.r}")
+    if args.command == "series" and args.order < 0:
+        raise UsageError("--order must be >= 0")
+    if args.command == "identities" and args.order < CROSS_RATIO_MIN_OVERLAP:
+        raise UsageError(f"--order must be >= {CROSS_RATIO_MIN_OVERLAP} for identities")
+    if args.command == "verify" and not (
+        math.isfinite(args.tolerance) and args.tolerance > 0
+    ):
+        raise UsageError("--tolerance must be a positive finite number")
 
 
 def _cmd_series(args, out) -> int:
     form = named_form(args.name, args.order)
     series = form.series
     if args.lattice is not None:
+        if args.lattice % series.m:
+            raise UsageError(
+                f"--lattice {args.lattice} would coarsen {args.name}, "
+                f"which lives on lattice {series.m}"
+            )
         series = series.align(args.lattice)
     if args.format == "json":
         doc = {"name": form.name, "weight": form.weight, **series.to_json_dict()}
@@ -268,16 +292,6 @@ def _cmd_identities(args, out) -> int:
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "r", None) is not None:
-        try:
-            _validate_r_order(parser, args.r, args.order)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
     dispatch = {
         "series": _cmd_series,
         "solve": _cmd_solve,
@@ -286,8 +300,17 @@ def run(argv: list[str], out=None, err=None) -> int:
         "identities": _cmd_identities,
     }
     try:
+        args = build_parser().parse_args(argv)
+        _validate(args)
         return dispatch[args.command](args, out)
-    except (IdentityViolated, ResidualNonzero, ArithmeticError, ValueError) as exc:
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
+    except UsageError as exc:
+        print(_error_json(exc), file=err)
+        return 2
+    except (
+        IdentityViolated, ResidualNonzero, ArithmeticError, ValueError, LookupError
+    ) as exc:
         print(_error_json(exc), file=err)
         return 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -49,9 +49,32 @@ def format_rational(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _clear_denominators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(
+    a: Sequence[Fraction], b: Sequence[Fraction], lo: int, hi: int
+) -> list[Fraction]:
+    """Coefficients ``lo..hi-1`` of the product of coefficient lists a and b.
+
+    Each factor is put over one common denominator first, so the inner
+    loop multiplies and adds plain integers and every output coefficient
+    is reduced once, at the end.
+    """
+    A, da = _clear_denominators(a)
+    B, db = _clear_denominators(b)
+    acc = [0] * (hi - lo)
+    for i, ai in enumerate(A[:hi]):
+        if not ai:
+            continue
+        for j in range(max(lo - i, 0), min(len(B), hi - i)):
+            bj = B[j]
+            if bj:
+                acc[i + j - lo] += ai * bj
+    den = da * db
+    return [Fraction(c, den) for c in acc]
 
 
 @dataclass(frozen=True)
@@ -230,20 +253,8 @@ class LaurentSeries:
         n_min = a.n_min + b.n_min
         # Beyond this bound the convolution would need unknown coefficients.
         N = min(a.N + b.n_min, b.N + a.n_min)
-        size = N - n_min + 1
-        A, da = _clear_denominators(a.coeffs)
-        B, db = _clear_denominators(b.coeffs)
-        acc = [0] * size
-        for i, ai in enumerate(A):
-            if not ai or i >= size:
-                continue
-            jmax = min(len(B), size - i)
-            for j in range(jmax):
-                bj = B[j]
-                if bj:
-                    acc[i + j] += ai * bj
-        den = da * db
-        return LaurentSeries(a.m, n_min, tuple(Fraction(c, den) for c in acc))
+        coeffs = _convolve(a.coeffs, b.coeffs, 0, N - n_min + 1)
+        return LaurentSeries(a.m, n_min, tuple(coeffs))
 
     __rmul__ = __mul__
 
@@ -253,19 +264,27 @@ class LaurentSeries:
         For a series of order ``v`` known through ``N`` the inverse is
         trusted through ``N - 2v`` (the unit part carries ``N - v``
         relative coefficients and the pole flips sign).
+
+        The unit part ``u`` is inverted by Newton iteration: if ``b`` is
+        ``u**-1`` to ``k`` terms, then ``b - b*(u*b - 1)`` is ``u**-1`` to
+        ``2k`` terms.  ``u*b - 1`` vanishes below ``p**k``, so each step
+        computes only its coefficients ``k..2k-1`` and multiplies them by
+        ``b``; both products run on the integer convolution of ``__mul__``.
+        The doubling stops at ``len(u)`` terms, so the result is exactly
+        the unique inverse on the window ``-v..N-2v``.
         """
         v = self.order
         if v is None:
             raise ZeroLeadingCoefficient("cannot invert the zero series")
         unit = self.coeffs[v - self.n_min:]
-        c0 = unit[0]
-        out = [Fraction(1) / c0]
-        for k in range(1, len(unit)):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                if unit[i]:
-                    s += unit[i] * out[k - i]
-            out.append(-s / c0)
+        n = len(unit)
+        out = [1 / unit[0]]
+        k = 1
+        while k < n:
+            k2 = min(2 * k, n)
+            err = _convolve(unit[:k2], out, k, k2)
+            out += (-c for c in _convolve(out, err, 0, k2 - k))
+            k = k2
         return LaurentSeries(self.m, -v, tuple(out))
 
     def __truediv__(self, other):

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .modforms import (
     Group,
@@ -275,6 +277,11 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
     y = sum_{n >= -n0} alpha_n p^n with alpha_{-n0} = 1 and, for n > -n0,
     (a^2 n^2 - r^2) alpha_n = r^2 * sum_{s < n} alpha_s b_{n-s}; the
     divisor never vanishes because a*n > r there.
+
+    The b_j are integers, so the alphas are kept as integers A over one
+    common denominator D: each step is an integer dot product, the part
+    of the divisor that cancels against it is divided out, and A and D
+    are rescaled only by what remains.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -285,14 +292,21 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
     if N < lead:
         raise ValueError(f"order {N} cannot hold the leading exponent {lead}")
     e4 = eisenstein(4, max(N - lead, 0), m)
-    alpha: dict[int, Fraction] = {lead: Fraction(1)}
+    b = [e4.coeff(j).numerator for j in range(N - lead + 1)]  # integers
+    A = [1]
+    D = 1
     for n in range(lead + 1, N + 1):
-        s = sum(
-            (alpha[k] * e4.coeff(n - k) for k in range(lead, n)),
-            Fraction(0),
-        )
-        alpha[n] = r * r * s / (a * a * n * n - r * r)
-    return LaurentSeries(m, lead, tuple(alpha[n] for n in range(lead, N + 1)))
+        j = n - lead
+        num = r * r * sum(map(mul, A, b[j:0:-1]))
+        den = a * a * n * n - r * r
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        if den != 1:
+            A = [x * den for x in A]
+            D *= den
+        A.append(num)
+    return LaurentSeries(m, lead, tuple(Fraction(x, D) for x in A))
 
 
 def equivariant_offset(form: LaurentSeries, weight) -> PrefactoredSeries:
@@ -333,6 +347,9 @@ def cross_ratio(
 
 THETA_WEIGHT = Fraction(1, 2)
 
+# Fewest coefficients an identity comparison may rest on.
+CROSS_RATIO_MIN_OVERLAP = 10
+
 ANHARMONIC_LABELS = (
     "mu",
     "1-mu",
@@ -371,13 +388,29 @@ def anharmonic_images(mu: LaurentSeries) -> dict[str, LaurentSeries]:
 
 def classify_theta_cross_ratio(N: int) -> tuple[str, LaurentSeries]:
     """Identify which anharmonic image of mu = theta2^4/theta3^4 equals the
-    cross-ratio [tau, h_theta2, h_theta3, h_theta4]; exact comparison."""
+    cross-ratio [tau, h_theta2, h_theta3, h_theta4]; exact comparison.
+
+    Every image is compared on at least ``CROSS_RATIO_MIN_OVERLAP``
+    coefficients, and exactly one image may match.  The cross-ratio and
+    mu both start at p^1 and are known through N, so N must be at least
+    ``CROSS_RATIO_MIN_OVERLAP``.
+    """
+    if N < CROSS_RATIO_MIN_OVERLAP:
+        raise ValueError(
+            f"order {N} is below the {CROSS_RATIO_MIN_OVERLAP} coefficients "
+            f"the theta cross-ratio is compared on"
+        )
     w2, w3, w4 = theta_offsets(N)
     cross = cross_ratio(LaurentSeries.zero(2, N), w2, w3, w4)
     mu = theta_fourth(2, N) * theta_fourth(3, N).inverse()
-    for label, image in anharmonic_images(mu).items():
-        if cross.matches(image, min_overlap=min(10, N // 2)):
-            return label, cross
-    raise ResidualNonzero(
-        "theta cross-ratio matches no anharmonic image of theta2^4/theta3^4"
-    )
+    labels = [
+        label
+        for label, image in anharmonic_images(mu).items()
+        if cross.matches(image, min_overlap=CROSS_RATIO_MIN_OVERLAP)
+    ]
+    if len(labels) != 1:
+        raise ResidualNonzero(
+            f"theta cross-ratio matches {len(labels)} anharmonic images of "
+            f"theta2^4/theta3^4 ({', '.join(labels) or 'none'}), wanted exactly 1"
+        )
+    return labels[0], cross

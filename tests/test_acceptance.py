@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import io
-import time
 from fractions import Fraction
 
 import pytest
@@ -25,18 +24,9 @@ from modschwarz.solver import (
     equivariant_offset,
     frobenius_oracle,
     solve_eigen,
-    solve_ode,
 )
 
-ORDER = 60
-
-
-@pytest.fixture(scope="module")
-def solved():
-    start = time.perf_counter()
-    results = {r: solve_ode(r, ORDER) for r in range(1, 13)}
-    results["elapsed"] = time.perf_counter() - start
-    return results
+ORDER = 60  # the order of the shared ``solved`` fixture (conftest.py)
 
 
 def report(number: int, ok: bool, description: str) -> None:

@@ -55,6 +55,59 @@ def test_missing_command_exits_2():
     assert code == 2
 
 
+def assert_usage_error(argv, needle):
+    code, out, err = capture(argv)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "UsageError"
+    assert needle in doc["error"]["message"]
+
+
+def test_series_negative_order_with_pole_exits_2():
+    assert_usage_error(["series", "hauptmodul-full", "--order", "-3"], "--order")
+
+
+def test_series_negative_order_exits_2():
+    assert_usage_error(["series", "e4", "--order", "-5"], "--order")
+
+
+def test_series_order_zero_is_valid():
+    code, out, _ = capture(["series", "e4", "--order", "0"])
+    assert code == 0
+    assert "1 + O(p^1)" in out
+
+
+def test_series_coarser_lattice_exits_2():
+    assert_usage_error(["series", "eta12", "--lattice", "1"], "--lattice")
+
+
+def test_identities_order_zero_exits_2():
+    assert_usage_error(["identities", "--order", "0"], "--order")
+
+
+def test_identities_order_too_short_for_cross_ratio_exits_2():
+    assert_usage_error(["identities", "--order", "3"], "--order")
+
+
+def test_verify_zero_tolerance_exits_2():
+    assert_usage_error(
+        ["verify", "--r", "2", "--order", "50", "--numeric", "--tolerance", "0"],
+        "--tolerance",
+    )
+
+
+def test_verify_nan_tolerance_exits_2():
+    assert_usage_error(
+        ["verify", "--r", "2", "--order", "50", "--numeric", "--tolerance", "nan"],
+        "--tolerance",
+    )
+
+
+def test_parse_errors_are_reported_as_json():
+    assert_usage_error(["series", "e8"], "invalid choice")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

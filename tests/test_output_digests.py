@@ -1,0 +1,51 @@
+"""Byte-level guard on ``solve --format json``.
+
+The sha256 digests below were recorded with the term-by-term series
+inverse that the Newton inverse replaced.  Any change to the arithmetic
+kernels must leave every byte of this output as it is.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from modschwarz.cli import run
+
+ORDER = 60  # the order of the shared ``solved`` fixture (conftest.py)
+
+DIGESTS = {
+    (1, 60): "52c34c0b89f74f06e046179ef76b34b5f008044a105d2d20f4fa627ab222a7d7",
+    (2, 60): "c25fc4323810e54ae6f22a6873f4685eec46494a7b6f69a5f16feb2a695208a8",
+    (3, 60): "685666a8ede4222938941b6dbec1831ebc0c7af70af825e317c6b6f5cde0aa3f",
+    (4, 60): "dedda10410c27eb2f4d703877362a41fac10d59e4d545d7135dad66326399b0d",
+    (5, 60): "19b9720d1b172b44dd0ca0aedf2e5f443c27ed493fcb4d4f03f45000ee094c82",
+    (6, 60): "95c242d8db9c1a045df2a855db6b663b3e1486bd7e7ff76ad5e1be42227026f3",
+    (7, 60): "8030d155649f594b8362b855e9af8ba72b0d6db5148f287681fa7a7ee75912f5",
+    (8, 60): "4bbf4b563840f676ecfbdcb76f0e1330d3d73d55a9d0548d35371e983031f92c",
+    (9, 60): "3e4b654eb5000d85fd095cf0f8ba5348fefafd30450bc0300c0ebe684e33f423",
+    (10, 60): "d44ee56bf1bb89dd2138b8695e421e017775f3b918498cc517b3bfcbb8aab9ad",
+    (11, 60): "fe1ced17fb229c53ec1388822466935a35c495a708af310874d1d0f241b9a21a",
+    (12, 60): "ca83cd3ca072e16c9bebfb544a83cae29654833f40ecbe16269c3c1e469020d6",
+    (2, 120): "1c1ec5553438b035690e3312e0044a24f1de11ce083ea2e6e22c71bd4f305e5f",
+    (3, 120): "5c157895b6c72a23dc0c78435783324ecadcda077c91084793129ab4f7c6ee33",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_solve_json_digest(r, solved):
+    text = json.dumps(solved[r].to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert sha256(text) == DIGESTS[(r, ORDER)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_cli_solve_json_digest(r):
+    out = io.StringIO()
+    code = run(["solve", "--r", str(r), "--order", "120", "--format", "json"], out=out)
+    assert code == 0
+    assert sha256(out.getvalue()) == DIGESTS[(r, 120)]

@@ -14,6 +14,7 @@ from modschwarz.series import (
     PrefactorMismatch,
     UnknownCoefficient,
     ZeroLeadingCoefficient,
+    _convolve,
     format_rational,
 )
 
@@ -44,6 +45,49 @@ def unit_series_st(draw, m=1):
     lead = draw(nonzero_fractions)
     rest = draw(st.lists(small_fractions, min_size=2, max_size=6))
     return LaurentSeries(m, n_min, (lead, *rest))
+
+
+@st.composite
+def long_unit_series_st(draw):
+    """Up to 70 coefficients, so Newton inversion runs several doubling
+    steps and stops on lengths that are not powers of two; zeros are
+    drawn often so that gaps inside the series are common."""
+    m = draw(st.sampled_from((1, 2)))
+    n_min = draw(st.integers(min_value=-5, max_value=3))
+    lead = draw(nonzero_fractions)
+    size = draw(st.integers(min_value=0, max_value=69))
+    rest = draw(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), small_fractions),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return LaurentSeries(m, n_min, (lead, *rest))
+
+
+def reference_inverse(a: LaurentSeries) -> LaurentSeries:
+    """Term-by-term recurrence, one Fraction at a time: the definition
+    the Newton inverse must reproduce exactly."""
+    v = a.order
+    unit = a.coeffs[v - a.n_min:]
+    out = [Fraction(1) / unit[0]]
+    for k in range(1, len(unit)):
+        s = Fraction(0)
+        for i in range(1, k + 1):
+            if unit[i]:
+                s += unit[i] * out[k - i]
+        out.append(-s / unit[0])
+    return LaurentSeries(a.m, -v, tuple(out))
+
+
+def reference_product(a: list, b: list) -> list:
+    """Full Fraction schoolbook product of two coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +188,42 @@ def test_mul_inverse_is_one(a):
 @settings(max_examples=60, deadline=None)
 def test_inverse_involution(a):
     assert a.inverse().inverse().matches(a)
+
+
+@given(long_unit_series_st())
+@settings(max_examples=80, deadline=None)
+def test_inverse_equals_reference_recurrence(a):
+    inv = a.inverse()
+    ref = reference_inverse(a)
+    assert (inv.m, inv.n_min, inv.N) == (ref.m, ref.n_min, ref.N)
+    assert inv.coeffs == ref.coeffs
+
+
+@pytest.mark.parametrize("length", range(1, 71))
+def test_inverse_equals_reference_at_every_length(length):
+    # Non-monic lead, a pole, zeros at every third place, lattice 2.
+    coeffs = [Fraction(-3, 7)] + [
+        Fraction(0) if k % 3 == 0 else Fraction((-1) ** k * k, k % 5 + 1)
+        for k in range(1, length)
+    ]
+    a = LaurentSeries(2, -2, tuple(coeffs))
+    inv = a.inverse()
+    ref = reference_inverse(a)
+    assert (inv.m, inv.n_min, inv.N) == (2, 2, a.N - 2 * a.order)
+    assert (inv.n_min, inv.N, inv.coeffs) == (ref.n_min, ref.N, ref.coeffs)
+
+
+@given(
+    st.lists(small_fractions, min_size=1, max_size=20),
+    st.lists(small_fractions, min_size=1, max_size=20),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_convolve_window_is_slice_of_product(a, b, data):
+    full = reference_product(a, b)
+    hi = data.draw(st.integers(min_value=0, max_value=len(full)))
+    lo = data.draw(st.integers(min_value=0, max_value=hi))
+    assert _convolve(a, b, lo, hi) == full[lo:hi]
 
 
 def test_truediv_matches_inverse():

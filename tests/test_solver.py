@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from modschwarz import closed_forms
+from modschwarz import closed_forms, solver
 from modschwarz.modforms import Group, delta, eisenstein, seed_t0, theta_fourth
 from modschwarz.series import LaurentSeries, NonzeroConstantTerm
 from modschwarz.solver import (
+    CROSS_RATIO_MIN_OVERLAP,
     DegenerateEntries,
+    ResidualNonzero,
     ZeroDerivative,
     anharmonic_images,
     build_B,
@@ -208,6 +210,28 @@ def test_frobenius_oracle_r1_first_terms():
     assert dict(orc.items()) == {1: Fraction(1), 3: Fraction(30), 5: Fraction(390)}
 
 
+def reference_oracle(r, N):
+    """The Frobenius recurrence one Fraction at a time, straight from
+    (a^2 n^2 - r^2) alpha_n = r^2 * sum_{s < n} alpha_s b_{n-s}."""
+    m = 2 if r % 2 else 1
+    a = 2 // m
+    lead = -n0_for(r)
+    e4 = eisenstein(4, N - lead, m)
+    alpha = {lead: Fraction(1)}
+    for n in range(lead + 1, N + 1):
+        s = sum((alpha[k] * e4.coeff(n - k) for k in range(lead, n)), Fraction(0))
+        alpha[n] = r * r * s / (a * a * n * n - r * r)
+    return LaurentSeries(m, lead, tuple(alpha[n] for n in range(lead, N + 1)))
+
+
+@pytest.mark.parametrize("r, N", [(r, 60) for r in range(1, 13)] + [(47, 150)])
+def test_frobenius_oracle_equals_fraction_recurrence(r, N):
+    orc = frobenius_oracle(r, N)
+    ref = reference_oracle(r, N)
+    assert (orc.m, orc.n_min, orc.N) == (ref.m, ref.n_min, N)
+    assert orc.coeffs == ref.coeffs
+
+
 def test_frobenius_oracle_argument_checks():
     with pytest.raises(ValueError):
         frobenius_oracle(0, 10)
@@ -340,6 +364,27 @@ def test_theta_cross_ratio_is_classical_lambda():
     assert label == "mu"
     assert cross.coeff(1) == 16
     assert cross.coeff(2) == -128
+
+
+def test_theta_cross_ratio_refuses_short_overlap():
+    classify_theta_cross_ratio(CROSS_RATIO_MIN_OVERLAP)
+    with pytest.raises(ValueError, match="below"):
+        classify_theta_cross_ratio(CROSS_RATIO_MIN_OVERLAP - 1)
+    with pytest.raises(ValueError):
+        classify_theta_cross_ratio(3)
+
+
+@pytest.mark.parametrize(
+    "images, count",
+    [
+        (lambda mu: {"mu": mu, "copy of mu": mu * 1}, 2),
+        (lambda mu: {"1-mu": 1 - mu}, 0),
+    ],
+)
+def test_theta_cross_ratio_needs_exactly_one_match(monkeypatch, images, count):
+    monkeypatch.setattr(solver, "anharmonic_images", images)
+    with pytest.raises(ResidualNonzero, match=f"matches {count} "):
+        classify_theta_cross_ratio(20)
 
 
 def test_anharmonic_images_are_distinct():
