@@ -15,11 +15,11 @@ from .modforms import (
     IdentityViolated,
     catalog_names,
     check_jacobi,
-    check_ramanujan,
     delta,
     delta_from_eisenstein,
     eisenstein,
     named_form,
+    ramanujan_residuals,
 )
 from .numeric import EvalConfig, check_equivariance, check_schwarz_numeric, generators_for
 from .series import LaurentSeries, format_rational
@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-6)
 
     p = sub.add_parser("examples", help="compare against the reference closed forms")
-    p.add_argument("--r", type=int, required=True, choices=(1, 2, 3, 4))
+    p.add_argument("--r", type=int, required=True,
+                   choices=sorted({claim.r for claim in closed_forms.CLAIMS}))
     p.add_argument("--order", type=int, default=40)
 
     p = sub.add_parser("identities", help="Ramanujan, Jacobi and cross-ratio suite")
@@ -186,62 +187,12 @@ def _cmd_examples(args, out) -> int:
     failures: list[str] = []
     overlap = max(10, N // 2)
 
-    if args.r == 1:
-        _check(out, failures, "g1 == E4/Delta^(1/2)",
-               res.g.matches(closed_forms.g1(res.g.N), min_overlap=overlap))
-        _check(out, failures, "F1 == -E4'/(2*Delta^(1/2))",
-               res.S.matches(closed_forms.s1(res.S.N), min_overlap=overlap))
-        e4 = eisenstein(4, res.g.N + 1, 2)
-        _check(out, failures, "theta_antider(g1*E4) == -E6/Delta^(1/2)",
-               (res.g * e4).theta_antider().matches(
-                   closed_forms.antider_identity_1(res.g.N), min_overlap=overlap))
-        _check(out, failures, "h1 == tau + 4*E4/E4'",
-               res.R.matches(closed_forms.r1(res.R.N), min_overlap=overlap))
-    elif args.r == 2:
-        _check(out, failures, "g2 == E4*E6/Delta",
-               res.g.matches(closed_forms.g2(res.g.N), min_overlap=overlap))
-        _check(out, failures, "F1 == (6E4^3-2E2E4E6-4E6^2)/(6*Delta) - 1488",
-               res.S.matches(closed_forms.s2(res.S.N), min_overlap=overlap))
-        _check(out, failures, "h2 == tau + (6/u)/(E2 - E6/E4 - 720*Delta/(E4*E6))",
-               res.R.matches(closed_forms.r_from_h_denominator(2, res.R.N),
-                             min_overlap=overlap))
-    elif args.r == 3:
-        _check(out, failures, "X == (-270, 0, 1)",
-               list(res.X) == [-270, 0, 1])
-        _check(out, failures,
-               f"g3 == E4^4/Delta^(3/2) - {closed_forms.G3_COEFFICIENT}*E4/Delta^(1/2)",
-               res.g.matches(closed_forms.g3(res.g.N), min_overlap=overlap))
-        misprint_matches = res.g.matches(
-            closed_forms.g3(res.g.N, closed_forms.G3_MISPRINT), min_overlap=overlap)
-        _check(out, failures,
-               f"g3 coefficient {closed_forms.G3_MISPRINT} variant rejected",
-               not misprint_matches)
-        print(f"NOTE the {closed_forms.G3_MISPRINT} variant has principal part "
-              f"p^-3 - 230*p^-1, but the eigenvector requires -270; "
-              f"{closed_forms.G3_COEFFICIENT} is the consistent coefficient.",
-              file=out)
-        _check(out, failures,
-               "F1 == (9E6^3-E2E4^4-8E4^3E6+15006E6D+1266E2E4D)/(3*Delta^(3/2))",
-               res.S.matches(closed_forms.f1_body_3(res.S.N), min_overlap=overlap))
-        _check(out, failures, "h3 == tau + (6/u)/(E2 - ... + 95800320*Delta^2/(77E4^4E6+211E4E6^3))",
-               res.R.matches(closed_forms.r_from_h_denominator(3, res.R.N),
-                             min_overlap=overlap))
-    elif args.r == 4:
-        _check(out, failures, "X == (-320, 1)",
-               list(res.X) == [-320, 1])
-        _check(out, failures, "g4 == E4^4*E6/Delta^2 - 824*E4*E6/Delta",
-               res.g.matches(closed_forms.g4(res.g.N), min_overlap=overlap))
-        _check(out, failures,
-               "F1 == -(219E4^6-641E4^3E6^2+113E2E4^4E6+103E2E4E6^3+206E6^4)"
-               "/(648*Delta^2) + 1115232",
-               res.S.matches(closed_forms.f1_body_4(res.S.N), min_overlap=overlap))
-        print("NOTE the reference f1 for r=4 needs denominator Delta^2 "
-              "(weight bookkeeping) and carries integration constant "
-              f"-{closed_forms.F1_4_CONSTANT}; the corrected form above is "
-              "the zero-constant solution.", file=out)
-        _check(out, failures, "h4 == tau + (6/u)/(E2 - ... - 9146248151040*Delta^3/(...))",
-               res.R.matches(closed_forms.r_from_h_denominator(4, res.R.N),
-                             min_overlap=overlap))
+    for claim in closed_forms.CLAIMS:
+        if claim.r != args.r:
+            continue
+        _check(out, failures, claim.label, claim.check(res, overlap))
+        if claim.note:
+            print(f"NOTE {claim.note}", file=out)
 
     _check(out, failures, "ode residual is the zero series",
            res.ode_residual.is_zero())
@@ -254,13 +205,11 @@ def _cmd_identities(args, out) -> int:
     N = args.order
     failures: list[str] = []
 
-    try:
-        check_ramanujan(N)
-        for name in ("theta(Delta)=E2*Delta", "theta(E2)=(E2^2-E4)/12",
-                     "theta(E4)=(E2*E4-E6)/3", "theta(E6)=(E2*E6-E4^2)/2"):
-            _check(out, failures, f"ramanujan {name}", True)
-    except IdentityViolated as exc:
-        _check(out, failures, f"ramanujan {exc.name}", False, str(exc))
+    for name, residual in ramanujan_residuals(N).items():
+        # The residual "lhs-rhs" is reported as the identity "lhs=rhs".
+        v = residual.order
+        detail = "" if v is None else f"coefficient {residual.coeff(v)} at p^{v}"
+        _check(out, failures, f"ramanujan {name.replace('-', '=', 1)}", v is None, detail)
 
     try:
         check_jacobi(N)

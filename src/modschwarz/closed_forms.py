@@ -12,11 +12,16 @@ p^-3 - 230 p^-1, which contradicts the eigenvector requirement -270, so
 consistent with 1266 as well.  ``g3`` takes the coefficient as a
 parameter so the mismatch can be demonstrated rather than patched
 silently.
+
+``CLAIMS`` is the one table of these claims: the ``examples`` command
+prints its rows, and the acceptance and golden tests check them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .modforms import Group, delta, delta_half, eisenstein, seed_t0
 from .series import LaurentSeries
@@ -44,13 +49,13 @@ def g3(N: int, coefficient: int = G3_COEFFICIENT) -> LaurentSeries:
     return (lead - g1(pad) * coefficient).truncate(N)
 
 
-def g4(N: int, coefficient: int = G4_COEFFICIENT) -> LaurentSeries:
-    """E4^4*E6 / Delta^2 - coefficient * E4*E6 / Delta, lattice 1."""
+def g4(N: int) -> LaurentSeries:
+    """E4^4*E6 / Delta^2 - G4_COEFFICIENT * E4*E6 / Delta, lattice 1."""
     pad = N + 8
     e4 = eisenstein(4, pad)
     e6 = eisenstein(6, pad)
     lead = e4**4 * e6 * (delta(pad) ** 2).inverse()
-    return (lead - g2(pad) * coefficient).truncate(N)
+    return (lead - g2(pad) * G4_COEFFICIENT).truncate(N)
 
 
 def s1(N: int) -> LaurentSeries:
@@ -118,9 +123,9 @@ def s2(N: int) -> LaurentSeries:
     return (num * delta(pad).inverse() * Fraction(1, 6) - 1488).truncate(N)
 
 
-def f1_body_3(N: int, e6delta: int = 15006, e2e4delta: int = 1266) -> LaurentSeries:
+def f1_body_3(N: int) -> LaurentSeries:
     """F1/u for r=3:
-    (9E6^3 - E2E4^4 - 8E4^3E6 + e6delta*E6*Delta + e2e4delta*E2E4*Delta) / (3 Delta^(3/2))."""
+    (9E6^3 - E2E4^4 - 8E4^3E6 + 15006*E6*Delta + 1266*E2E4*Delta) / (3 Delta^(3/2))."""
     pad = 2 * N + 12
     e2 = eisenstein(2, pad)
     e4 = eisenstein(4, pad)
@@ -130,8 +135,8 @@ def f1_body_3(N: int, e6delta: int = 15006, e2e4delta: int = 1266) -> LaurentSer
         e6**3 * 9
         - e2 * e4**4
         - e4**3 * e6 * 8
-        + e6 * dl * e6delta
-        + e2 * e4 * dl * e2e4delta
+        + e6 * dl * 15006
+        + e2 * e4 * dl * 1266
     )
     body = num.align(2) * (delta_half(pad) ** 3).inverse() * Fraction(1, 3)
     return body.truncate(N)
@@ -165,3 +170,73 @@ def f1_body_4(N: int, *, corrected: bool = True) -> LaurentSeries:
     if corrected:
         body = body + F1_4_CONSTANT
     return body.truncate(N)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One closed-form claim, printed by ``examples`` as a PASS/FAIL line.
+
+    ``output`` names the solve output the claim reads: ``"X"``, ``"g"``,
+    ``"S"``, ``"R"``, or ``"antider"`` for theta_antider(g * E4).  For
+    ``"X"``, ``reference`` is the expected eigenvector; otherwise it builds
+    the closed form at the output's order N.  ``holds`` is False for a
+    quoted variant that must *not* match.  ``note``, if set, is printed
+    after the row as a NOTE line.
+    """
+
+    r: int
+    label: str
+    output: str
+    reference: tuple | Callable[[int], LaurentSeries]
+    holds: bool = True
+    note: str = ""
+
+    def check(self, result, overlap: int) -> bool:
+        """True when the claim comes out as stated for a solve result: its
+        reference matches the output (a series on at least ``overlap``
+        coefficients), or, for a variant with ``holds`` False, does not."""
+        if self.output == "X":
+            return (list(result.X) == list(self.reference)) == self.holds
+        if self.output == "antider":
+            out = (result.g * eisenstein(4, result.g.N + 1, 2)).theta_antider()
+        else:
+            out = getattr(result, self.output)
+        return out.matches(self.reference(out.N), min_overlap=overlap) == self.holds
+
+
+# The references are lambdas over this module's globals, so that a caller
+# that rebinds the builders (a tracer, say) sees every call.
+CLAIMS = (
+    Claim(1, "g1 == E4/Delta^(1/2)", "g", lambda N: g1(N)),
+    Claim(1, "F1 == -E4'/(2*Delta^(1/2))", "S", lambda N: s1(N)),
+    Claim(1, "theta_antider(g1*E4) == -E6/Delta^(1/2)", "antider",
+          lambda N: antider_identity_1(N)),
+    Claim(1, "h1 == tau + 4*E4/E4'", "R", lambda N: r1(N)),
+    Claim(2, "g2 == E4*E6/Delta", "g", lambda N: g2(N)),
+    Claim(2, "F1 == (6E4^3-2E2E4E6-4E6^2)/(6*Delta) - 1488", "S", lambda N: s2(N)),
+    Claim(2, "h2 == tau + (6/u)/(E2 - E6/E4 - 720*Delta/(E4*E6))", "R",
+          lambda N: r_from_h_denominator(2, N)),
+    Claim(3, "X == (-270, 0, 1)", "X", (-270, 0, 1)),
+    Claim(3, f"g3 == E4^4/Delta^(3/2) - {G3_COEFFICIENT}*E4/Delta^(1/2)", "g",
+          lambda N: g3(N)),
+    Claim(3, f"g3 coefficient {G3_MISPRINT} variant rejected", "g",
+          lambda N: g3(N, G3_MISPRINT), holds=False,
+          note=f"the {G3_MISPRINT} variant has principal part p^-3 - 230*p^-1, "
+               f"but the eigenvector requires -270; {G3_COEFFICIENT} is the "
+               "consistent coefficient."),
+    Claim(3, "F1 == (9E6^3-E2E4^4-8E4^3E6+15006E6D+1266E2E4D)/(3*Delta^(3/2))", "S",
+          lambda N: f1_body_3(N)),
+    Claim(3, "h3 == tau + (6/u)/(E2 - ... + 95800320*Delta^2/(77E4^4E6+211E4E6^3))",
+          "R", lambda N: r_from_h_denominator(3, N)),
+    Claim(4, "X == (-320, 1)", "X", (-320, 1)),
+    Claim(4, f"g4 == E4^4*E6/Delta^2 - {G4_COEFFICIENT}*E4*E6/Delta", "g",
+          lambda N: g4(N)),
+    Claim(4, "F1 == -(219E4^6-641E4^3E6^2+113E2E4^4E6+103E2E4E6^3+206E6^4)"
+             f"/(648*Delta^2) + {F1_4_CONSTANT}", "S", lambda N: f1_body_4(N),
+          note="the reference f1 for r=4 needs denominator Delta^2 (weight "
+               "bookkeeping) and carries integration constant "
+               f"-{F1_4_CONSTANT}; the corrected form above is the "
+               "zero-constant solution."),
+    Claim(4, "h4 == tau + (6/u)/(E2 - ... - 9146248151040*Delta^3/(...))", "R",
+          lambda N: r_from_h_denominator(4, N)),
+)

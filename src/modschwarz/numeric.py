@@ -21,6 +21,7 @@ from .series import LaurentSeries, PrefactoredSeries
 from .solver import SolveResult
 
 U = 1j * math.pi
+TAIL_FACTOR = 10.0  # safety factor on the geometric tail estimate
 
 
 class TailTooLarge(ArithmeticError):
@@ -88,7 +89,6 @@ class EvalConfig:
 
     points: tuple[complex, ...] = DEFAULT_POINTS
     tolerance: float = 1e-6
-    tail_factor: float = 10.0
     min_im: float = 0.8
 
     def __post_init__(self) -> None:
@@ -105,14 +105,13 @@ def eval_series(
     e: int | None = None,
     *,
     tolerance: float | None = None,
-    tail_factor: float = 10.0,
 ) -> tuple[complex, float]:
     """Evaluate u^e * series at tau; returns (value, tail estimate).
 
     Accepts a LaurentSeries (e defaults to 0) or a PrefactoredSeries
     (e taken from the object).  The tail estimate extrapolates the decay
     of the last kept nonzero terms geometrically, scaled by the
-    conservative tail_factor; if a tolerance is given and the estimate
+    conservative TAIL_FACTOR; if a tolerance is given and the estimate
     exceeds it, TailTooLarge is raised.
     """
     if isinstance(series, PrefactoredSeries):
@@ -134,15 +133,13 @@ def eval_series(
         value += t
         terms.append((n, abs(t)))
 
-    tail = _tail_estimate(terms, series.N, ap, tail_factor)
+    tail = _tail_estimate(terms, series.N, ap)
     if tolerance is not None and tail > tolerance:
         raise TailTooLarge(f"tail estimate {tail:.3e} exceeds {tolerance:.3e}")
     return U**e * value, tail
 
 
-def _tail_estimate(
-    terms: list[tuple[int, float]], N: int, ap: float, tail_factor: float
-) -> float:
+def _tail_estimate(terms: list[tuple[int, float]], N: int, ap: float) -> float:
     if not terms:
         return 0.0
     window = [t for t in terms[-5:] if t[1] > 0.0]
@@ -156,7 +153,7 @@ def _tail_estimate(
         ratio = ap
     if ratio >= 1.0:
         raise TailTooLarge(f"terms are not decaying (ratio {ratio:.3f})")
-    return tail_factor * m1 * ratio ** (N + 1 - n1) / (1.0 - ratio)
+    return TAIL_FACTOR * m1 * ratio ** (N + 1 - n1) / (1.0 - ratio)
 
 
 def h_value(result: SolveResult, tau: complex, *, tolerance: float | None = None) -> complex:

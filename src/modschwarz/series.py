@@ -35,10 +35,6 @@ class UnknownCoefficient(LookupError):
     """Access to a coefficient beyond the trusted window."""
 
 
-class PrefactorMismatch(ValueError):
-    """Sum of prefactored series with different powers of the unit."""
-
-
 _SCALARS = (int, Fraction)
 
 
@@ -423,44 +419,3 @@ class PrefactoredSeries:
 
     e: int
     body: LaurentSeries
-
-    def __mul__(self, other):
-        if isinstance(other, PrefactoredSeries):
-            return PrefactoredSeries(self.e + other.e, self.body * other.body)
-        if isinstance(other, (LaurentSeries, *_SCALARS)):
-            return PrefactoredSeries(self.e, self.body * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, PrefactoredSeries):
-            if other.e != self.e:
-                raise PrefactorMismatch(
-                    f"cannot add prefactor exponents {self.e} and {other.e}"
-                )
-            return PrefactoredSeries(self.e, self.body + other.body)
-        return NotImplemented
-
-    def __neg__(self):
-        return PrefactoredSeries(self.e, -self.body)
-
-    def __sub__(self, other):
-        if isinstance(other, PrefactoredSeries):
-            return self + (-other)
-        return NotImplemented
-
-    def inverse(self) -> "PrefactoredSeries":
-        return PrefactoredSeries(-self.e, self.body.inverse())
-
-    def to_json_dict(self) -> dict:
-        d = self.body.to_json_dict()
-        d["e"] = self.e
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "PrefactoredSeries":
-        return cls(int(d["e"]), LaurentSeries.from_json_dict(d))
-
-    def __str__(self) -> str:
-        return f"(i*pi)^{self.e} * ({self.body})"

@@ -93,51 +93,28 @@ def test_criterion_5_oracle_equivalence(solved):
 
 def test_criterion_6_closed_form_goldens(solved):
     overlap = 40
-    r1, r2, r3, r4 = (solved[r] for r in (1, 2, 3, 4))
-
-    s1_ok = r1.S.matches(closed_forms.s1(r1.S.N), min_overlap=overlap)
-    h1_ok = r1.R.matches(closed_forms.r1(r1.R.N), min_overlap=overlap)
-    h2_ok = r2.R.matches(
-        closed_forms.r_from_h_denominator(2, r2.R.N), min_overlap=overlap
-    )
-    g3_ok = r3.g.matches(closed_forms.g3(r3.g.N), min_overlap=overlap)
-    g3_misprint_detected = not r3.g.matches(
-        closed_forms.g3(r3.g.N, closed_forms.G3_MISPRINT), min_overlap=overlap
-    )
-    g4_ok = r4.g.matches(closed_forms.g4(r4.g.N), min_overlap=overlap)
-    h4_ok = r4.R.matches(
-        closed_forms.r_from_h_denominator(4, r4.R.N), min_overlap=overlap
-    )
-    f1_3_ok = r3.S.matches(closed_forms.f1_body_3(r3.S.N), min_overlap=overlap)
-    residual_authority = (
-        r3.ode_residual.is_zero() and r3.schwarz_residual.is_zero()
+    failed = [
+        claim.label
+        for claim in closed_forms.CLAIMS
+        if not claim.check(solved[claim.r], overlap)
+    ]
+    residual_authority = all(
+        solved[r].ode_residual.is_zero() and solved[r].schwarz_residual.is_zero()
+        for r in (1, 2, 3, 4)
     )
 
     print(
         "ACCEPTANCE 6 note: the g3 coefficient is 1266 (the quoted 1226 "
-        "variant has principal part -230/p and is rejected: mismatch "
-        f"detected={g3_misprint_detected}); the r=3 F1 closed form matches "
-        "with coefficients 15006/1266; pipeline residuals stay the authority "
-        f"(zero={residual_authority})."
-    )
-    ok = all(
-        (
-            s1_ok,
-            h1_ok,
-            h2_ok,
-            g3_ok,
-            g3_misprint_detected,
-            g4_ok,
-            h4_ok,
-            f1_3_ok,
-            residual_authority,
-        )
+        "variant has principal part -230/p and must not match); the r=3 F1 "
+        "closed form matches with coefficients 15006/1266; pipeline residuals "
+        f"stay the authority (zero={residual_authority}); claims that do not "
+        f"come out as stated: {failed or 'none'}."
     )
     report(
         6,
-        ok,
-        "closed-form goldens hold exactly: r=1 S and R, r=2 R, r=3 g "
-        "(corrected coefficient, misprint reported), r=4 g and R",
+        not failed and residual_authority,
+        f"all {len(closed_forms.CLAIMS)} rows of closed_forms.CLAIMS come out as "
+        f"stated for r=1..4 at overlap {overlap} (the 1226 g3 variant rejected)",
     )
 
 

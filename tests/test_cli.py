@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from modschwarz import cli
 from modschwarz.cli import build_parser, run
+from modschwarz.series import LaurentSeries
 
 
 def capture(argv):
@@ -184,6 +186,26 @@ def test_identities_suite():
     assert code == 0, out
     assert out.count("PASS") == 8
     assert "== mu" in out
+
+
+def test_identities_reports_each_ramanujan_identity(monkeypatch):
+    real = cli.ramanujan_residuals
+
+    def one_broken(N):
+        residuals = real(N)
+        residuals["theta(E4)-(E2*E4-E6)/3"] = LaurentSeries.from_terms(1, {3: 7}, N)
+        return residuals
+
+    monkeypatch.setattr(cli, "ramanujan_residuals", one_broken)
+    code, out, _ = capture(["identities", "--order", "30"])
+    assert code == 1
+    lines = [line for line in out.splitlines() if "ramanujan" in line]
+    assert lines == [
+        "PASS ramanujan theta(Delta)=E2*Delta",
+        "PASS ramanujan theta(E2)=(E2^2-E4)/12",
+        "FAIL ramanujan theta(E4)=(E2*E4-E6)/3 (coefficient 7 at p^3)",
+        "PASS ramanujan theta(E6)=(E2*E6-E4^2)/2",
+    ]
 
 
 # ---------------------------------------------------------------------------

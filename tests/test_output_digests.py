@@ -1,8 +1,10 @@
-"""Byte-level guard on ``solve --format json``.
+"""Byte-level guard on ``solve --format json`` and the text commands.
 
-The sha256 digests below were recorded with the term-by-term series
-inverse that the Newton inverse replaced.  Any change to the arithmetic
-kernels must leave every byte of this output as it is.
+The ``solve`` digests below were recorded with the term-by-term series
+inverse that the Newton inverse replaced.  The ``examples`` and
+``identities`` digests were recorded before those commands were driven
+from the claims table in ``closed_forms``.  Any change to the arithmetic
+kernels or to the commands must leave every byte of this output as it is.
 """
 
 import hashlib
@@ -32,6 +34,14 @@ DIGESTS = {
     (3, 120): "5c157895b6c72a23dc0c78435783324ecadcda077c91084793129ab4f7c6ee33",
 }
 
+TEXT_DIGESTS = {
+    ("examples", "--r", "1"): "f4579653cbe85a622e563fee0b9a0a24d8495d700b7740b808bb5c8a7673843f",
+    ("examples", "--r", "2"): "068404d008257c844236456dd6960dc2b0c0d41815f8caaf8e730e67abb8d8b6",
+    ("examples", "--r", "3"): "736f0ddc4119ae2c8071290e205d8f8f3ce4d5988d6c67acc77df87ad312fa85",
+    ("examples", "--r", "4"): "c752838fd2534385795b1f422aaf230d73a33b50f21165d8452cc4c0d7c47d1b",
+    ("identities", "--order", "40"): "8bfb8e5461fd8ba92ce2d64f23aba2eb4ae83e7869d586aad09bfdb4f8d30c4d",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -49,3 +59,10 @@ def test_cli_solve_json_digest(r):
     code = run(["solve", "--r", str(r), "--order", "120", "--format", "json"], out=out)
     assert code == 0
     assert sha256(out.getvalue()) == DIGESTS[(r, 120)]
+
+
+@pytest.mark.parametrize("argv", TEXT_DIGESTS, ids=" ".join)
+def test_cli_text_digest(argv):
+    out = io.StringIO()
+    assert run(list(argv), out=out) == 0
+    assert sha256(out.getvalue()) == TEXT_DIGESTS[argv]

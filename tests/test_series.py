@@ -10,8 +10,6 @@ from modschwarz.series import (
     IncompatibleLattice,
     LaurentSeries,
     NonzeroConstantTerm,
-    PrefactoredSeries,
-    PrefactorMismatch,
     UnknownCoefficient,
     ZeroLeadingCoefficient,
     _convolve,
@@ -401,13 +399,6 @@ def test_json_round_trip():
     assert LaurentSeries.from_json_dict(d) == a
 
 
-def test_prefactored_json_round_trip():
-    s = PrefactoredSeries(-1, L(2, 0, 6, 144))
-    d = s.to_json_dict()
-    assert d["e"] == -1
-    assert PrefactoredSeries.from_json_dict(d) == s
-
-
 def test_format_rational_canonical():
     assert format_rational(Fraction(-270)) == "-270"
     assert format_rational(Fraction(9, 4)) == "9/4"
@@ -415,28 +406,3 @@ def test_format_rational_canonical():
 
 def test_str_rendering():
     assert str(L(1, -1, 1, -24)) == "1*p^-1 + -24 + O(p^1)"
-
-
-# ---------------------------------------------------------------------------
-# prefactored series
-# ---------------------------------------------------------------------------
-
-
-def test_prefactored_mul_adds_exponents():
-    a = PrefactoredSeries(1, L(1, 0, 2))
-    b = PrefactoredSeries(-1, L(1, 0, 3))
-    prod = a * b
-    assert prod.e == 0 and prod.body.coeff(0) == 6
-
-
-def test_prefactored_add_requires_equal_exponent():
-    a = PrefactoredSeries(1, L(1, 0, 2))
-    with pytest.raises(PrefactorMismatch):
-        a + PrefactoredSeries(0, L(1, 0, 3))
-    assert (a + a).body.coeff(0) == 4
-
-
-def test_prefactored_inverse_flips_exponent():
-    a = PrefactoredSeries(2, L(1, 0, 4))
-    inv = a.inverse()
-    assert inv.e == -2 and inv.body.coeff(0) == Fraction(1, 4)

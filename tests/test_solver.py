@@ -132,11 +132,6 @@ def test_build_g_hits_prescribed_principal_part():
     assert dict(g4.principal_part().items()) == {-2: Fraction(1), -1: Fraction(-320)}
 
 
-def test_g_closed_forms(solved):
-    assert solved[3].g.matches(closed_forms.g3(solved[3].g.N), min_overlap=30)
-    assert solved[4].g.matches(closed_forms.g4(solved[4].g.N), min_overlap=30)
-
-
 def test_g3_misprinted_coefficient_is_rejected():
     # The 1226 variant yields principal part p^-3 - 230 p^-1, which the
     # eigenvector (-270) rules out; recorded here rather than patched.
@@ -246,49 +241,26 @@ def test_theta_antider_raises_on_nonzero_constant():
 
 
 # ---------------------------------------------------------------------------
-# closed-form goldens for S and R
+# closed-form goldens: every row of the claims table that ``examples`` prints
 # ---------------------------------------------------------------------------
 
 
+def _claim_id(claim) -> str:
+    return f"r{claim.r}-{claim.output}" + ("" if claim.holds else "-variant")
+
+
+@pytest.mark.parametrize("claim", closed_forms.CLAIMS, ids=_claim_id)
+def test_closed_form_claims(claim, solved):
+    assert claim.check(solved[claim.r], overlap=30)
+
+
 def test_s_closed_form_r1(solved):
-    res = solved[1]
-    assert res.S.matches(closed_forms.s1(res.S.N), min_overlap=30)
-    assert res.S.leading_coefficient == -240
-
-
-def test_s_closed_form_r2(solved):
-    res = solved[2]
-    assert res.S.matches(closed_forms.s2(res.S.N), min_overlap=30)
-
-
-def test_antiderivative_identity_r1(solved):
-    res = solved[1]
-    e4 = eisenstein(4, res.g.N + 1, 2)
-    lhs = (res.g * e4).theta_antider()
-    assert lhs.matches(closed_forms.antider_identity_1(res.g.N), min_overlap=30)
-
-
-def test_r_closed_form_r1(solved):
-    res = solved[1]
-    assert res.R.matches(closed_forms.r1(res.R.N), min_overlap=30)
-
-
-@pytest.mark.parametrize("r", [2, 3, 4])
-def test_r_closed_forms_from_h_denominators(r, solved):
-    res = solved[r]
-    assert res.R.matches(
-        closed_forms.r_from_h_denominator(r, res.R.N), min_overlap=30
-    )
-
-
-def test_f1_closed_form_r3(solved):
-    res = solved[3]
-    assert res.S.matches(closed_forms.f1_body_3(res.S.N), min_overlap=30)
+    """-E4'/(2*Delta^(1/2)) leads with -240; its match is the r1-S row."""
+    assert solved[1].S.leading_coefficient == -240
 
 
 def test_f1_closed_form_r4_needs_both_corrections(solved):
     res = solved[4]
-    assert res.S.matches(closed_forms.f1_body_4(res.S.N), min_overlap=30)
     uncorrected = closed_forms.f1_body_4(res.S.N, corrected=False)
     assert not res.S.matches(uncorrected, min_overlap=30)
     # The uncorrected variant differs by exactly the integration constant.
