@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from . import closed_forms
 from .modforms import (
-    Group,
     IdentityViolated,
     catalog_names,
     check_jacobi,
@@ -26,7 +25,6 @@ from .series import LaurentSeries, format_rational
 from .solver import (
     CROSS_RATIO_MIN_OVERLAP,
     ResidualNonzero,
-    build_B,
     classify_theta_cross_ratio,
     cross_ratio,
     equivariant_offset,

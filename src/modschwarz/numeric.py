@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .modforms import Group, eisenstein
-from .series import LaurentSeries, PrefactoredSeries
+from .series import PrefactoredSeries
 from .solver import SolveResult
 
 U = 1j * math.pi

@@ -10,8 +10,11 @@ theta = p d/dp.
    and take its eigenvalue-1 eigenvector X, normalised so the deepest
    component equals 1.
 2. Realise the unique weight -2 form g whose principal part is the one X
-   prescribes, as a polynomial in the Hauptmodul times the seed form t0
-   (greedy cancellation from the deepest pole).
+   prescribes, as a polynomial P in the Hauptmodul t times the seed form
+   t0.  The coefficients of P come from the principal parts alone (greedy
+   cancellation from the deepest pole on short truncations); P(t)*t0 is
+   then evaluated at the full budget by Paterson-Stockmeyer, with about
+   2*sqrt(deg P) full products.
 3. Integrate g*E4 termwise and combine into the first solution
    F1 = u*S,   S = -(r^2/a) * theta_antider(g*E4) + a * theta(g),
    with the constant term removed (it is the value of F1/u at the cusp).
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from .modforms import (
@@ -42,7 +45,7 @@ from .modforms import (
     theta_fourth,
     theta_logderiv,
 )
-from .series import LaurentSeries, PrefactoredSeries
+from .series import LaurentSeries, PrefactoredSeries, _clear_denominators
 
 
 class MatchFailure(RuntimeError):
@@ -135,23 +138,41 @@ def solve_eigen(system: BSystem) -> tuple[Fraction, ...]:
 def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     """The weight -2 form with principal part sum X[i] * p^(-(i+1)).
 
-    Built as P(t)*t0 where t is the Hauptmodul and t0 the seed form, by
-    cancelling the most negative surviving exponent first.  Each basis
-    element t^j * t0 has leading coefficient exactly 1 at p^(-(j+1)), so
-    the greedy pass always succeeds for correct generators.
+    Built as P(t)*t0 where t is the Hauptmodul and t0 the seed form.  The
+    coefficients of P come from the principal parts alone: a greedy pass
+    over short truncations of the basis t^j * t0 cancels the most negative
+    surviving exponent first.  Each basis element has leading coefficient
+    exactly 1 at p^(-(j+1)), so the pass always succeeds for correct
+    generators.
+
+    P(t) is then evaluated at the full budget by Paterson-Stockmeyer: with
+    the coefficients over one integer denominator D and k = isqrt(deg P + 1),
+    the blocks Q_i(t) are integer combinations of t, ..., t^(k-1), and
+    Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) full
+    products instead of deg P, then one product with t0 and one division
+    by D.
     """
     size = len(X)
     budget = N + size - 1
     t = hauptmodul(group, budget)
     t0 = seed_t0(group, budget)
-    powers = [t0]
-    for _ in range(size - 1):
-        powers.append(powers[-1] * t)
-    acc = LaurentSeries.zero(group.lattice, budget)
-    for j in range(size - 1, -1, -1):
-        need = X[j] - acc.coeff(-(j + 1))
-        if need:
-            acc = acc + powers[j] * need
+    c = _principal_coefficients(X, t.truncate(size), t0.truncate(size))
+    C, D = _clear_denominators(c)
+    deg = max((j for j, cj in enumerate(C) if cj), default=0)
+    k = isqrt(deg + 1)
+    tp = [1, t]  # tp[l] = t^l
+    for _ in range(k - 1):
+        tp.append(tp[-1] * t)
+
+    def block(i: int):
+        """Q_i(t) = sum C[i*k + l] * t^l over l < k, an int when only l = 0."""
+        top = min(i * k + k, deg + 1)
+        return sum(C[j] * tp[j - i * k] for j in range(i * k, top) if C[j])
+
+    P = block(deg // k)
+    for i in range(deg // k - 1, -1, -1):
+        P = P * tp[k] + block(i)
+    acc = P * t0 / D
     for i, want in enumerate(X):
         if acc.coeff(-(i + 1)) != want:
             raise MatchFailure(
@@ -159,6 +180,28 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
                 f" wanted {want}"
             )
     return acc
+
+
+def _principal_coefficients(
+    X: tuple[Fraction, ...], t: LaurentSeries, t0: LaurentSeries
+) -> list[Fraction]:
+    """Coefficients c_j of P with P(t)*t0 = sum X[i] * p^(-(i+1)) + O(1).
+
+    Only the exponents -len(X)..-1 are read, so t and t0 need only be
+    known a little past p^len(X).
+    """
+    size = len(X)
+    basis = [t0]
+    for _ in range(size - 1):
+        basis.append(basis[-1] * t)
+    c = [Fraction(0)] * size
+    acc = LaurentSeries.zero(t.m, -1)
+    for j in range(size - 1, -1, -1):
+        need = X[j] - acc.coeff(-(j + 1))
+        if need:
+            acc = acc + basis[j] * need
+            c[j] = need
+    return c
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import io
 from fractions import Fraction
 
-import pytest
-
 from modschwarz import closed_forms
 from modschwarz.cli import run as cli_run
 from modschwarz.modforms import (

@@ -7,7 +7,6 @@ import pytest
 from modschwarz.modforms import eisenstein
 from modschwarz.numeric import (
     DEFAULT_POINTS,
-    DerivativeVanishes,
     EvalConfig,
     Moebius,
     P_GEN,

@@ -3,7 +3,9 @@
 The ``solve`` digests below were recorded with the term-by-term series
 inverse that the Newton inverse replaced.  The ``examples`` and
 ``identities`` digests were recorded before those commands were driven
-from the claims table in ``closed_forms``.  Any change to the arithmetic
+from the claims table in ``closed_forms``.  The ``(47, 96)`` and
+``(64, 66)`` digests were recorded while ``build_g`` still multiplied out
+every Hauptmodul power at the full budget.  Any change to the arithmetic
 kernels or to the commands must leave every byte of this output as it is.
 """
 
@@ -32,6 +34,8 @@ DIGESTS = {
     (12, 60): "ca83cd3ca072e16c9bebfb544a83cae29654833f40ecbe16269c3c1e469020d6",
     (2, 120): "1c1ec5553438b035690e3312e0044a24f1de11ce083ea2e6e22c71bd4f305e5f",
     (3, 120): "5c157895b6c72a23dc0c78435783324ecadcda077c91084793129ab4f7c6ee33",
+    (47, 96): "eea334013ed8be1d2586c6afb323241d8c2554aa7ad288fed47c3fe9ee890086",
+    (64, 66): "8f00f461c24c3dbb82e6212f918ce10899ed97d7bf1f5918ad85b8f5947ca372",
 }
 
 TEXT_DIGESTS = {
@@ -59,6 +63,15 @@ def test_cli_solve_json_digest(r):
     code = run(["solve", "--r", str(r), "--order", "120", "--format", "json"], out=out)
     assert code == 0
     assert sha256(out.getvalue()) == DIGESTS[(r, 120)]
+
+
+@pytest.mark.parametrize("r, order", [(47, 96), (64, 66)])
+def test_cli_solve_json_digest_high_degree(r, order):
+    # deg P = 46 on the squares lattice and 31 on the full one.
+    out = io.StringIO()
+    argv = ["solve", "--r", str(r), "--order", str(order), "--format", "json"]
+    assert run(argv, out=out) == 0
+    assert sha256(out.getvalue()) == DIGESTS[(r, order)]
 
 
 @pytest.mark.parametrize("argv", TEXT_DIGESTS, ids=" ".join)

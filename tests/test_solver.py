@@ -6,11 +6,19 @@ from fractions import Fraction
 import pytest
 
 from modschwarz import closed_forms, solver
-from modschwarz.modforms import Group, delta, eisenstein, seed_t0, theta_fourth
+from modschwarz.modforms import (
+    Group,
+    delta,
+    eisenstein,
+    hauptmodul,
+    seed_t0,
+    theta_fourth,
+)
 from modschwarz.series import LaurentSeries, NonzeroConstantTerm
 from modschwarz.solver import (
     CROSS_RATIO_MIN_OVERLAP,
     DegenerateEntries,
+    MatchFailure,
     ResidualNonzero,
     ZeroDerivative,
     anharmonic_images,
@@ -130,6 +138,86 @@ def test_build_g_hits_prescribed_principal_part():
     X4 = solve_eigen(build_B(4))
     g4 = build_g(X4, Group.FULL, 25)
     assert dict(g4.principal_part().items()) == {-2: Fraction(1), -1: Fraction(-320)}
+
+
+def reference_build_g(X, group, N):
+    """Greedy cancellation on every power t^j * t0 at the full budget: the
+    definition the Paterson-Stockmeyer build_g must reproduce exactly."""
+    size = len(X)
+    budget = N + size - 1
+    t = hauptmodul(group, budget)
+    t0 = seed_t0(group, budget)
+    powers = [t0]
+    for _ in range(size - 1):
+        powers.append(powers[-1] * t)
+    acc = LaurentSeries.zero(group.lattice, budget)
+    for j in range(size - 1, -1, -1):
+        need = X[j] - acc.coeff(-(j + 1))
+        if need:
+            acc = acc + powers[j] * need
+    return acc
+
+
+def assert_same_g(X, group, N):
+    g = build_g(X, group, N)
+    ref = reference_build_g(X, group, N)
+    assert (g.m, g.n_min, g.N) == (ref.m, ref.n_min, ref.N)
+    assert g.coeffs == ref.coeffs
+
+
+@pytest.mark.parametrize(
+    "r, N",
+    [(r, minimum_order(r)) for r in range(1, 13)]
+    + [(r, 60) for r in range(1, 13)]
+    + [(47, minimum_order(47))],
+)
+def test_build_g_equals_reference(r, N):
+    assert_same_g(solve_eigen(build_B(r)), Group.for_r(r), N)
+
+
+def principal_part_of(c, group, N):
+    """X such that the reference realises sum c[j] * t^j * t0."""
+    size = len(c)
+    t = hauptmodul(group, N)
+    acc = LaurentSeries.zero(group.lattice, N)
+    power = seed_t0(group, N)
+    for cj in c:
+        acc = acc + power * cj
+        power = power * t
+    return tuple(acc.coeff(-(i + 1)) for i in range(size))
+
+
+# Size 10 gives Paterson-Stockmeyer blocks of k = 3 coefficients of P.
+SYNTHETIC_X = {
+    "X[3..6]=0": tuple(
+        Fraction(0) if 3 <= i <= 6 else Fraction(i - 4, i + 1) for i in range(9)
+    )
+    + (Fraction(1),),
+    "deepest-only": (Fraction(0),) * 9 + (Fraction(1),),
+    "non-monic-deepest": (Fraction(5, 3),) + (Fraction(0),) * 8 + (Fraction(-2, 7),),
+    "short-P": (Fraction(1), Fraction(-3, 2), Fraction(4)) + (Fraction(0),) * 7,
+    "zero": (Fraction(0),) * 10,
+}
+
+
+@pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
+@pytest.mark.parametrize("name", SYNTHETIC_X)
+def test_build_g_equals_reference_on_synthetic_x(name, group):
+    assert_same_g(SYNTHETIC_X[name], group, 30)
+
+
+@pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
+def test_build_g_equals_reference_with_a_zero_block_of_p(group):
+    # P = sum c[j] t^j with c[3..6] = 0: the block c[3..5] vanishes whole
+    # and the block c[6..8] has no constant term.
+    c = [Fraction(0) if 3 <= j <= 6 else Fraction(j + 1, 2) for j in range(10)]
+    assert_same_g(principal_part_of(c, group, 30), group, 30)
+
+
+def test_build_g_rejects_a_non_monic_seed(monkeypatch):
+    monkeypatch.setattr(solver, "seed_t0", lambda group, N: 2 * seed_t0(group, N))
+    with pytest.raises(MatchFailure):
+        build_g(solve_eigen(build_B(3)), Group.SQUARES, 40)
 
 
 def test_g3_misprinted_coefficient_is_rejected():
