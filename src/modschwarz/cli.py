@@ -17,6 +17,7 @@ from .modforms import (
     delta,
     delta_from_eisenstein,
     eisenstein,
+    eta_power,
     named_form,
     ramanujan_residuals,
 )
@@ -224,7 +225,7 @@ def _cmd_identities(args, out) -> int:
     w_delta = equivariant_offset(delta(pad), 12).body
     w_e6 = equivariant_offset(eisenstein(6, pad), 6).body
     cross = cross_ratio(LaurentSeries.zero(1, pad), w_e4, w_delta, w_e6)
-    j = eisenstein(4, pad) ** 3 * delta(pad + 2).inverse() * Fraction(1, 1728)
+    j = eisenstein(4, pad) ** 3 * eta_power(-24, pad) * Fraction(1, 1728)
     _check(out, failures, "cross-ratio [tau,h_E4,h_Delta,h_E6] == E4^3/(1728*Delta)",
            cross.matches(j, min_overlap=N))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .modforms import Group, delta, delta_half, eisenstein, seed_t0
+from .modforms import Group, delta, eisenstein, eta_power, seed_t0
 from .series import LaurentSeries
 
 G3_COEFFICIENT = 1266
@@ -45,7 +45,7 @@ def g3(N: int, coefficient: int = G3_COEFFICIENT) -> LaurentSeries:
     """E4^4 / Delta^(3/2) - coefficient * E4 / Delta^(1/2), lattice 2."""
     pad = N + 8
     e4 = eisenstein(4, pad, 2)
-    lead = e4**4 * (delta_half(pad) ** 3).inverse()
+    lead = e4**4 * eta_power(-12, pad - 2) ** 3
     return (lead - g1(pad) * coefficient).truncate(N)
 
 
@@ -54,7 +54,7 @@ def g4(N: int) -> LaurentSeries:
     pad = N + 8
     e4 = eisenstein(4, pad)
     e6 = eisenstein(6, pad)
-    lead = e4**4 * e6 * (delta(pad) ** 2).inverse()
+    lead = e4**4 * e6 * eta_power(-24, pad - 2) ** 2
     return (lead - g2(pad) * G4_COEFFICIENT).truncate(N)
 
 
@@ -66,13 +66,13 @@ def s1(N: int) -> LaurentSeries:
     """
     pad = N + 6
     te4 = eisenstein(4, pad).theta().align(2)
-    return (-te4 * delta_half(2 * pad).inverse()).truncate(N)
+    return (-te4 * eta_power(-12, 2 * pad - 2)).truncate(N)
 
 
 def antider_identity_1(N: int) -> LaurentSeries:
     """-E6/Delta^(1/2): the exact value of theta_antider(g1 * E4)."""
     pad = N + 6
-    return (-eisenstein(6, 2 * pad, 2) * delta_half(2 * pad).inverse()).truncate(N)
+    return (-eisenstein(6, 2 * pad, 2) * eta_power(-12, 2 * pad - 2)).truncate(N)
 
 
 def r1(N: int) -> LaurentSeries:
@@ -120,7 +120,7 @@ def s2(N: int) -> LaurentSeries:
     e4 = eisenstein(4, pad)
     e6 = eisenstein(6, pad)
     num = e4**3 * 6 - e2 * e4 * e6 * 2 - e6**2 * 4
-    return (num * delta(pad).inverse() * Fraction(1, 6) - 1488).truncate(N)
+    return (num * eta_power(-24, pad - 2) * Fraction(1, 6) - 1488).truncate(N)
 
 
 def f1_body_3(N: int) -> LaurentSeries:
@@ -138,7 +138,7 @@ def f1_body_3(N: int) -> LaurentSeries:
         + e6 * dl * 15006
         + e2 * e4 * dl * 1266
     )
-    body = num.align(2) * (delta_half(pad) ** 3).inverse() * Fraction(1, 3)
+    body = num.align(2) * eta_power(-12, pad - 2) ** 3 * Fraction(1, 3)
     return body.truncate(N)
 
 
@@ -166,7 +166,7 @@ def f1_body_4(N: int, *, corrected: bool = True) -> LaurentSeries:
         + e2 * e4 * e6**3 * 103
         + e6**4 * 206
     )
-    body = num * (delta(pad) ** 2).inverse() * Fraction(-1, 648)
+    body = num * eta_power(-24, pad - 2) ** 2 * Fraction(-1, 648)
     if corrected:
         body = body + F1_4_CONSTANT
     return body.truncate(N)

@@ -2,16 +2,30 @@
 
 Generators return series on their natural lattice, truncated to exactly
 the requested order N (counted in the lattice variable p).  Everything is
-exact rational arithmetic; the heavy builders are memoised, which is
-transparent because all values are immutable.
+exact rational arithmetic.
+
+Each generator has a prefix cache: for every value of its other arguments
+it keeps one entry, the longest expansion built so far.  A call at an
+order that entry covers returns its truncation, which is exactly the
+series a fresh call gives; a longer call builds afresh and replaces the
+entry.  So memory stays bounded by one series per generator and key, the
+store is guarded by a lock, and since all values are immutable the cache
+is transparent.
+
+Delta, Delta^(1/2) and their inverses all come from one integer
+recurrence for the coefficients of prod (1 - x^n)^k (``eta_power``), so
+no generator inverts a series to divide by Delta.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 
 from .series import LaurentSeries
 
@@ -69,7 +83,52 @@ def sigma(k: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+def _prefix_cached(build):
+    """Serve ``build(..., N)`` from the longest expansion built so far.
+
+    One entry per value of the arguments other than ``N``.  A call at an
+    order the entry covers returns ``entry.truncate(N)``.  Below order 0 or
+    below the entry's first exponent a fresh window can be longer than N
+    (``eta_power(24, 0)`` keeps its lead q), so such calls go to ``build``.
+    A build runs outside the lock; its result replaces the entry only if
+    it is longer, so a reader never sees a partial series.
+    """
+    signature = inspect.signature(build)
+    store: dict[tuple, LaurentSeries] = {}
+    lock = threading.Lock()
+
+    @functools.wraps(build)
+    def cached(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        N = bound.arguments["N"]
+        key = tuple(v for name, v in bound.arguments.items() if name != "N")
+        with lock:
+            entry = store.get(key)
+        if entry is not None and max(entry.n_min, 0) <= N <= entry.N:
+            return entry.truncate(N)
+        fresh = build(*bound.args, **bound.kwargs)
+        with lock:
+            entry = store.get(key)
+            if entry is None or fresh.N > entry.N:
+                store[key] = fresh
+        return fresh
+
+    def cache_entries() -> dict[tuple, LaurentSeries]:
+        """A snapshot of the store: other arguments -> longest expansion."""
+        with lock:
+            return dict(store)
+
+    def cache_clear() -> None:
+        with lock:
+            store.clear()
+
+    cached.cache_entries = cache_entries
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_prefix_cached
 def eisenstein(k: int, N: int, m: int = 1) -> LaurentSeries:
     """E2, E4 or E6: 1 + c_k * sum sigma_{k-1}(n) q^n on lattice m."""
     factor = {2: -24, 4: 240, 6: -504}[k]
@@ -81,35 +140,42 @@ def eisenstein(k: int, N: int, m: int = 1) -> LaurentSeries:
     return LaurentSeries.from_terms(m, terms, max(N, 0), n_min=0)
 
 
-@lru_cache(maxsize=None)
-def _euler_product(N: int) -> LaurentSeries:
-    # prod (1 - q^n) via the pentagonal number expansion (sparse).
-    terms = {0: 1}
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > N and g2 > N:
-            break
-        sign = -1 if k % 2 else 1
-        if g1 <= N:
-            terms[g1] = sign
-        if g2 <= N:
-            terms[g2] = sign
-        k += 1
-    return LaurentSeries.from_terms(1, terms, max(N, 0), n_min=0)
+def _sigma1_table(K: int) -> list[int]:
+    """[0, sigma_1(1), ..., sigma_1(K)] by a divisor sieve."""
+    table = [0] * (K + 1)
+    for d in range(1, K + 1):
+        for n in range(d, K + 1, d):
+            table[n] += d
+    return table
 
 
-@lru_cache(maxsize=None)
+@_prefix_cached
 def eta_power(exponent: int, N: int) -> LaurentSeries:
-    """eta^24 = Delta = q prod (1-q^n)^24 on lattice 1, or
-    eta^12 = Delta^(1/2) = p prod (1-p^(2n))^12 on lattice 2."""
-    if exponent == 24:
-        return (_euler_product(N - 1) ** 24).shift(1)
-    if exponent == 12:
-        K = max((N - 1) // 2, 0)
-        return ((_euler_product(K).align(2) ** 12).shift(1)).truncate(N)
-    raise ValueError("supported eta powers are 12 and 24")
+    """eta^24 = Delta = q prod (1-q^n)^24 on lattice 1,
+    eta^12 = Delta^(1/2) = p prod (1-p^(2n))^12 on lattice 2,
+    and their inverses eta^-24 = 1/Delta and eta^-12 = 1/Delta^(1/2).
+
+    With x = q or p^2 and k the exponent, prod (1-x^n)^k = sum f_n x^n
+    has f_0 = 1 and n*f_n = -k * sum_{j=1..n} sigma_1(j) f_(n-j) (take
+    x d/dx of its logarithm); every f_n is an integer, so the division by
+    n is exact.  The windows are those of the Euler product (and of its
+    inverse from Delta(N+2)): lead..N, except that the lattice-1 powers
+    always keep their lead coefficient.
+    """
+    if exponent not in (24, 12, -24, -12):
+        raise ValueError("supported eta powers are 24, 12, -24 and -12")
+    m = 1 if abs(exponent) == 24 else 2
+    lead = 1 if exponent > 0 else -1
+    top = max(N, lead)
+    K = (top - lead) // m
+    sigma1 = _sigma1_table(K)
+    f = [1]
+    for n in range(1, K + 1):
+        f.append(-exponent * sum(map(mul, sigma1[1:n + 1], reversed(f))) // n)
+    coeffs = [0] * (top - lead + 1)
+    coeffs[::m] = f
+    series = LaurentSeries(m, lead, tuple(coeffs))
+    return series if m == 1 else series.truncate(N)
 
 
 def delta(N: int) -> LaurentSeries:
@@ -127,33 +193,30 @@ def delta_from_eisenstein(N: int) -> LaurentSeries:
     return (e4**3 - e6**2) / 1728
 
 
-@lru_cache(maxsize=None)
+@_prefix_cached
 def j1728(N: int) -> LaurentSeries:
     """E4^3 / Delta = 1/q + 744 + 196884 q + ..."""
-    e4 = eisenstein(4, N + 2)
-    return e4**3 * delta(N + 2).inverse()
+    return eisenstein(4, N + 1) ** 3 * eta_power(-24, N)
 
 
-@lru_cache(maxsize=None)
+@_prefix_cached
 def hauptmodul(group: Group, N: int) -> LaurentSeries:
     """The normalised Hauptmodul t = 1/p + O(p) (constant term zero)."""
     if group is Group.FULL:
         t = j1728(N)
         return t - t.coeff(0)
-    return (eisenstein(6, N + 1, 2) * delta_half(N + 2).inverse()).truncate(N)
+    return eisenstein(6, N + 1, 2) * eta_power(-12, N)
 
 
-@lru_cache(maxsize=None)
+@_prefix_cached
 def seed_t0(group: Group, N: int) -> LaurentSeries:
     """The weight -2 seed with a simple pole: E4*E6/Delta or E4/Delta^(1/2)."""
     if group is Group.FULL:
-        e4 = eisenstein(4, N + 1)
-        e6 = eisenstein(6, N + 1)
-        return (e4 * e6 * delta(N + 2).inverse()).truncate(N)
-    return (eisenstein(4, N + 1, 2) * delta_half(N + 2).inverse()).truncate(N)
+        return eisenstein(4, N + 1) * eisenstein(6, N + 1) * eta_power(-24, N)
+    return eisenstein(4, N + 1, 2) * eta_power(-12, N)
 
 
-@lru_cache(maxsize=None)
+@_prefix_cached
 def triangular_series(N: int) -> LaurentSeries:
     """sum q^(n(n+1)/2), the odd-theta core: theta2 = 2 q^(1/8) * this."""
     terms = {}
@@ -164,7 +227,7 @@ def triangular_series(N: int) -> LaurentSeries:
     return LaurentSeries.from_terms(1, terms, max(N, 0), n_min=0)
 
 
-@lru_cache(maxsize=None)
+@_prefix_cached
 def theta_series(j: int, N: int) -> LaurentSeries:
     """theta3 or theta4 on lattice 2 (exponent of p is n^2)."""
     if j not in (3, 4):
@@ -177,7 +240,7 @@ def theta_series(j: int, N: int) -> LaurentSeries:
     return LaurentSeries.from_terms(2, terms, max(N, 0), n_min=0)
 
 
-@lru_cache(maxsize=None)
+@_prefix_cached
 def theta_fourth(j: int, N: int) -> LaurentSeries:
     """theta_j^4 on lattice 2; integer p-exponents for all three j."""
     if j == 2:

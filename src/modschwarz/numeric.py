@@ -193,13 +193,20 @@ def check_equivariance(
     }
 
 
-def schwarzian_value(result: SolveResult, tau: complex) -> complex:
-    """{h, tau} at one point, from the exact series for h', h'', h'''."""
+def _h_derivatives(result: SolveResult) -> tuple:
+    """The exact series for h', h'', h''' (theta images of R with their u-powers)."""
     a = 2 // result.m
-    R = result.R
-    h1 = R.theta() * a + 1                                         # h'
-    h2 = PrefactoredSeries(1, R.theta().theta() * (a * a))         # h''
-    h3 = PrefactoredSeries(2, R.theta().theta().theta() * (a**3))  # h'''
+    R1 = result.R.theta()
+    R2 = R1.theta()
+    return (
+        R1 * a + 1,
+        PrefactoredSeries(1, R2 * (a * a)),
+        PrefactoredSeries(2, R2.theta() * (a**3)),
+    )
+
+
+def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:
+    h1, h2, h3 = derivatives
     v1, _ = eval_series(h1, tau)
     if abs(v1) < 1e-12:
         raise DerivativeVanishes(f"h' vanishes at {tau}")
@@ -208,19 +215,26 @@ def schwarzian_value(result: SolveResult, tau: complex) -> complex:
     return v3 / v1 - 1.5 * (v2 / v1) ** 2
 
 
+def schwarzian_value(result: SolveResult, tau: complex) -> complex:
+    """{h, tau} at one point, from the exact series for h', h'', h'''."""
+    return _schwarzian_at(_h_derivatives(result), tau)
+
+
 def check_schwarz_numeric(result: SolveResult, cfg: EvalConfig | None = None) -> dict:
     """Evaluate {h, tau} - 2 pi^2 r^2 E4(tau) at the sample points.
 
     h', h'' and h''' are exact series (theta images of R with the right
     u-powers), so this independently cross-checks the algebraic reduction
-    used for the exact Schwarzian residual.
+    used for the exact Schwarzian residual.  They are built once per check
+    and evaluated at every point.
     """
     cfg = cfg or EvalConfig()
     e4 = eisenstein(4, max(result.R.N, 4), result.m)
+    derivatives = _h_derivatives(result)
     scale = 2 * math.pi**2 * result.r**2
     worst = 0.0
     for tau in cfg.points:
-        schwarzian = schwarzian_value(result, tau)
+        schwarzian = _schwarzian_at(derivatives, tau)
         e4v, _ = eval_series(e4, tau)
         worst = max(worst, abs(schwarzian - scale * e4v))
     return {

@@ -140,29 +140,30 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
 
     Built as P(t)*t0 where t is the Hauptmodul and t0 the seed form.  The
     coefficients of P come from the principal parts alone: a greedy pass
-    over short truncations of the basis t^j * t0 cancels the most negative
-    surviving exponent first.  Each basis element has leading coefficient
-    exactly 1 at p^(-(j+1)), so the pass always succeeds for correct
-    generators.
+    over the basis t^j * t0, with t and t0 asked for only to order len(X),
+    cancels the most negative surviving exponent first.  Each basis
+    element has leading coefficient exactly 1 at p^(-(j+1)), so the pass
+    always succeeds for correct generators.
 
     P(t) is then evaluated at the full budget by Paterson-Stockmeyer: with
     the coefficients over one integer denominator D and k = isqrt(deg P + 1),
     the blocks Q_i(t) are integer combinations of t, ..., t^(k-1), and
     Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) full
     products instead of deg P, then one product with t0 and one division
-    by D.
+    by D.  The full-budget t is asked for only when deg P >= 1.
     """
     size = len(X)
     budget = N + size - 1
-    t = hauptmodul(group, budget)
-    t0 = seed_t0(group, budget)
-    c = _principal_coefficients(X, t.truncate(size), t0.truncate(size))
+    c = _principal_coefficients(X, hauptmodul(group, size), seed_t0(group, size))
     C, D = _clear_denominators(c)
     deg = max((j for j, cj in enumerate(C) if cj), default=0)
     k = isqrt(deg + 1)
-    tp = [1, t]  # tp[l] = t^l
-    for _ in range(k - 1):
-        tp.append(tp[-1] * t)
+    tp = [1]  # tp[l] = t^l
+    if deg:
+        tp.append(hauptmodul(group, budget))
+        for _ in range(k - 1):
+            tp.append(tp[-1] * tp[1])
+    t0 = seed_t0(group, budget)
 
     def block(i: int):
         """Q_i(t) = sum C[i*k + l] * t^l over l < k, an int when only l = 0."""

@@ -1,8 +1,13 @@
 """Generators and exact identity checks, cross-checked against brute force."""
 
+import functools
+import inspect
+import random
 from fractions import Fraction
 
 import pytest
+
+from modschwarz import modforms
 
 from modschwarz.modforms import (
     Group,
@@ -24,6 +29,7 @@ from modschwarz.modforms import (
     theta_fourth,
     theta_logderiv,
     theta_series,
+    triangular_series,
 )
 from modschwarz.series import LaurentSeries
 
@@ -121,6 +127,64 @@ def test_delta_half_expansion():
 def test_eta_power_rejects_other_exponents():
     with pytest.raises(ValueError):
         eta_power(6, 10)
+
+
+def reference_euler_product(N):
+    """prod (1 - q^n) through q^N from the pentagonal number theorem."""
+    terms = {0: 1}
+    k = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
+        if g1 > N and g2 > N:
+            break
+        sign = -1 if k % 2 else 1
+        if g1 <= N:
+            terms[g1] = sign
+        if g2 <= N:
+            terms[g2] = sign
+        k += 1
+    return LaurentSeries.from_terms(1, terms, max(N, 0), n_min=0)
+
+
+@functools.cache
+def reference_eta_power(exponent, N):
+    """The Euler product raised to the power; the negative powers invert
+    the positive ones at order N + 2, as j1728 and seed_t0 used to."""
+    if exponent == 24:
+        return (reference_euler_product(N - 1) ** 24).shift(1)
+    if exponent == 12:
+        K = max((N - 1) // 2, 0)
+        return ((reference_euler_product(K).align(2) ** 12).shift(1)).truncate(N)
+    return reference_eta_power(-exponent, N + 2).inverse()
+
+
+@pytest.mark.parametrize("exponent", [24, 12, -24, -12])
+def test_eta_power_equals_euler_product_reference(exponent):
+    for N in range(0, 151):
+        want = reference_eta_power(exponent, N)
+        for got in (eta_power(exponent, N), eta_power.__wrapped__(exponent, N)):
+            assert (got.m, got.n_min, got.N) == (want.m, want.n_min, want.N), N
+            assert got == want, N
+
+
+def test_eta_power_small_windows():
+    assert eta_power(24, 0) == LaurentSeries(1, 1, (1,))
+    assert eta_power(24, 1) == LaurentSeries(1, 1, (1,))
+    assert eta_power(24, 2) == LaurentSeries(1, 1, (1, -24))
+    assert eta_power(12, 0) == LaurentSeries.zero(2, 0)
+    assert eta_power(12, 2) == LaurentSeries(2, 1, (1, 0))
+    assert eta_power(-24, 0) == LaurentSeries(1, -1, (1, 24))
+    assert eta_power(-12, 0) == LaurentSeries(2, -1, (1, 0))
+    assert eta_power(-12, 1) == LaurentSeries(2, -1, (1, 0, 12))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 90])
+def test_eta_inverses_invert_delta(N):
+    # delta(N) * eta^-24 is known on 0..N-1, and so is delta_half(N) * eta^-12.
+    for form, exponent, m in ((delta(N), -24, 1), (delta_half(N), -12, 2)):
+        product = form * eta_power(exponent, N)
+        assert product == LaurentSeries.one(m, N - 1), (exponent, N)
 
 
 def test_delta_half_squared_is_delta():
@@ -330,8 +394,105 @@ def test_lattice_two_forms_have_even_exponents():
         assert all(n % 2 == 0 for n, _ in aligned.items()), name
 
 
+# Every prefix-cached generator, with the values of its other arguments.
+CACHED = [
+    (eisenstein, [{"k": 2}, {"k": 4}, {"k": 6}, {"k": 4, "m": 2}, {"k": 6, "m": 2}]),
+    (eta_power, [{"exponent": e} for e in (24, 12, -24, -12)]),
+    (j1728, [{}]),
+    (hauptmodul, [{"group": Group.FULL}, {"group": Group.SQUARES}]),
+    (seed_t0, [{"group": Group.FULL}, {"group": Group.SQUARES}]),
+    (triangular_series, [{}]),
+    (theta_series, [{"j": 3}, {"j": 4}]),
+    (theta_fourth, [{"j": 2}, {"j": 3}, {"j": 4}]),
+]
+
+
 def test_generators_are_memoised_transparently():
-    a = eisenstein(4, 25)
-    b = eisenstein(4, 25)
-    assert a is b
-    assert a == eisenstein(4, 26).truncate(25)
+    """Shuffled rising and falling orders give exactly a fresh build."""
+    rng = random.Random(5)
+    for gen, keys in CACHED:
+        for key in keys:
+            orders = list(range(0, 41)) * 2 + [60, 3, 61, 0, 59]
+            rng.shuffle(orders)
+            for N in orders:
+                got = gen(N=N, **key)
+                fresh = gen.__wrapped__(N=N, **key)
+                assert (got.m, got.n_min, got.N) == (fresh.m, fresh.n_min, fresh.N)
+                assert got == fresh, (gen.__name__, key, N)
+
+
+def test_prefix_cache_answers_shorter_orders_without_building():
+    builds = []
+
+    @functools.wraps(eisenstein.__wrapped__)
+    def counting(k, N, m=1):
+        builds.append((k, N, m))
+        return eisenstein.__wrapped__(k, N, m)
+
+    cached = modforms._prefix_cached(counting)
+    cached(4, 50)
+    assert builds == [(4, 50, 1)]
+    for N in (50, 49, 10, 0, 33):
+        assert cached(4, N) == eisenstein.__wrapped__(4, N)
+    assert cached(4, 20, m=2) == eisenstein.__wrapped__(4, 20, 2)
+    assert cached(4, 5, 2) == eisenstein.__wrapped__(4, 5, 2)
+    assert builds == [(4, 50, 1), (4, 20, 2)]
+    assert cached(4, 51).N == 51
+    assert builds[-1] == (4, 51, 1)
+    assert set(cached.cache_entries()) == {(4, 1), (4, 2)}
+    assert cached.cache_entries()[(4, 1)].N == 51
+
+
+def test_prefix_cache_builds_below_the_entry_window():
+    # A fresh delta(0) keeps its lead q, so it is no truncation of a longer
+    # Delta; the cache must hand it to the builder.
+    delta(30)
+    assert delta(0) == eta_power.__wrapped__(24, 0)
+    assert (delta(0).n_min, delta(0).N) == (1, 1)
+    assert delta_half(0) == LaurentSeries.zero(2, 0)
+
+
+def _cache_key(gen, kwargs):
+    bound = inspect.signature(gen).bind(N=0, **kwargs)
+    bound.apply_defaults()
+    return tuple(v for name, v in bound.arguments.items() if name != "N")
+
+
+def test_generator_caches_hold_one_entry_per_key(solved):
+    """Bounded memory: after solving r = 1..12 at orders 60 and 90 each
+    generator holds one entry per key, and solving again adds nothing."""
+    from modschwarz.solver import solve_ode
+
+    for r in range(1, 13):
+        solve_ode(r, 90)
+    before = {}
+    for gen, keys in CACHED:
+        entries = gen.cache_entries()
+        assert set(entries) <= {_cache_key(gen, kw) for kw in keys}, gen.__name__
+        assert all(isinstance(s, LaurentSeries) for s in entries.values())
+        before[gen.__name__] = entries
+    for r in range(1, 13):
+        solve_ode(r, 60)
+        solve_ode(r, 90)
+    for gen, _ in CACHED:
+        after = gen.cache_entries()
+        assert after.keys() == before[gen.__name__].keys(), gen.__name__
+        assert all(after[k] is before[gen.__name__][k] for k in after), gen.__name__
+
+
+def test_threads_share_the_generator_caches():
+    """Solving r = 1..6 at order 60 from 4 threads on cold caches gives
+    exactly the serial results."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from modschwarz.solver import solve_ode
+
+    serial = {r: solve_ode(r, 60).to_json_dict() for r in range(1, 7)}
+    for gen, _ in CACHED:
+        gen.cache_clear()
+    jobs = [r for shift in range(4) for r in [*range(1 + shift, 7), *range(1, 1 + shift)]]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda r: (r, solve_ode(r, 60).to_json_dict()), jobs))
+    assert len(threaded) == 24
+    for r, doc in threaded:
+        assert doc == serial[r], r

@@ -221,3 +221,26 @@ def test_exact_and_numeric_residuals_agree(solved):
         assert res.schwarz_residual.is_zero()
         rep = check_schwarz_numeric(res)
         assert rep["max_residual"] < 1e-9, r
+
+
+def reference_schwarzian(result, tau):
+    """The per-point path: h', h'', h''' rebuilt at every sample point."""
+    a = 2 // result.m
+    R = result.R
+    v1, _ = eval_series(R.theta() * a + 1, tau)
+    v2, _ = eval_series(PrefactoredSeries(1, R.theta().theta() * (a * a)), tau)
+    v3, _ = eval_series(PrefactoredSeries(2, R.theta().theta().theta() * a**3), tau)
+    return v3 / v1 - 1.5 * (v2 / v1) ** 2
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_schwarz_numeric_equals_the_per_point_path(r, solved):
+    res = solved[r]
+    e4 = eisenstein(4, max(res.R.N, 4), res.m)
+    scale = 2 * math.pi**2 * r**2
+    worst = 0.0
+    for tau in DEFAULT_POINTS:
+        want = reference_schwarzian(res, tau)
+        assert schwarzian_value(res, tau) == want
+        worst = max(worst, abs(want - scale * eval_series(e4, tau)[0]))
+    assert check_schwarz_numeric(res)["max_residual"].hex() == worst.hex()

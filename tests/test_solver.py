@@ -220,6 +220,23 @@ def test_build_g_rejects_a_non_monic_seed(monkeypatch):
         build_g(solve_eigen(build_B(3)), Group.SQUARES, 40)
 
 
+@pytest.mark.parametrize("r, full_budget", [(1, False), (2, False), (3, True), (4, True)])
+def test_build_g_asks_for_the_full_budget_t_only_for_nonconstant_p(
+    r, full_budget, monkeypatch
+):
+    orders = []
+
+    def spy(group, N):
+        orders.append(N)
+        return hauptmodul(group, N)
+
+    monkeypatch.setattr(solver, "hauptmodul", spy)
+    X = solve_eigen(build_B(r))
+    build_g(X, Group.for_r(r), 40)
+    assert orders[0] == len(X)
+    assert (len(X) + 39 in orders) == full_budget
+
+
 def test_g3_misprinted_coefficient_is_rejected():
     # The 1226 variant yields principal part p^-3 - 230 p^-1, which the
     # eigenvector (-270) rules out; recorded here rather than patched.
