@@ -4,11 +4,12 @@ Generators return series on their natural lattice, truncated to exactly
 the requested order N (counted in the lattice variable p).  Everything is
 exact rational arithmetic.
 
-Each generator has a prefix cache: for every value of its other arguments
-it keeps one entry, the longest expansion built so far.  A call at an
-order that entry covers returns its truncation, which is exactly the
-series a fresh call gives; a longer call builds afresh and replaces the
-entry.  So memory stays bounded by one series per generator and key, the
+Each generator except ``j1728`` (built only when the cached full-group
+``hauptmodul`` misses) has a prefix cache: for every value of its other
+arguments it keeps one entry, the longest expansion built so far.  A call
+at an order that entry covers returns its truncation, which is exactly
+the series a fresh call gives; a longer call builds afresh and replaces
+the entry.  So memory stays bounded by one series per generator and key, the
 store is guarded by a lock, and since all values are immutable the cache
 is transparent.
 
@@ -193,7 +194,6 @@ def delta_from_eisenstein(N: int) -> LaurentSeries:
     return (e4**3 - e6**2) / 1728
 
 
-@_prefix_cached
 def j1728(N: int) -> LaurentSeries:
     """E4^3 / Delta = 1/q + 744 + 196884 q + ..."""
     return eisenstein(4, N + 1) ** 3 * eta_power(-24, N)

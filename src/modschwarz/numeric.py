@@ -206,6 +206,7 @@ def _h_derivatives(result: SolveResult) -> tuple:
 
 
 def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:
+    """{h, tau} at one point, from the series ``_h_derivatives`` returns."""
     h1, h2, h3 = derivatives
     v1, _ = eval_series(h1, tau)
     if abs(v1) < 1e-12:
@@ -213,11 +214,6 @@ def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:
     v2, _ = eval_series(h2, tau)
     v3, _ = eval_series(h3, tau)
     return v3 / v1 - 1.5 * (v2 / v1) ** 2
-
-
-def schwarzian_value(result: SolveResult, tau: complex) -> complex:
-    """{h, tau} at one point, from the exact series for h', h'', h'''."""
-    return _schwarzian_at(_h_derivatives(result), tau)
 
 
 def check_schwarz_numeric(result: SolveResult, cfg: EvalConfig | None = None) -> dict:

@@ -168,17 +168,6 @@ def test_eta_power_equals_euler_product_reference(exponent):
             assert got == want, N
 
 
-def test_eta_power_small_windows():
-    assert eta_power(24, 0) == LaurentSeries(1, 1, (1,))
-    assert eta_power(24, 1) == LaurentSeries(1, 1, (1,))
-    assert eta_power(24, 2) == LaurentSeries(1, 1, (1, -24))
-    assert eta_power(12, 0) == LaurentSeries.zero(2, 0)
-    assert eta_power(12, 2) == LaurentSeries(2, 1, (1, 0))
-    assert eta_power(-24, 0) == LaurentSeries(1, -1, (1, 24))
-    assert eta_power(-12, 0) == LaurentSeries(2, -1, (1, 0))
-    assert eta_power(-12, 1) == LaurentSeries(2, -1, (1, 0, 12))
-
-
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 90])
 def test_eta_inverses_invert_delta(N):
     # delta(N) * eta^-24 is known on 0..N-1, and so is delta_half(N) * eta^-12.
@@ -398,7 +387,6 @@ def test_lattice_two_forms_have_even_exponents():
 CACHED = [
     (eisenstein, [{"k": 2}, {"k": 4}, {"k": 6}, {"k": 4, "m": 2}, {"k": 6, "m": 2}]),
     (eta_power, [{"exponent": e} for e in (24, 12, -24, -12)]),
-    (j1728, [{}]),
     (hauptmodul, [{"group": Group.FULL}, {"group": Group.SQUARES}]),
     (seed_t0, [{"group": Group.FULL}, {"group": Group.SQUARES}]),
     (triangular_series, [{}]),
@@ -441,15 +429,6 @@ def test_prefix_cache_answers_shorter_orders_without_building():
     assert builds[-1] == (4, 51, 1)
     assert set(cached.cache_entries()) == {(4, 1), (4, 2)}
     assert cached.cache_entries()[(4, 1)].N == 51
-
-
-def test_prefix_cache_builds_below_the_entry_window():
-    # A fresh delta(0) keeps its lead q, so it is no truncation of a longer
-    # Delta; the cache must hand it to the builder.
-    delta(30)
-    assert delta(0) == eta_power.__wrapped__(24, 0)
-    assert (delta(0).n_min, delta(0).N) == (1, 1)
-    assert delta_half(0) == LaurentSeries.zero(2, 0)
 
 
 def _cache_key(gen, kwargs):
