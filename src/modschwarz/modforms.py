@@ -1,4 +1,4 @@
-"""Classical q-expansions and exact identity checks.
+"""Classical q-expansions and the residuals of exact identities among them.
 
 Generators return series on their natural lattice, truncated to exactly
 the requested order N (counted in the lattice variable p).  Everything is
@@ -48,24 +48,6 @@ class Group(Enum):
     @classmethod
     def for_r(cls, r: int) -> "Group":
         return cls.FULL if r % 2 == 0 else cls.SQUARES
-
-
-class IdentityViolated(Exception):
-    """An exact identity check found a nonzero coefficient."""
-
-    def __init__(self, name: str, exponent: int, value: Fraction):
-        self.name = name
-        self.exponent = exponent
-        self.value = value
-        super().__init__(
-            f"identity {name!r} violated: coefficient {value} at p^{exponent}"
-        )
-
-
-def _raise_if_nonzero(name: str, residual: LaurentSeries) -> None:
-    v = residual.order
-    if v is not None:
-        raise IdentityViolated(name, v, residual.coeff(v))
 
 
 def sigma(k: int, n: int) -> int:
@@ -282,19 +264,9 @@ def ramanujan_residuals(N: int) -> dict[str, LaurentSeries]:
     }
 
 
-def check_ramanujan(N: int) -> dict[str, LaurentSeries]:
-    """Verify the Ramanujan identities exactly through order N."""
-    residuals = ramanujan_residuals(N)
-    for name, res in residuals.items():
-        _raise_if_nonzero(name, res)
-    return residuals
-
-
-def check_jacobi(N: int) -> LaurentSeries:
-    """Verify theta2^4 + theta4^4 - theta3^4 = 0 exactly through order N."""
-    res = theta_fourth(2, N) + theta_fourth(4, N) - theta_fourth(3, N)
-    _raise_if_nonzero("theta2^4+theta4^4-theta3^4", res)
-    return res
+def jacobi_residual(N: int) -> LaurentSeries:
+    """Residual of Jacobi's identity theta2^4 + theta4^4 = theta3^4."""
+    return theta_fourth(2, N) + theta_fourth(4, N) - theta_fourth(3, N)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .modforms import Group, eisenstein
-from .series import PrefactoredSeries
+from .series import LaurentSeries
 from .solver import SolveResult
 
 U = 1j * math.pi
@@ -100,27 +100,20 @@ class EvalConfig:
 
 
 def eval_series(
-    series,
+    series: LaurentSeries,
     tau: complex,
-    e: int | None = None,
+    e: int = 0,
     *,
     tolerance: float | None = None,
 ) -> tuple[complex, float]:
     """Evaluate u^e * series at tau; returns (value, tail estimate).
 
-    Accepts a LaurentSeries (e defaults to 0) or a PrefactoredSeries
-    (e taken from the object).  The tail estimate extrapolates the decay
+    The series is rational; the transcendental unit u = i*pi enters only
+    through the stated power e.  The tail estimate extrapolates the decay
     of the last kept nonzero terms geometrically, scaled by the
     conservative TAIL_FACTOR; if a tolerance is given and the estimate
     exceeds it, TailTooLarge is raised.
     """
-    if isinstance(series, PrefactoredSeries):
-        if e is not None:
-            raise ValueError("e is taken from the PrefactoredSeries")
-        e = series.e
-        series = series.body
-    elif e is None:
-        e = 0
     if tau.imag <= 0:
         raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
 
@@ -180,8 +173,14 @@ def check_equivariance(
             raise PointOutsideDomain(
                 f"gamma moves {tau} to {gt}, too close to the real line"
             )
-        lhs = h_value(result, gt, tolerance=guard)
-        rhs = gamma.apply(h_value(result, tau, tolerance=guard))
+        try:
+            lhs = h_value(result, gt, tolerance=guard)
+            rhs = gamma.apply(h_value(result, tau, tolerance=guard))
+        except TailTooLarge as exc:
+            raise TailTooLarge(
+                f"equivariance under {gamma.entries()} for r={result.r} "
+                f"at order {result.N}: {exc}"
+            ) from exc
         worst = max(worst, abs(lhs - rhs))
     return {
         "r": result.r,
@@ -194,15 +193,12 @@ def check_equivariance(
 
 
 def _h_derivatives(result: SolveResult) -> tuple:
-    """The exact series for h', h'', h''' (theta images of R with their u-powers)."""
+    """The rational series of h', h'', h''' (theta images of R); the k-th
+    derivative is u^(k-1) times its series."""
     a = 2 // result.m
     R1 = result.R.theta()
     R2 = R1.theta()
-    return (
-        R1 * a + 1,
-        PrefactoredSeries(1, R2 * (a * a)),
-        PrefactoredSeries(2, R2.theta() * (a**3)),
-    )
+    return R1 * a + 1, R2 * (a * a), R2.theta() * (a**3)
 
 
 def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:
@@ -211,8 +207,8 @@ def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:
     v1, _ = eval_series(h1, tau)
     if abs(v1) < 1e-12:
         raise DerivativeVanishes(f"h' vanishes at {tau}")
-    v2, _ = eval_series(h2, tau)
-    v3, _ = eval_series(h3, tau)
+    v2, _ = eval_series(h2, tau, 1)
+    v3, _ = eval_series(h3, tau, 2)
     return v3 / v1 - 1.5 * (v2 / v1) ** 2
 
 
@@ -230,8 +226,13 @@ def check_schwarz_numeric(result: SolveResult, cfg: EvalConfig | None = None) ->
     scale = 2 * math.pi**2 * result.r**2
     worst = 0.0
     for tau in cfg.points:
-        schwarzian = _schwarzian_at(derivatives, tau)
-        e4v, _ = eval_series(e4, tau)
+        try:
+            schwarzian = _schwarzian_at(derivatives, tau)
+            e4v, _ = eval_series(e4, tau)
+        except TailTooLarge as exc:
+            raise TailTooLarge(
+                f"schwarzian for r={result.r} at order {result.N}: {exc}"
+            ) from exc
         worst = max(worst, abs(schwarzian - scale * e4v))
     return {
         "r": result.r,

@@ -134,12 +134,6 @@ class LaurentSeries:
     def one(cls, m: int, N: int) -> "LaurentSeries":
         return cls.from_terms(m, {0: 1}, N, n_min=0)
 
-    @classmethod
-    def monomial(cls, m: int, n: int, coefficient=1, N: int | None = None) -> "LaurentSeries":
-        if N is None:
-            N = n
-        return cls.from_terms(m, {n: coefficient}, N, n_min=n)
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
@@ -334,13 +328,6 @@ class LaurentSeries:
         )
         return LaurentSeries(self.m, self.n_min, coeffs)
 
-    def principal_part(self) -> "LaurentSeries":
-        """The strictly-negative-exponent part of the series."""
-        if self.n_min >= 0:
-            return LaurentSeries.zero(self.m, self.N)
-        terms = {n: c for n, c in self.items() if n < 0}
-        return LaurentSeries.from_terms(self.m, terms, self.N, n_min=self.n_min)
-
     # ------------------------------------------------------------------
     # lattice handling
     # ------------------------------------------------------------------
@@ -407,15 +394,3 @@ def _aligned(a: LaurentSeries, b: LaurentSeries) -> tuple[LaurentSeries, Laurent
         return a, b
     m = max(a.m, b.m)
     return a.align(m), b.align(m)
-
-
-@dataclass(frozen=True)
-class PrefactoredSeries:
-    """``u**e`` times a rational Laurent series, with ``u = i*pi``.
-
-    Keeping the transcendental unit as a tracked integer exponent lets the
-    whole construction stay inside exact rational arithmetic.
-    """
-
-    e: int
-    body: LaurentSeries

@@ -45,7 +45,7 @@ from .modforms import (
     theta_fourth,
     theta_logderiv,
 )
-from .series import LaurentSeries, PrefactoredSeries, _clear_denominators
+from .series import LaurentSeries, _clear_denominators
 
 
 class MatchFailure(RuntimeError):
@@ -210,6 +210,7 @@ class SolveResult:
     """Everything one run produces, plus the residuals that prove it."""
 
     r: int
+    N: int  # the order solve_ode was asked for
     group: Group
     X: tuple[Fraction, ...]
     g: LaurentSeries
@@ -296,13 +297,17 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     W = R.theta().theta() * (a * a) * h_deriv.inverse()
     schwarz_residual = W * W * Fraction(1, 2) - W.theta() * a - e4 * (2 * r * r)
 
-    if not ode_residual.is_zero():
-        raise ResidualNonzero(f"ODE residual nonzero for r={r}")
-    if not schwarz_residual.is_zero():
-        raise ResidualNonzero(f"Schwarzian residual nonzero for r={r}")
+    for name, residual in (("ODE", ode_residual), ("Schwarzian", schwarz_residual)):
+        v = residual.order
+        if v is not None:
+            raise ResidualNonzero(
+                f"{name} residual nonzero for r={r} at order {N}: "
+                f"coefficient {residual.coeff(v)} at p^{v}"
+            )
 
     return SolveResult(
         r=r,
+        N=N,
         group=group,
         X=X,
         g=g,
@@ -353,18 +358,17 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
     return LaurentSeries(m, lead, tuple(Fraction(x, D) for x in A))
 
 
-def equivariant_offset(form: LaurentSeries, weight) -> PrefactoredSeries:
-    """The offset h_f - tau = k*f/f' of the equivariant map built from a
-    weight-k form, as u^(-1) times a rational series.
+def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:
+    """The rational series o with h_f - tau = u^(-1) * o, where
+    h_f = tau + k*f/f' is the equivariant map built from a weight-k form.
 
-    On lattice m the derivative is f' = (2/m)*u*theta(f), so the stored
-    body is (k*m/2) * f / theta(f).
+    On lattice m the derivative is f' = (2/m)*u*theta(f), so
+    o = (k*m/2) * f / theta(f).
     """
     tf = form.theta()
     if tf.is_zero():
         raise ZeroDerivative("the form has zero derivative on its known window")
-    body = form * tf.inverse() * (Fraction(weight) * Fraction(form.m, 2))
-    return PrefactoredSeries(-1, body)
+    return form * tf.inverse() * (Fraction(weight) * Fraction(form.m, 2))
 
 
 def cross_ratio(
@@ -405,7 +409,8 @@ ANHARMONIC_LABELS = (
 
 
 def theta_offsets(N: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
-    """Offsets (bodies of h_{theta_j} - tau, j = 2, 3, 4) on lattice 2.
+    """The rational series o_j with h_{theta_j} - tau = u^(-1) * o_j,
+    j = 2, 3, 4, on lattice 2.
 
     theta2 itself has no integer p-expansion, so the offsets are built from
     the log-derivatives: k*f/f' = (k/2) / (q d/dq log f) with k = 1/2.

@@ -166,6 +166,17 @@ def test_verify_numeric():
     assert doc["numeric"]["schwarzian"]["pass"] is True
 
 
+def test_verify_numeric_refusal_names_check_r_and_order():
+    code, out, err = capture(["verify", "--r", "5", "--order", "80", "--numeric"])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "TailTooLarge"
+    assert error["message"].startswith(
+        "equivariance under [0, -1, 1, 1] for r=5 at order 80: tail estimate "
+    )
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_examples_pass(r):
     code, out, _ = capture(["examples", "--r", str(r), "--order", "40"])
@@ -205,6 +216,19 @@ def test_identities_reports_each_ramanujan_identity(monkeypatch):
         "PASS ramanujan theta(E2)=(E2^2-E4)/12",
         "FAIL ramanujan theta(E4)=(E2*E4-E6)/3 (coefficient 7 at p^3)",
         "PASS ramanujan theta(E6)=(E2*E6-E4^2)/2",
+    ]
+
+    # The Jacobi residual goes through the same loop.
+    monkeypatch.setattr(cli, "ramanujan_residuals", real)
+    real_jacobi = cli.jacobi_residual
+    monkeypatch.setattr(
+        cli, "jacobi_residual",
+        lambda N: real_jacobi(N) + LaurentSeries.from_terms(2, {5: -3}, N),
+    )
+    code, out, _ = capture(["identities", "--order", "30"])
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL jacobi theta2^4+theta4^4=theta3^4 (coefficient -3 at p^5)",
     ]
 
 

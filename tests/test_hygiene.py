@@ -1,0 +1,65 @@
+"""Import hygiene of the package: no stale imports, a clean ``__all__``."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import modschwarz
+
+PACKAGE = Path(modschwarz.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Every name an import statement binds, with its line number."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, names inside string annotations included."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_package_has_modules():
+    assert {p.stem for p in MODULES} >= {"series", "modforms", "solver", "numeric", "cli"}
+
+
+def test_every_import_is_used():
+    stale = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = used_names(tree)
+        stale += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported_names(tree).items()
+            if name not in used
+        ]
+    assert stale == []
+
+
+def test_all_names_resolve_once():
+    counts = Counter(modschwarz.__all__)
+    assert [name for name, k in counts.items() if k > 1] == []
+    assert [name for name in counts if not hasattr(modschwarz, name)] == []

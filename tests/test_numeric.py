@@ -1,5 +1,6 @@
 """Floating-point evaluation and the numeric equivariance/Schwarzian checks."""
 
+import dataclasses
 import math
 
 import pytest
@@ -24,7 +25,7 @@ from modschwarz.numeric import (
     h_value,
     schwarzian_via_differences,
 )
-from modschwarz.series import LaurentSeries, PrefactoredSeries
+from modschwarz.series import LaurentSeries
 from modschwarz.solver import solve_ode
 from modschwarz.modforms import Group
 
@@ -100,10 +101,12 @@ def test_eval_e6_vanishes_at_i():
     assert abs(v) < 1e-12
 
 
-def test_eval_prefactored_applies_unit_power():
-    series = PrefactoredSeries(-1, LaurentSeries.one(1, 10) * 2)
-    v, _ = eval_series(series, 1j)
-    assert abs(v - 2 / (1j * math.pi)) < 1e-14
+def test_eval_series_applies_unit_power():
+    series = eisenstein(4, 40)
+    tau = -0.3 + 1.1j
+    value, tail = eval_series(series, tau)
+    for e in (-1, 0, 1, 2):
+        assert eval_series(series, tau, e) == ((1j * math.pi) ** e * value, tail)
 
 
 def test_eval_rejects_lower_half_plane():
@@ -116,6 +119,16 @@ def test_eval_tail_guard_raises_outside_convergence(solved):
     # R-series terms stop decaying and the guard must fire.
     with pytest.raises(TailTooLarge):
         eval_series(solved[3].R, 0.05 + 0.45j, e=-1, tolerance=1e-8)
+
+
+def test_refusals_name_check_r_and_order(solved):
+    cfg = EvalConfig(points=(0.05 + 0.45j,), min_im=0.4)
+    with pytest.raises(TailTooLarge, match=r"^schwarzian for r=3 at order 60: terms"):
+        check_schwarz_numeric(solved[3], cfg)
+    with pytest.raises(
+        TailTooLarge, match=r"^equivariance under \[0, -1, 1, 1\] for r=3 at order 60: "
+    ):
+        check_equivariance(solved[3], P_GEN, cfg)
 
 
 def test_eval_is_monotone_improving(solved):
@@ -191,17 +204,7 @@ def test_schwarzian_of_moebius_map_is_zero(solved):
     # Forcing R to a constant makes h a translation; the same code path
     # must then produce a vanishing Schwarzian at every sample point.
     res = solved[1]
-    forced = type(res)(
-        r=res.r,
-        group=res.group,
-        X=res.X,
-        g=res.g,
-        S=res.S,
-        R=LaurentSeries.one(2, 40) * 3,
-        c_over_u=res.c_over_u,
-        ode_residual=res.ode_residual,
-        schwarz_residual=res.schwarz_residual,
-    )
+    forced = dataclasses.replace(res, R=LaurentSeries.one(2, 40) * 3)
     for tau in DEFAULT_POINTS:
         assert abs(_schwarzian_at(_h_derivatives(forced), tau)) < 1e-12
 
@@ -229,8 +232,8 @@ def reference_schwarzian(result, tau):
     a = 2 // result.m
     R = result.R
     v1, _ = eval_series(R.theta() * a + 1, tau)
-    v2, _ = eval_series(PrefactoredSeries(1, R.theta().theta() * (a * a)), tau)
-    v3, _ = eval_series(PrefactoredSeries(2, R.theta().theta().theta() * a**3), tau)
+    v2, _ = eval_series(R.theta().theta() * (a * a), tau, 1)
+    v3, _ = eval_series(R.theta().theta().theta() * a**3, tau, 2)
     return v3 / v1 - 1.5 * (v2 / v1) ** 2
 
 
