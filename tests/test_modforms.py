@@ -325,6 +325,16 @@ def test_jacobi_identity_holds():
     assert jacobi_residual(40).is_zero()
 
 
+def test_identity_violated_reports_first_offender():
+    # A broken identity leaves a nonzero residual; its order and the
+    # coefficient there name the first offending term, not a later one.
+    residual = jacobi_residual(20)
+    bad = residual + LaurentSeries.from_terms(residual.m, {3: Fraction(5), 7: -2}, 20)
+    v = bad.order
+    assert v == 3
+    assert bad.coeff(v) == 5
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
