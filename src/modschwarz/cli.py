@@ -24,6 +24,8 @@ from .numeric import EvalConfig, check_equivariance, check_schwarz_numeric, gene
 from .series import LaurentSeries, format_rational
 from .solver import (
     CROSS_RATIO_MIN_OVERLAP,
+    MAX_R,
+    MatchFailure,
     ResidualNonzero,
     classify_theta_cross_ratio,
     cross_ratio,
@@ -96,6 +98,8 @@ def _validate(args) -> None:
     if getattr(args, "r", None) is not None:
         if args.r < 1:
             raise UsageError("--r must be >= 1")
+        if args.r > MAX_R:
+            raise UsageError(f"--r must be <= {MAX_R}")
         if args.order < minimum_order(args.r):
             raise UsageError(f"--order must be >= {minimum_order(args.r)} for r={args.r}")
     if args.command == "series" and args.order < 0:
@@ -140,7 +144,7 @@ def _cmd_solve(args, out) -> int:
     print(f"h - tau = (i*pi)^-1 * ({res.R})", file=out)
     print(f"c/u = {format_rational(res.c_over_u)}", file=out)
     print(f"ode residual zero: {res.ode_residual.is_zero()}", file=out)
-    print(f"schwarzian residual zero: {res.schwarz_residual.is_zero()}", file=out)
+    print(f"schwarzian residual zero: {res.schwarz_residual_zero}", file=out)
     print(f"trusted order: {res.trusted_order}", file=out)
     return 0
 
@@ -151,7 +155,7 @@ def _cmd_verify(args, out) -> int:
         "r": res.r,
         "order": args.order,
         "ode_residual_zero": res.ode_residual.is_zero(),
-        "schwarz_residual_zero": res.schwarz_residual.is_zero(),
+        "schwarz_residual_zero": res.schwarz_residual_zero,
         "trusted_order": res.trusted_order,
     }
     ok = report["ode_residual_zero"] and report["schwarz_residual_zero"]
@@ -195,7 +199,7 @@ def _cmd_examples(args, out) -> int:
     _check(out, failures, "ode residual is the zero series",
            res.ode_residual.is_zero())
     _check(out, failures, "schwarzian residual is the zero series",
-           res.schwarz_residual.is_zero())
+           res.schwarz_residual_zero)
     return 1 if failures else 0
 
 
@@ -253,7 +257,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except UsageError as exc:
         print(_error_json(exc), file=err)
         return 2
-    except (ResidualNonzero, ArithmeticError, ValueError, LookupError) as exc:
+    except (ResidualNonzero, MatchFailure, ArithmeticError, ValueError, LookupError) as exc:
         print(_error_json(exc), file=err)
         return 1
 

@@ -216,9 +216,10 @@ def check_schwarz_numeric(result: SolveResult, cfg: EvalConfig | None = None) ->
     """Evaluate {h, tau} - 2 pi^2 r^2 E4(tau) at the sample points.
 
     h', h'' and h''' are exact series (theta images of R with the right
-    u-powers), so this independently cross-checks the algebraic reduction
-    used for the exact Schwarzian residual.  They are built once per check
-    and evaluated at every point.
+    u-powers), built once per check and evaluated at every point.  This is
+    the only check in the package that evaluates {h, tau} from R itself:
+    the exact layer certifies it through the ODE residual, the Wronskian
+    and R*S = -2g instead (see ``solver.solve_ode``).
     """
     cfg = cfg or EvalConfig()
     e4 = eisenstein(4, max(result.R.N, 4), result.m)

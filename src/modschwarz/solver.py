@@ -20,10 +20,12 @@ theta = p d/dp.
    with the constant term removed (it is the value of F1/u at the cusp).
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
    h = F2/F1 = tau + (1/u)*R with R = -2*g/S.
-5. Verify both equations exactly on the full trusted windows:
-       a^2*theta^2(S) - r^2*E4*S == 0
-       W^2/2 - a*theta(W) - 2*r^2*E4 == 0,  W = a^2*theta^2(R)/(1 + a*theta(R))
-   (the second is {h,tau}/pi^2 - 2*r^2*E4 after the u-powers cancel).
+5. Verify exactly, each on its full trusted window:
+       a^2*theta^2(S) - r^2*E4*S == 0                          (ODE)
+       S^2 - 2a*(S*theta(g) - g*theta(S)) == nonzero constant    (Wronskian)
+       R*S + 2*g == 0                                          (division)
+   By Abel's identity these three prove {h,tau}/pi^2 - 2*r^2*E4 == 0
+   on the window that R determines; ``solve_ode`` states the lemma.
 
 An independent Frobenius recurrence (``frobenius_oracle``) recomputes the
 regular solution coefficient by coefficient straight from the ODE and is
@@ -62,6 +64,12 @@ class ZeroDerivative(ArithmeticError):
 
 class DegenerateEntries(ValueError):
     """Cross-ratio of entries that are not pairwise distinct."""
+
+
+# Largest r that solve_ode and the CLI accept.  It bounds build_B's dense
+# (-n0) x (-n0) matrix and the run time: the dearest case at the limit,
+# r = 199 at its minimum order 400, takes about 20 s on a 2-CPU VM.
+MAX_R = 200
 
 
 def n0_for(r: int) -> int:
@@ -218,7 +226,8 @@ class SolveResult:
     R: LaurentSeries
     c_over_u: Fraction
     ode_residual: LaurentSeries
-    schwarz_residual: LaurentSeries
+    wronskian: LaurentSeries
+    division_residual: LaurentSeries
 
     @property
     def m(self) -> int:
@@ -231,6 +240,38 @@ class SolveResult:
     @property
     def trusted_order(self) -> int:
         return self.R.N
+
+    def certificate(self) -> tuple[tuple[str, LaurentSeries], ...]:
+        """The three parts of the Schwarzian certificate, each a series that
+        must be zero on its whole window; the Wronskian enters as its
+        non-constant part (its constant must also be nonzero)."""
+        w = self.wronskian
+        return (
+            ("ODE", self.ode_residual),
+            ("Wronskian", w - w.coeff(0)),
+            ("division", self.division_residual),
+        )
+
+    def certificate_failure(self) -> str | None:
+        """The first part of the certificate that fails, named with r, the
+        order and its first nonzero coefficient; None if all three hold."""
+        where = f"for r={self.r} at order {self.N}"
+        for name, residual in self.certificate():
+            v = residual.order
+            if v is not None:
+                return (
+                    f"{name} residual nonzero {where}: "
+                    f"coefficient {residual.coeff(v)} at p^{v}"
+                )
+        if self.wronskian.coeff(0) == 0:
+            return f"Wronskian is zero {where}: coefficient 0 at p^0"
+        return None
+
+    @property
+    def schwarz_residual_zero(self) -> bool:
+        """{h,tau}/pi^2 - 2*r^2*E4 == 0 on the window of R, as certified by
+        ``certificate`` (see ``solve_ode`` for the lemma)."""
+        return self.certificate_failure() is None
 
     def to_json_dict(self) -> dict:
         from .series import format_rational
@@ -246,7 +287,7 @@ class SolveResult:
             "R": self.R.to_json_dict(),
             "c_over_u": format_rational(self.c_over_u),
             "ode_residual_zero": self.ode_residual.is_zero(),
-            "schwarz_residual_zero": self.schwarz_residual.is_zero(),
+            "schwarz_residual_zero": self.schwarz_residual_zero,
             "trusted_order": self.trusted_order,
         }
 
@@ -256,6 +297,32 @@ def minimum_order(r: int) -> int:
     return 2 * (-n0_for(r)) + 2
 
 
+def first_solution(
+    g: LaurentSeries, e4: LaurentSeries, r: int
+) -> tuple[LaurentSeries, Fraction]:
+    """Step 3: S with F1 = u*S, and the cusp value c/u removed from it.
+
+    S = a*theta(g) - (r^2/a)*theta_antider(g*E4), so that
+    a*theta(S) = a^2*theta^2(g) - r^2*g*E4 holds term by term.
+    """
+    a = 2 // g.m
+    product = g * e4  # weight 2, so its constant term must vanish
+    s_tilde = g.theta() * a - product.theta_antider() * Fraction(r * r, a)
+    c_over_u = s_tilde.coeff(0)
+    return s_tilde - c_over_u, c_over_u
+
+
+def wronskian(g: LaurentSeries, S: LaurentSeries) -> LaurentSeries:
+    """w = S^2 - 2a*(S*theta(g) - g*theta(S)), the rational series of the
+    Wronskian F1*F2' - F1'*F2 = u^2*w of F1 = u*S and F2 = -2g + tau*F1.
+
+    When R*S = -2g this is S^2*(1 + a*theta(R)) = S^2*h', with no inverse.
+    It is computed as S*(S - 2a*theta(g)) + 2a*g*theta(S): two products.
+    """
+    a = 2 // g.m
+    return S * (S - g.theta() * (2 * a)) + g * S.theta() * (2 * a)
+
+
 def solve_ode(r: int, N: int = 40) -> SolveResult:
     """Run the whole construction; S, R and g are trusted through at least N.
 
@@ -263,9 +330,42 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     by S (order -n0) costs 3*(-n0) orders on R, and the Hauptmodul powers
     cost another -n0 on g, so everything upstream is computed to
     N + 4*(-n0) + guard.
+
+    The Schwarzian equation is certified, not expanded.  Write k = -n0,
+    E = a^2*theta^2(S) - r^2*E4*S (the ODE residual) and w = ``wronskian``.
+    Take g, S and E4 as the Laurent polynomials stored and R as the exact
+    quotient -2g/S.  Then (i) and (iii) hold as identities of formal
+    Laurent series, and (ii) holds on the window of w:
+
+    (i)   h' = 1 + a*theta(R) = w/S^2, since theta(R)*S^2 =
+          -2*(S*theta(g) - g*theta(S)).
+    (ii)  theta(w) = (2g/a)*E, because a*theta(S) = a^2*theta^2(g) -
+          r^2*g*E4 by construction, so F2 = -2g + tau*F1 has tau times the
+          ODE residual of F1 (Abel's identity, with residuals).  So a break
+          in the ODE part also shows in the Wronskian part.
+    (iii) With V = a*theta(w)/w, the field W = a^2*theta^2(R)/h' equals
+          -2a*theta(S)/S + V, and
+            {h,tau}/pi^2 - 2r^2*E4 = W^2/2 - a*theta(W) - 2r^2*E4
+                                   = 2E/S + V*(V/2 - 2a*theta(S)/S) - a*theta(V).
+          When w is a constant, V = 0 and this is 2E/S.
+
+    Windows.  g and S are known through M, E through M, w through
+    M - k and R*S + 2g through M - 2k, and R through N_R = M - 3k.  The
+    certificate is: E == 0 through M, w == nonzero constant through
+    N_R + 2k, and R*S + 2g == 0 through N_R + k.  The last fixes every
+    coefficient of R (the one at p^j first enters R*S at p^(j+k)), so R
+    is the exact quotient through N_R.  Through N_R + 2k, the direct
+    residual reads R only through N_R, V vanishes (w - w(0) does, and w
+    is a unit of order 0), theta(S)/S has order >= 0, and E/S vanishes
+    (E is zero through M, S has order k).  So the Schwarzian residual is
+    zero through N_R + 2k, the whole window a direct expansion from R
+    reaches.  Each part is checked on its own, so that two nonzero parts
+    cannot cancel, and each failure raises ``ResidualNonzero`` naming it.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
+    if r > MAX_R:
+        raise ValueError(f"r={r} is above the limit MAX_R={MAX_R}")
     if N < minimum_order(r):
         raise ValueError(
             f"order {N} is below the minimal budget {minimum_order(r)} for r={r}"
@@ -273,39 +373,24 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     group = Group.for_r(r)
     m = group.lattice
     a = 2 // m
-    n0 = n0_for(r)
-    size = -n0
+    size = -n0_for(r)
+    where = f"for r={r} at order {N}"
 
-    system = build_B(r)
-    X = solve_eigen(system)
-    g = build_g(X, group, N + 3 * size + 4)
+    X = solve_eigen(build_B(r))
+    try:
+        g = build_g(X, group, N + 3 * size + 4)
+    except MatchFailure as exc:
+        raise MatchFailure(f"build_g {where}: {exc}") from exc
     e4 = eisenstein(4, g.N + size, m)
-
-    product = g * e4  # weight 2, so its constant term must vanish
-    s_tilde = g.theta() * a - product.theta_antider() * Fraction(r * r, a)
-    c_over_u = s_tilde.coeff(0)
-    S = s_tilde - c_over_u
-    if S.order != -n0:
+    S, c_over_u = first_solution(g, e4, r)
+    if S.order != size:
         raise ResidualNonzero(
-            f"singular part of F1 survived: S has order {S.order}, wanted {-n0}"
+            f"singular part of F1 survived {where}: "
+            f"S has order {S.order}, wanted {size}"
         )
 
     R = g * S.inverse() * (-2)
-
-    ode_residual = S.theta().theta() * (a * a) - S * e4 * (r * r)
-    h_deriv = R.theta() * a + 1
-    W = R.theta().theta() * (a * a) * h_deriv.inverse()
-    schwarz_residual = W * W * Fraction(1, 2) - W.theta() * a - e4 * (2 * r * r)
-
-    for name, residual in (("ODE", ode_residual), ("Schwarzian", schwarz_residual)):
-        v = residual.order
-        if v is not None:
-            raise ResidualNonzero(
-                f"{name} residual nonzero for r={r} at order {N}: "
-                f"coefficient {residual.coeff(v)} at p^{v}"
-            )
-
-    return SolveResult(
+    res = SolveResult(
         r=r,
         N=N,
         group=group,
@@ -314,9 +399,14 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         S=S,
         R=R,
         c_over_u=c_over_u,
-        ode_residual=ode_residual,
-        schwarz_residual=schwarz_residual,
+        ode_residual=S.theta().theta() * (a * a) - S * e4 * (r * r),
+        wronskian=wronskian(g, S),
+        division_residual=R * S + g * 2,
     )
+    failure = res.certificate_failure()
+    if failure is not None:
+        raise ResidualNonzero(failure)
+    return res
 
 
 def frobenius_oracle(r: int, N: int) -> LaurentSeries:

@@ -10,6 +10,7 @@ import pytest
 from modschwarz import cli
 from modschwarz.cli import build_parser, run
 from modschwarz.series import LaurentSeries
+from modschwarz.solver import MAX_R
 
 
 def capture(argv):
@@ -40,6 +41,17 @@ def test_parse_verify_defaults():
 def test_invalid_r_exits_2():
     code, _, _ = capture(["verify", "--r", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_r_above_the_limit_exits_2_before_solving(command, monkeypatch):
+    def refuse(r, N):
+        raise AssertionError("solve_ode was called")
+
+    monkeypatch.setattr(cli, "solve_ode", refuse)
+    assert_usage_error(
+        [command, "--r", str(MAX_R + 1), "--order", "1000"], f"--r must be <= {MAX_R}"
+    )
 
 
 def test_too_small_order_exits_2():

@@ -17,6 +17,7 @@ from modschwarz.modforms import (
 from modschwarz.series import LaurentSeries, NonzeroConstantTerm
 from modschwarz.solver import (
     CROSS_RATIO_MIN_OVERLAP,
+    MAX_R,
     DegenerateEntries,
     MatchFailure,
     ResidualNonzero,
@@ -257,6 +258,8 @@ def test_solve_rejects_bad_arguments():
         solve_ode(0, 40)
     with pytest.raises(ValueError):
         solve_ode(6, minimum_order(6) - 1)
+    with pytest.raises(ValueError, match=f"above the limit MAX_R={MAX_R}"):
+        solve_ode(MAX_R + 1, 10**6)
 
 
 def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
@@ -276,11 +279,33 @@ def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
         solve_ode(2, 40)
 
 
+def test_match_failure_names_r_and_order(monkeypatch):
+    monkeypatch.setattr(solver, "seed_t0", lambda group, N: 2 * seed_t0(group, N))
+    with pytest.raises(
+        MatchFailure,
+        match=r"^build_g for r=3 at order 40: principal coefficient at p\^-1 is ",
+    ):
+        solve_ode(3, 40)
+
+
+def test_surviving_singular_part_names_r_and_order(monkeypatch):
+    # A wrong eigenvector still gives a weight -2 form g, so g*E4 keeps a
+    # zero constant term, but S keeps a pole: p^-2 cancels for any X
+    # (B's last diagonal entry is 1), p^-1 does not.
+    monkeypatch.setattr(solver, "solve_eigen", lambda system: (Fraction(-319), Fraction(1)))
+    with pytest.raises(
+        ResidualNonzero,
+        match=r"^singular part of F1 survived for r=4 at order 40: "
+        r"S has order -1, wanted 2$",
+    ):
+        solve_ode(4, 40)
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_residuals_vanish_on_full_windows(r, solved):
     res = solved[r]
     assert res.ode_residual.is_zero()
-    assert res.schwarz_residual.is_zero()
+    assert res.schwarz_residual_zero
 
 
 @pytest.mark.parametrize("r", range(1, 7))
