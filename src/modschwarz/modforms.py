@@ -115,12 +115,11 @@ def _prefix_cached(build):
 def eisenstein(k: int, N: int, m: int = 1) -> LaurentSeries:
     """E2, E4 or E6: 1 + c_k * sum sigma_{k-1}(n) q^n on lattice m."""
     factor = {2: -24, 4: 240, 6: -504}[k]
-    terms = {0: Fraction(1)}
-    n = 1
-    while m * n <= N:
-        terms[m * n] = Fraction(factor * sigma(k - 1, n))
-        n += 1
-    return LaurentSeries.from_terms(m, terms, max(N, 0), n_min=0)
+    coeffs = [0] * (max(N, 0) + 1)
+    coeffs[0] = 1
+    for n in range(1, N // m + 1):
+        coeffs[m * n] = factor * sigma(k - 1, n)
+    return LaurentSeries.from_numerators(m, 0, coeffs)
 
 
 def _sigma1_table(K: int) -> list[int]:
@@ -157,7 +156,7 @@ def eta_power(exponent: int, N: int) -> LaurentSeries:
         f.append(-exponent * sum(map(mul, sigma1[1:n + 1], reversed(f))) // n)
     coeffs = [0] * (top - lead + 1)
     coeffs[::m] = f
-    series = LaurentSeries(m, lead, tuple(coeffs))
+    series = LaurentSeries.from_numerators(m, lead, coeffs)
     return series if m == 1 else series.truncate(N)
 
 

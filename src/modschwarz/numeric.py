@@ -121,10 +121,13 @@ def eval_series(
     ap = abs(p)
     value = 0j
     terms: list[tuple[int, float]] = []
-    for n, c in series.items():
-        t = complex(c) * p**n
-        value += t
-        terms.append((n, abs(t)))
+    den = series.den
+    for n, x in enumerate(series.nums, series.n_min):
+        if x:
+            # int / int is correctly rounded: the double of Fraction(x, den)
+            t = x / den * p**n
+            value += t
+            terms.append((n, abs(t)))
 
     tail = _tail_estimate(terms, series.N, ap)
     if tolerance is not None and tail > tolerance:

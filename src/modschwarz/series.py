@@ -7,6 +7,21 @@ genuinely zero; exponents above ``N`` are *unknown*, not zero.  Every
 operation returns the tightest window its result is trusted on, so
 downstream code checks ``.N`` instead of silently assuming zero tails.
 
+A series is stored as integer numerators ``nums`` over one common
+denominator ``den``: the coefficient of ``p**(n_min + i)`` is
+``nums[i] / den``.  The form is canonical:
+
+* ``den > 0`` and ``gcd(den, *nums) == 1``, so ``den`` is the least
+  common denominator of the coefficients;
+* ``nums[0] != 0``, except for the zero series, which keeps the single
+  numerator 0 at the end of its window.
+
+So every value has exactly one representation, and ``==`` and ``hash``
+mean the same coefficients on the same window.  Every ring operation works
+on plain ints and reduces its result once, with one ``gcd`` over the
+whole series; ``coeff``, ``coeffs`` and ``items`` give ``Fraction`` views
+for readers.
+
 All coefficient arithmetic is exact; floats are rejected.  Values are
 immutable, so they can be shared freely across threads.
 """
@@ -15,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 
@@ -50,64 +66,80 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _convolve(
-    a: Sequence[Fraction], b: Sequence[Fraction], lo: int, hi: int
-) -> list[Fraction]:
-    """Coefficients ``lo..hi-1`` of the product of coefficient lists a and b.
-
-    Each factor is put over one common denominator first, so the inner
-    loop multiplies and adds plain integers and every output coefficient
-    is reduced once, at the end.
-    """
-    A, da = _clear_denominators(a)
-    B, db = _clear_denominators(b)
+def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Coefficients ``lo..hi-1`` of the product of integer lists a and b."""
     acc = [0] * (hi - lo)
-    for i, ai in enumerate(A[:hi]):
+    for i, ai in enumerate(a[:hi]):
         if not ai:
             continue
-        for j in range(max(lo - i, 0), min(len(B), hi - i)):
-            bj = B[j]
+        for j in range(max(lo - i, 0), min(len(b), hi - i)):
+            bj = b[j]
             if bj:
                 acc[i + j - lo] += ai * bj
-    den = da * db
-    return [Fraction(c, den) for c in acc]
+    return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class LaurentSeries:
-    """A truncated Laurent series in ``p = q**(1/m)`` over ``Fraction``.
+    """A truncated Laurent series in ``p = q**(1/m)`` over the rationals.
 
-    ``coeffs[i]`` is the coefficient of ``p**(n_min + i)``; the last stored
-    exponent is the trust bound ``N``.  Construction canonicalises by
-    converting coefficients to ``Fraction`` and dropping leading zeros
-    (they are already implied by the window semantics).
+    ``LaurentSeries(m, n_min, coeffs)`` takes the coefficients of
+    ``p**n_min, ..., p**N`` as ints or ``Fraction``s; ``from_numerators``
+    takes integer numerators over one denominator.  Both canonicalise
+    (see the module docstring), dropping leading zeros, which the window
+    semantics already imply.
     """
 
     m: int
     n_min: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.m not in (1, 2):
-            raise ValueError(f"lattice must be 1 or 2, got {self.m}")
-        if not self.coeffs:
+    def __init__(self, m: int, n_min: int, coeffs: Sequence[int | Fraction]) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least one stored coefficient")
-        coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs
-        )
-        n_min = self.n_min
+        for c in coeffs:
+            if not isinstance(c, _SCALARS):
+                raise TypeError(f"coefficients must be int or Fraction, got {c!r}")
+        self._set(m, n_min, *_clear_denominators(coeffs))
+
+    def _set(self, m: int, n_min: int, nums: Sequence[int], den: int) -> None:
+        """Store ``nums / den`` in canonical form; needs ``den > 0``."""
+        if m not in (1, 2):
+            raise ValueError(f"lattice must be 1 or 2, got {m}")
         start = 0
-        while start < len(coeffs) - 1 and coeffs[start] == 0:
+        while start < len(nums) - 1 and not nums[start]:
             start += 1
         if start:
-            coeffs = coeffs[start:]
+            nums = nums[start:]
             n_min += start
-        object.__setattr__(self, "coeffs", coeffs)
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def from_numerators(
+        cls, m: int, n_min: int, nums: Sequence[int], den: int = 1
+    ) -> "LaurentSeries":
+        """The series ``sum nums[i]/den * p**(n_min + i)``, canonicalised."""
+        if not nums:
+            raise ValueError("a series needs at least one stored coefficient")
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        elif den == 0:
+            raise ZeroDivisionError("a series needs a nonzero denominator")
+        series = object.__new__(cls)
+        series._set(m, n_min, nums, den)
+        return series
 
     @classmethod
     def from_terms(
@@ -123,12 +155,11 @@ class LaurentSeries:
             n_min = min(n_min, N)
         if any(n < n_min or n > N for n in terms):
             raise ValueError("term exponent outside the requested window")
-        coeffs = tuple(Fraction(terms.get(n, 0)) for n in range(n_min, N + 1))
-        return cls(m, n_min, coeffs)
+        return cls(m, n_min, tuple(terms.get(n, 0) for n in range(n_min, N + 1)))
 
     @classmethod
     def zero(cls, m: int, N: int) -> "LaurentSeries":
-        return cls(m, N, (Fraction(0),))
+        return cls.from_numerators(m, N, (0,))
 
     @classmethod
     def one(cls, m: int, N: int) -> "LaurentSeries":
@@ -141,7 +172,12 @@ class LaurentSeries:
     @property
     def N(self) -> int:
         """Largest exponent whose coefficient is known."""
-        return self.n_min + len(self.coeffs) - 1
+        return self.n_min + len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of ``p**n_min, ..., p**N`` as ``Fraction``s."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def coeff(self, n: int) -> Fraction:
         """Coefficient of ``p**n``; zero below the window, error above it."""
@@ -151,31 +187,36 @@ class LaurentSeries:
             raise UnknownCoefficient(
                 f"coefficient of p^{n} is beyond the trusted order {self.N}"
             )
-        return self.coeffs[n - self.n_min]
+        return Fraction(self.nums[n - self.n_min], self.den)
 
     @property
     def order(self) -> int | None:
         """Exponent of the first nonzero coefficient, or None if zero throughout."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.n_min + i
-        return None
+        return self.n_min if self.nums[0] else None
 
     @property
     def leading_coefficient(self) -> Fraction:
-        v = self.order
-        if v is None:
+        if not self.nums[0]:
             raise ZeroLeadingCoefficient("series is zero on its known window")
-        return self.coeff(v)
+        return Fraction(self.nums[0], self.den)
 
     def is_zero(self) -> bool:
-        return self.order is None
+        return not self.nums[0]
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in ascending exponent order."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                yield self.n_min + i, c
+        for i, x in enumerate(self.nums):
+            if x:
+                yield self.n_min + i, Fraction(x, self.den)
+
+    def _numerators(self, lo: int, hi: int, scale: int = 1) -> list[int]:
+        """Numerators of ``p**lo..p**hi`` times scale; needs lo <= n_min, hi <= N."""
+        top = hi - self.n_min + 1
+        pad = [0] * (min(self.n_min, hi + 1) - lo)
+        if top <= 0:
+            return pad
+        body = self.nums[:top]
+        return pad + (list(body) if scale == 1 else [x * scale for x in body])
 
     def matches(self, other: "LaurentSeries", *, min_overlap: int = 1) -> bool:
         """Do the two series agree on every exponent both know about?
@@ -190,7 +231,7 @@ class LaurentSeries:
             raise ValueError(
                 f"common window [{lo}, {hi}] is shorter than min_overlap={min_overlap}"
             )
-        return all(a.coeff(n) == b.coeff(n) for n in range(lo, hi + 1))
+        return a._numerators(lo, hi, b.den) == b._numerators(lo, hi, a.den)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -198,34 +239,41 @@ class LaurentSeries:
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            return self._add_scalar(Fraction(other))
+            return self._add_scalar(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         a, b = _aligned(self, other)
-        n_min = min(a.n_min, b.n_min)
-        N = min(a.N, b.N)
-        coeffs = tuple(a.coeff(n) + b.coeff(n) for n in range(n_min, N + 1))
-        return LaurentSeries(a.m, n_min, coeffs)
+        lo = min(a.n_min, b.n_min)
+        hi = min(a.N, b.N)
+        den = lcm(a.den, b.den)
+        nums = map(
+            add,
+            a._numerators(lo, hi, den // a.den),
+            b._numerators(lo, hi, den // b.den),
+        )
+        return LaurentSeries.from_numerators(a.m, lo, list(nums), den)
 
     __radd__ = __add__
 
-    def _add_scalar(self, c: Fraction) -> "LaurentSeries":
+    def _add_scalar(self, c: int | Fraction) -> "LaurentSeries":
         if c == 0 or self.N < 0:
             # A constant sits at exponent 0; if the window ends below that,
             # the sum is indistinguishable from self on the known range.
             return self
-        n_min = min(self.n_min, 0)
-        coeffs = tuple(
-            self.coeff(n) + (c if n == 0 else 0) for n in range(n_min, self.N + 1)
-        )
-        return LaurentSeries(self.m, n_min, coeffs)
+        den = lcm(self.den, c.denominator)
+        lo = min(self.n_min, 0)
+        nums = self._numerators(lo, self.N, den // self.den)
+        nums[-lo] += c.numerator * (den // c.denominator)
+        return LaurentSeries.from_numerators(self.m, lo, nums, den)
 
     def __neg__(self):
-        return LaurentSeries(self.m, self.n_min, tuple(-c for c in self.coeffs))
+        return LaurentSeries.from_numerators(
+            self.m, self.n_min, [-x for x in self.nums], self.den
+        )
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
-            return self._add_scalar(Fraction(-other))
+            return self._add_scalar(-other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return self + (-other)
@@ -235,16 +283,19 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = Fraction(other)
-            return LaurentSeries(self.m, self.n_min, tuple(c * x for x in self.coeffs))
+            c = other.numerator
+            nums = [x * c for x in self.nums]
+            return LaurentSeries.from_numerators(
+                self.m, self.n_min, nums, self.den * other.denominator
+            )
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         a, b = _aligned(self, other)
         n_min = a.n_min + b.n_min
         # Beyond this bound the convolution would need unknown coefficients.
         N = min(a.N + b.n_min, b.N + a.n_min)
-        coeffs = _convolve(a.coeffs, b.coeffs, 0, N - n_min + 1)
-        return LaurentSeries(a.m, n_min, tuple(coeffs))
+        nums = _convolve(a.nums, b.nums, 0, N - n_min + 1)
+        return LaurentSeries.from_numerators(a.m, n_min, nums, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -255,27 +306,44 @@ class LaurentSeries:
         trusted through ``N - 2v`` (the unit part carries ``N - v``
         relative coefficients and the pole flips sign).
 
-        The unit part ``u`` is inverted by Newton iteration: if ``b`` is
-        ``u**-1`` to ``k`` terms, then ``b - b*(u*b - 1)`` is ``u**-1`` to
-        ``2k`` terms.  ``u*b - 1`` vanishes below ``p**k``, so each step
-        computes only its coefficients ``k..2k-1`` and multiplies them by
-        ``b``; both products run on the integer convolution of ``__mul__``.
-        The doubling stops at ``len(u)`` terms, so the result is exactly
-        the unique inverse on the window ``-v..N-2v``.
+        The unit part is ``U/den`` with U the integer numerators, and U is
+        inverted by Newton iteration on ``b = B/E``, integers B over one
+        E > 0: if b is ``U**-1`` to ``k`` terms, then ``b - b*(U*b - 1)`` is
+        ``U**-1`` to ``2k`` terms.  ``U*B - E`` vanishes below ``p**k``, so
+        each step computes only its coefficients ``k..2k-1``, takes them
+        over E in lowest terms, multiplies them by B and puts the new terms
+        and the old ones over one denominator, reduced once.  Both products
+        run on the integer convolution of ``__mul__``.  The doubling stops
+        at ``len(U)`` terms, so ``den * B / E`` is exactly the unique
+        inverse on the window ``-v..N-2v``.
         """
         v = self.order
         if v is None:
             raise ZeroLeadingCoefficient("cannot invert the zero series")
-        unit = self.coeffs[v - self.n_min:]
+        unit = self.nums  # canonical, so the unit part starts at nums[0]
         n = len(unit)
-        out = [1 / unit[0]]
+        B = [1 if unit[0] > 0 else -1]
+        E = abs(unit[0])
         k = 1
         while k < n:
             k2 = min(2 * k, n)
-            err = _convolve(unit[:k2], out, k, k2)
-            out += (-c for c in _convolve(out, err, 0, k2 - k))
+            err = _convolve(unit[:k2], B, k, k2)
+            g = gcd(E, *err)
+            if g != 1:
+                err = [c // g for c in err]
+            scale = E // g  # the new terms lie over E * scale
+            step = _convolve(B, err, 0, k2 - k)
+            B = [x * scale for x in B]
+            B += (-c for c in step)
+            E *= scale
+            g = gcd(E, *B)
+            if g != 1:
+                E //= g
+                B = [x // g for x in B]
             k = k2
-        return LaurentSeries(self.m, -v, tuple(out))
+        return LaurentSeries.from_numerators(
+            self.m, -v, [x * self.den for x in B], E
+        )
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -307,26 +375,25 @@ class LaurentSeries:
 
     def theta(self) -> "LaurentSeries":
         """Euler operator ``p d/dp``: multiply the ``p**n`` coefficient by n."""
-        coeffs = tuple(
-            c * (self.n_min + i) for i, c in enumerate(self.coeffs)
-        )
-        return LaurentSeries(self.m, self.n_min, coeffs)
+        nums = map(mul, self.nums, range(self.n_min, self.N + 1))
+        return LaurentSeries.from_numerators(self.m, self.n_min, list(nums), self.den)
 
     def theta_antider(self) -> "LaurentSeries":
         """Termwise antiderivative of ``theta``; integration constant 0.
 
         The input must have zero constant term (otherwise it is not the
-        theta-image of anything single-valued in p).
+        theta-image of anything single-valued in p).  The numerators go
+        over ``den * L`` with L the lcm of the exponents that carry a
+        nonzero coefficient.
         """
         if self.n_min <= 0 <= self.N and self.coeff(0) != 0:
             raise NonzeroConstantTerm(
                 f"constant term {self.coeff(0)} blocks antidifferentiation"
             )
-        coeffs = tuple(
-            c / n if (n := self.n_min + i) != 0 else Fraction(0)
-            for i, c in enumerate(self.coeffs)
-        )
-        return LaurentSeries(self.m, self.n_min, coeffs)
+        terms = list(zip(range(self.n_min, self.N + 1), self.nums))
+        L = lcm(*(n for n, x in terms if x))
+        nums = [x * (L // n) if x else 0 for n, x in terms]
+        return LaurentSeries.from_numerators(self.m, self.n_min, nums, self.den * L)
 
     # ------------------------------------------------------------------
     # lattice handling
@@ -341,14 +408,13 @@ class LaurentSeries:
         k = m_target // self.m
         # Exponents between stored multiples are known-zero, so the trust
         # bound tightens to k*(N+1) - 1.
-        terms = {k * n: c for n, c in self.items()}
-        return LaurentSeries.from_terms(
-            m_target, terms, k * (self.N + 1) - 1, n_min=k * self.n_min
-        )
+        nums = [0] * (k * len(self.nums))
+        nums[::k] = self.nums
+        return LaurentSeries.from_numerators(m_target, k * self.n_min, nums, self.den)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by the exact monomial ``p**k``."""
-        return LaurentSeries(self.m, self.n_min + k, self.coeffs)
+        return LaurentSeries.from_numerators(self.m, self.n_min + k, self.nums, self.den)
 
     def truncate(self, N: int) -> "LaurentSeries":
         """Restrict the window to end at N (a no-op if already tighter)."""
@@ -356,7 +422,8 @@ class LaurentSeries:
             return self
         if N < self.n_min:
             return LaurentSeries.zero(self.m, N)
-        return LaurentSeries(self.m, self.n_min, self.coeffs[: N - self.n_min + 1])
+        nums = self.nums[: N - self.n_min + 1]
+        return LaurentSeries.from_numerators(self.m, self.n_min, nums, self.den)
 
     # ------------------------------------------------------------------
     # serialization / rendering

@@ -111,12 +111,12 @@ def build_B(r: int) -> BSystem:
     a = 2 // m
     n0 = n0_for(r)
     size = -n0
-    e4 = eisenstein(4, size - 1, m)
+    b = eisenstein(4, size - 1, m).nums  # integers b_0..b_(size-1)
     rows = []
     for k in range(1, size + 1):
         scale = Fraction(r * r, a * a * k * k)
         row = tuple(
-            scale * e4.coeff(l - k) if l >= k else Fraction(0)
+            scale * b[l - k] if l >= k else Fraction(0)
             for l in range(1, size + 1)
         )
         rows.append(row)
@@ -430,8 +430,7 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
     lead = -n0_for(r)
     if N < lead:
         raise ValueError(f"order {N} cannot hold the leading exponent {lead}")
-    e4 = eisenstein(4, max(N - lead, 0), m)
-    b = [e4.coeff(j).numerator for j in range(N - lead + 1)]  # integers
+    b = eisenstein(4, N - lead, m).nums  # integers b_0..b_(N-lead)
     A = [1]
     D = 1
     for n in range(lead + 1, N + 1):
@@ -445,7 +444,7 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
             A = [x * den for x in A]
             D *= den
         A.append(num)
-    return LaurentSeries(m, lead, tuple(Fraction(x, D) for x in A))
+    return LaurentSeries.from_numerators(m, lead, A, D)
 
 
 def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:
@@ -457,7 +456,10 @@ def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:
     """
     tf = form.theta()
     if tf.is_zero():
-        raise ZeroDerivative("the form has zero derivative on its known window")
+        raise ZeroDerivative(
+            f"the weight {weight} form has zero derivative on its known window, "
+            f"through order {form.N}"
+        )
     return form * tf.inverse() * (Fraction(weight) * Fraction(form.m, 2))
 
 
@@ -479,7 +481,7 @@ def cross_ratio(
     d42 = o4 - o2
     for name, d in (("z1-z2", d12), ("z4-z3", d43), ("z1-z3", d13), ("z4-z2", d42)):
         if d.is_zero():
-            raise DegenerateEntries(f"difference {name} vanishes")
+            raise DegenerateEntries(f"difference {name} vanishes through order {d.N}")
     return (d12 * d43) * (d13 * d42).inverse()
 
 
@@ -549,7 +551,8 @@ def classify_theta_cross_ratio(N: int) -> tuple[str, LaurentSeries]:
     ]
     if len(labels) != 1:
         raise ResidualNonzero(
-            f"theta cross-ratio matches {len(labels)} anharmonic images of "
-            f"theta2^4/theta3^4 ({', '.join(labels) or 'none'}), wanted exactly 1"
+            f"theta cross-ratio at order {N} matches {len(labels)} anharmonic "
+            f"images of theta2^4/theta3^4 ({', '.join(labels) or 'none'}), "
+            f"wanted exactly 1"
         )
     return labels[0], cross

@@ -1,13 +1,18 @@
-"""Import hygiene of the package: no stale imports, a clean ``__all__``."""
+"""Import hygiene of the package: no stale imports, a clean ``__all__``,
+and nothing imported from outside the standard library."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import modschwarz
 
 PACKAGE = Path(modschwarz.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +68,29 @@ def test_all_names_resolve_once():
     counts = Counter(modschwarz.__all__)
     assert [name for name, k in counts.items() if k > 1] == []
     assert [name for name in counts if not hasattr(modschwarz, name)] == []
+
+
+def test_every_import_is_relative_or_from_the_standard_library():
+    foreign = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {top}"
+                for top in tops
+                if top not in sys.stdlib_module_names
+            ]
+    assert foreign == []
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []

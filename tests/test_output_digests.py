@@ -7,6 +7,11 @@ from the claims table in ``closed_forms``.  The ``(47, 96)`` and
 ``(64, 66)`` digests were recorded while ``build_g`` still multiplied out
 every Hauptmodul power at the full budget.  Any change to the arithmetic
 kernels or to the commands must leave every byte of this output as it is.
+
+The ``verify --numeric`` digests pin the floats of the numeric checks:
+they were recorded while coefficients were still evaluated through
+``complex(Fraction)``, so they also show that evaluating from integer
+numerators over one denominator gives the same doubles.
 """
 
 import hashlib
@@ -44,6 +49,10 @@ TEXT_DIGESTS = {
     ("examples", "--r", "3"): "736f0ddc4119ae2c8071290e205d8f8f3ce4d5988d6c67acc77df87ad312fa85",
     ("examples", "--r", "4"): "c752838fd2534385795b1f422aaf230d73a33b50f21165d8452cc4c0d7c47d1b",
     ("identities", "--order", "40"): "8bfb8e5461fd8ba92ce2d64f23aba2eb4ae83e7869d586aad09bfdb4f8d30c4d",
+    ("verify", "--r", "2", "--order", "60", "--numeric"):
+        "777df5df7ff158187b2956e247072d7e55cced2b5a4d81dffb2e215fa2495912",
+    ("verify", "--r", "3", "--order", "60", "--numeric"):
+        "1ac83d706882198984354a1a2e49f766087d1531e443aa48b173b821b9f5054f",
 }
 
 

@@ -1,6 +1,7 @@
 """Exact Laurent series arithmetic: examples, windows and ring axioms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -79,9 +80,9 @@ def reference_inverse(a: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(a.m, -v, tuple(out))
 
 
-def reference_product(a: list, b: list) -> list:
-    """Full Fraction schoolbook product of two coefficient lists."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def reference_product(a: list[int], b: list[int]) -> list[int]:
+    """Full schoolbook product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -211,9 +212,15 @@ def test_inverse_equals_reference_at_every_length(length):
     assert (inv.n_min, inv.N, inv.coeffs) == (ref.n_min, ref.N, ref.coeffs)
 
 
+# Integer coefficients, zero often and sometimes wider than a machine word.
+kernel_ints = st.one_of(
+    st.just(0), st.integers(min_value=-9, max_value=9), st.integers(-(2**90), 2**90)
+)
+
+
 @given(
-    st.lists(small_fractions, min_size=1, max_size=20),
-    st.lists(small_fractions, min_size=1, max_size=20),
+    st.lists(kernel_ints, min_size=1, max_size=20),
+    st.lists(kernel_ints, min_size=1, max_size=20),
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
@@ -221,7 +228,9 @@ def test_convolve_window_is_slice_of_product(a, b, data):
     full = reference_product(a, b)
     hi = data.draw(st.integers(min_value=0, max_value=len(full)))
     lo = data.draw(st.integers(min_value=0, max_value=hi))
-    assert _convolve(a, b, lo, hi) == full[lo:hi]
+    out = _convolve(a, b, lo, hi)
+    assert out == full[lo:hi]
+    assert all(type(c) is int for c in out)
 
 
 def test_truediv_matches_inverse():
@@ -375,6 +384,224 @@ def test_floats_are_rejected():
         a * 0.5
     with pytest.raises(TypeError):
         a + 0.5
+
+
+def test_constructor_rejects_floats():
+    with pytest.raises(TypeError):
+        LaurentSeries(1, 0, (1, 0.5))
+    with pytest.raises(TypeError):
+        LaurentSeries.from_terms(1, {0: 0.5}, 2)
+
+
+# ---------------------------------------------------------------------------
+# integer representation: canonical form against a Fraction reference
+# ---------------------------------------------------------------------------
+# A reference value is a triple (m, n_min, coeffs) of Fractions, computed
+# one coefficient at a time with the window rules of the module docstring.
+
+
+def ref(m, n_min, coeffs):
+    """The reference triple, leading zeros dropped (one coefficient kept)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs.pop(0)
+        n_min += 1
+    return m, n_min, tuple(coeffs)
+
+
+def ref_N(a):
+    return a[1] + len(a[2]) - 1
+
+
+def ref_coeff(a, n):
+    return a[2][n - a[1]] if n >= a[1] else Fraction(0)
+
+
+def ref_align(a, m):
+    if a[0] == m:
+        return a
+    out = [Fraction(0)] * (2 * len(a[2]))
+    out[::2] = a[2]
+    return ref(m, 2 * a[1], out)
+
+
+def ref_add(a, b, sign=1):
+    m = max(a[0], b[0])
+    a, b = ref_align(a, m), ref_align(b, m)
+    lo, hi = min(a[1], b[1]), min(ref_N(a), ref_N(b))
+    return ref(m, lo, [ref_coeff(a, n) + sign * ref_coeff(b, n) for n in range(lo, hi + 1)])
+
+
+def ref_add_scalar(a, c):
+    if c == 0 or ref_N(a) < 0:
+        return a
+    lo = min(a[1], 0)
+    coeffs = [ref_coeff(a, n) + (c if n == 0 else 0) for n in range(lo, ref_N(a) + 1)]
+    return ref(a[0], lo, coeffs)
+
+
+def ref_scale(a, c):
+    return ref(a[0], a[1], [x * c for x in a[2]])
+
+
+def ref_mul(a, b):
+    m = max(a[0], b[0])
+    a, b = ref_align(a, m), ref_align(b, m)
+    lo = a[1] + b[1]
+    hi = min(ref_N(a) + b[1], ref_N(b) + a[1])
+    coeffs = [
+        sum((ref_coeff(a, i) * ref_coeff(b, n - i) for i in range(a[1], n - b[1] + 1)),
+            Fraction(0))
+        for n in range(lo, hi + 1)
+    ]
+    return ref(m, lo, coeffs)
+
+
+def ref_inverse(a):
+    if a[2][0] == 0:
+        raise ZeroLeadingCoefficient
+    unit = a[2]
+    out = [1 / unit[0]]
+    for k in range(1, len(unit)):
+        out.append(-sum(unit[i] * out[k - i] for i in range(1, k + 1)) / unit[0])
+    return ref(a[0], -a[1], out)
+
+
+def ref_theta(a):
+    return ref(a[0], a[1], [c * n for n, c in enumerate(a[2], a[1])])
+
+
+def ref_theta_antider(a):
+    if 0 <= ref_N(a) and ref_coeff(a, 0) != 0:
+        raise NonzeroConstantTerm
+    return ref(a[0], a[1], [c / n if n else c for n, c in enumerate(a[2], a[1])])
+
+
+def ref_truncate(a, N):
+    if N >= ref_N(a):
+        return a
+    if N < a[1]:
+        return ref(a[0], N, [0])
+    return ref(a[0], a[1], a[2][: N - a[1] + 1])
+
+
+def assert_canonical(s):
+    """Plain ints, den > 0, gcd(den, *nums) == 1, no leading zero."""
+    assert all(type(x) is int for x in (s.den, *s.nums))
+    assert s.den > 0
+    assert gcd(s.den, *s.nums) == 1
+    assert s.nums[0] != 0 or len(s.nums) == 1
+
+
+def outcome(fn, *args):
+    """A result as its (m, n_min, coeffs) triple, or the error it raised."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    if isinstance(out, LaurentSeries):
+        assert_canonical(out)
+        return out.m, out.n_min, out.coeffs
+    return out
+
+
+# Each operation on series a, b, scalar c and integer k, then its reference.
+OPERATIONS = {
+    "constructor": (lambda a, b, c, k: a, lambda a, b, c, k: a),
+    "add": (lambda a, b, c, k: a + b, lambda a, b, c, k: ref_add(a, b)),
+    "sub": (lambda a, b, c, k: a - b, lambda a, b, c, k: ref_add(a, b, -1)),
+    "add scalar": (lambda a, b, c, k: a + c, lambda a, b, c, k: ref_add_scalar(a, c)),
+    "rsub scalar": (
+        lambda a, b, c, k: c - a,
+        lambda a, b, c, k: ref_add_scalar(ref_scale(a, -1), c),
+    ),
+    "neg": (lambda a, b, c, k: -a, lambda a, b, c, k: ref_scale(a, -1)),
+    "mul": (lambda a, b, c, k: a * b, lambda a, b, c, k: ref_mul(a, b)),
+    "mul scalar": (lambda a, b, c, k: a * c, lambda a, b, c, k: ref_scale(a, c)),
+    "div scalar": (
+        lambda a, b, c, k: a / c,
+        lambda a, b, c, k: ref_scale(a, 1 / Fraction(c)),
+    ),
+    "square": (lambda a, b, c, k: a**2, lambda a, b, c, k: ref_mul(a, a)),
+    "inverse": (lambda a, b, c, k: a.inverse(), lambda a, b, c, k: ref_inverse(a)),
+    "theta": (lambda a, b, c, k: a.theta(), lambda a, b, c, k: ref_theta(a)),
+    "theta_antider": (
+        lambda a, b, c, k: a.theta_antider(),
+        lambda a, b, c, k: ref_theta_antider(a),
+    ),
+    "align": (lambda a, b, c, k: a.align(2), lambda a, b, c, k: ref_align(a, 2)),
+    "shift": (
+        lambda a, b, c, k: a.shift(k),
+        lambda a, b, c, k: ref(a[0], a[1] + k, a[2]),
+    ),
+    "truncate": (
+        lambda a, b, c, k: a.truncate(k),
+        lambda a, b, c, k: ref_truncate(a, k),
+    ),
+    "matches": (
+        lambda a, b, c, k: a.matches(b, min_overlap=0),
+        lambda a, b, c, k: not any(ref_add(a, b, -1)[2]),
+    ),
+}
+
+rationals = st.one_of(
+    st.just(0),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+)
+
+
+@st.composite
+def series_spec_st(draw):
+    """(m, n_min, coeffs) with leading zeros, common factors and mixed
+    denominators all drawn often."""
+    m = draw(st.sampled_from((1, 2)))
+    n_min = draw(st.integers(min_value=-4, max_value=3))
+    coeffs = draw(st.lists(rationals, min_size=1, max_size=9))
+    scale = draw(st.sampled_from((1, 1, 6, Fraction(1, 10))))
+    return m, n_min, [c * scale for c in coeffs]
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+@given(
+    a=series_spec_st(),
+    b=series_spec_st(),
+    c=rationals,
+    k=st.integers(min_value=-6, max_value=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_operation_is_canonical_and_equals_the_fraction_reference(name, a, b, c, k):
+    op, reference = OPERATIONS[name]
+    got = outcome(op, LaurentSeries(*a), LaurentSeries(*b), c, k)
+    want = outcome(reference, ref(*a), ref(*b), c, k)
+    assert got == want
+
+
+@given(
+    spec=series_spec_st(),
+    k=st.integers(min_value=1, max_value=10**6),
+    c=rationals.filter(lambda c: c != 0),
+)
+@settings(max_examples=80, deadline=None)
+def test_equal_values_built_by_different_routes_are_equal(spec, k, c):
+    m, n_min, coeffs = spec
+    a = LaurentSeries(m, n_min, coeffs)
+    routes = [
+        LaurentSeries(m, n_min - 2, (0, 0, *coeffs)),
+        LaurentSeries.from_terms(m, dict(enumerate(coeffs, n_min)), a.N, n_min=n_min),
+        LaurentSeries.from_numerators(m, a.n_min, [x * k for x in a.nums], a.den * k),
+        LaurentSeries.from_numerators(m, a.n_min, [-x for x in a.nums], -a.den),
+        LaurentSeries.from_json_dict(a.to_json_dict()),
+        a * c / c,
+        (a + c) - c,
+        -(-a),
+        a.shift(3).shift(-3),
+        a * LaurentSeries.one(m, a.N - a.n_min),
+    ]
+    for b in routes:
+        assert_canonical(b)
+        assert b == a
+        assert hash(b) == hash(a)
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,23 @@ def test_cross_ratio_degenerate_entries():
         cross_ratio(one, one, one * 2, one * 3)
 
 
+def test_zero_derivative_names_the_order():
+    with pytest.raises(ZeroDerivative, match="weight 4 form .* through order 10$"):
+        equivariant_offset(LaurentSeries.one(1, 10), 4)
+
+
+def test_degenerate_entries_name_the_order():
+    one = LaurentSeries.one(1, 8)
+    with pytest.raises(DegenerateEntries, match="z1-z2 vanishes through order 8$"):
+        cross_ratio(one, one, one * 2, one * 3)
+
+
+def test_theta_cross_ratio_mismatch_names_the_order(monkeypatch):
+    monkeypatch.setattr(solver, "anharmonic_images", lambda mu: {"1-mu": 1 - mu})
+    with pytest.raises(ResidualNonzero, match="cross-ratio at order 20 matches 0 "):
+        classify_theta_cross_ratio(20)
+
+
 def test_theta_cross_ratio_is_classical_lambda():
     # The cross-ratio [tau, h_theta2, h_theta3, h_theta4] equals
     # mu = theta2^4/theta3^4 itself (16p - 128p^2 + ...), not one of the
