@@ -79,7 +79,7 @@ def r1(N: int) -> LaurentSeries:
     """R for r=1 from h_1 = tau + 4*E4/E4': body 2*E4/theta(E4), aligned."""
     pad = N + 6
     e4 = eisenstein(4, pad)
-    return (e4 * e4.theta().inverse() * 2).align(2).truncate(N)
+    return (e4 / e4.theta() * 2).align(2).truncate(N)
 
 
 def _h_denominator_tail(N: int, depth: int) -> LaurentSeries:
@@ -93,13 +93,13 @@ def _h_denominator_tail(N: int, depth: int) -> LaurentSeries:
     e4 = eisenstein(4, pad)
     e6 = eisenstein(6, pad)
     dl = delta(pad)
-    out = e2 - e6 * e4.inverse() - dl * (e4 * e6).inverse() * 720
+    out = e2 - e6 / e4 - dl / (e4 * e6) * 720
     if depth >= 3:
         den = e4**4 * e6 * 77 + e4 * e6**3 * 211
-        out = out + dl**2 * den.inverse() * 95800320
+        out = out + dl**2 / den * 95800320
     if depth >= 4:
         den = e4 * e6 * (e4**6 * 8701 + e4**3 * e6**2 * 31774 + e6**4 * 21733)
-        out = out - dl**3 * den.inverse() * 9146248151040
+        out = out - dl**3 / den * 9146248151040
     return out
 
 

@@ -240,10 +240,10 @@ def theta_logderiv(j: int, N: int) -> tuple[Fraction, LaurentSeries]:
     if j == 2:
         K = max((N + 1) // 2, 1)
         psi = triangular_series(K)
-        body = (psi.theta() * psi.inverse()).align(2).truncate(N)
+        body = (psi.theta() / psi).align(2).truncate(N)
         return Fraction(1, 8), body
     t = theta_series(j, N)
-    body = t.theta() * t.inverse() * Fraction(1, 2)
+    body = t.theta() / t * Fraction(1, 2)
     return Fraction(0), body
 
 

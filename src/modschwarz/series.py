@@ -20,7 +20,12 @@ So every value has exactly one representation, and ``==`` and ``hash``
 mean the same coefficients on the same window.  Every ring operation works
 on plain ints and reduces its result once, with one ``gcd`` over the
 whole series; ``coeff``, ``coeffs`` and ``items`` give ``Fraction`` views
-for readers.
+for readers.  A product or a quotient first divides the numerators of each
+side by their content (their ``gcd``), so the convolutions multiply the
+smallest integers that carry the value; the contents go back into the
+result as one rational factor.  Division is one kernel, ``_quotient``:
+Newton iteration on the divisor's inverse to half the window, then one
+last step with the numerator folded in.
 
 All coefficient arithmetic is exact; floats are rejected.  Values are
 immutable, so they can be shared freely across threads.
@@ -36,7 +41,7 @@ from typing import Iterator, Mapping, Sequence
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
-    """Inversion of a series that is zero on its whole known window."""
+    """Division by a series that is zero on its whole known window."""
 
 
 class NonzeroConstantTerm(ArithmeticError):
@@ -77,6 +82,66 @@ def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]
             if bj:
                 acc[i + j - lo] += ai * bj
     return acc
+
+
+def _primitive(nums: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """``(c, nums / c)`` with c the content ``gcd(*nums)``; 1 if all are zero."""
+    c = gcd(*nums) or 1
+    return c, (nums if c == 1 else [x // c for x in nums])
+
+
+def _scaled(nums: Sequence[int], c: int) -> Sequence[int]:
+    """``nums`` times the integer c."""
+    return nums if c == 1 else [x * c for x in nums]
+
+
+def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], int]:
+    """Integers Q over one D > 0 with ``Q/D = A/U`` through ``p**(n-1)``.
+
+    Needs ``U[0] != 0``.  One step (Karp and Markstein, ACM TOMS 23(4),
+    1997): if ``B/E`` is ``U**-1`` to ``k`` terms, then ``q0 = A*B/E`` is
+    ``A/U`` to ``k`` terms, ``U*q0 - A`` vanishes below ``p**k``, and
+    ``q0 - (B/E)*(U*q0 - A)`` is ``A/U`` to ``k2 <= 2k`` terms.  The step
+    computes only the coefficients ``k..k2-1`` of ``U*q0 - A``, takes them
+    over E in lowest terms, multiplies them by B and puts the new terms
+    and the old ones over one denominator, reduced once.
+
+    Newton iteration on ``U**-1`` is this step with numerator 1, doubling
+    up to ``h = ceil(n/2)`` terms; one last step with numerator A then
+    reaches n terms, with no separate inverse to n terms and no product
+    after it.  Every product runs on ``_convolve``.
+    """
+    h = (n + 1) // 2
+    B, E = [1 if U[0] > 0 else -1], abs(U[0])
+    k = 1
+    while k < h:
+        k2 = min(2 * k, h)
+        B, E = _quotient_step([1], U, B, E, k, k2)
+        k = k2
+    return _quotient_step(A, U, B, E, h, n)
+
+
+def _quotient_step(
+    A: Sequence[int], U: Sequence[int], B: list[int], E: int, k: int, k2: int
+) -> tuple[list[int], int]:
+    """``A/U`` to ``k2`` terms from ``B/E = U**-1`` to ``k`` terms."""
+    Q = _convolve(A, B, 0, k)
+    err = _convolve(U[:k2], Q, k, k2)
+    for i, x in enumerate(A[k:k2]):
+        err[i] -= E * x
+    g = gcd(E, *err)
+    if g != 1:
+        err = [x // g for x in err]
+    scale = E // g  # the new terms lie over E * scale
+    step = _convolve(B, err, 0, k2 - k)
+    Q = _scaled(Q, scale)
+    Q += (-x for x in step)
+    D = E * scale
+    g = gcd(D, *Q)
+    if g != 1:
+        D //= g
+        Q = [x // g for x in Q]
+    return Q, D
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -294,62 +359,61 @@ class LaurentSeries:
         n_min = a.n_min + b.n_min
         # Beyond this bound the convolution would need unknown coefficients.
         N = min(a.N + b.n_min, b.N + a.n_min)
-        nums = _convolve(a.nums, b.nums, 0, N - n_min + 1)
-        return LaurentSeries.from_numerators(a.m, n_min, nums, a.den * b.den)
+        ca, A = _primitive(a.nums)
+        cb, B = _primitive(b.nums)
+        nums = _convolve(A, B, 0, N - n_min + 1)
+        c = Fraction(ca * cb, a.den * b.den)
+        return LaurentSeries.from_numerators(
+            a.m, n_min, _scaled(nums, c.numerator), c.denominator
+        )
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse.
+    def inverse(self, numerator=1) -> "LaurentSeries":
+        """``numerator / self``: the multiplicative inverse by default, and
+        the quotient behind ``a / b``, which calls ``b.inverse(a)``.
 
-        For a series of order ``v`` known through ``N`` the inverse is
+        For a divisor of order ``v`` known through ``N`` the inverse is
         trusted through ``N - 2v`` (the unit part carries ``N - v``
-        relative coefficients and the pole flips sign).
+        relative coefficients and the pole flips sign).  A series
+        numerator ``a`` gives exactly the window of ``a * self.inverse()``:
+        it starts at ``a.n_min - v`` and holds ``min(len(a.nums),
+        len(self.nums))`` terms (after aligning the lattices).  An int or
+        ``Fraction`` numerator keeps the window of the inverse.
 
-        The unit part is ``U/den`` with U the integer numerators, and U is
-        inverted by Newton iteration on ``b = B/E``, integers B over one
-        E > 0: if b is ``U**-1`` to ``k`` terms, then ``b - b*(U*b - 1)`` is
-        ``U**-1`` to ``2k`` terms.  ``U*B - E`` vanishes below ``p**k``, so
-        each step computes only its coefficients ``k..2k-1``, takes them
-        over E in lowest terms, multiplies them by B and puts the new terms
-        and the old ones over one denominator, reduced once.  Both products
-        run on the integer convolution of ``__mul__``.  The doubling stops
-        at ``len(U)`` terms, so ``den * B / E`` is exactly the unique
-        inverse on the window ``-v..N-2v``.
+        The numerators of both sides are divided by their content before
+        ``_quotient`` divides them, and the contents and denominators go
+        back into the result as one rational factor.
         """
-        v = self.order
+        if isinstance(numerator, LaurentSeries):
+            a, b = _aligned(numerator, self)
+            n = min(len(a.nums), len(b.nums))
+            start, A, a_den = a.n_min, a.nums[:n], a.den
+        elif isinstance(numerator, _SCALARS):
+            b = self
+            n = len(b.nums)
+            start, A, a_den = 0, [numerator.numerator], numerator.denominator
+        else:
+            raise TypeError(f"cannot divide {numerator!r} by a series")
+        v = b.order
         if v is None:
-            raise ZeroLeadingCoefficient("cannot invert the zero series")
-        unit = self.nums  # canonical, so the unit part starts at nums[0]
-        n = len(unit)
-        B = [1 if unit[0] > 0 else -1]
-        E = abs(unit[0])
-        k = 1
-        while k < n:
-            k2 = min(2 * k, n)
-            err = _convolve(unit[:k2], B, k, k2)
-            g = gcd(E, *err)
-            if g != 1:
-                err = [c // g for c in err]
-            scale = E // g  # the new terms lie over E * scale
-            step = _convolve(B, err, 0, k2 - k)
-            B = [x * scale for x in B]
-            B += (-c for c in step)
-            E *= scale
-            g = gcd(E, *B)
-            if g != 1:
-                E //= g
-                B = [x // g for x in B]
-            k = k2
+            raise ZeroLeadingCoefficient(
+                f"cannot divide by a series that is zero through order {b.N}, "
+                f"its whole known window"
+            )
+        cA, A = _primitive(A)
+        cU, U = _primitive(b.nums[:n])
+        Q, D = _quotient(A, U, n)
+        c = Fraction(cA * b.den, cU * a_den)
         return LaurentSeries.from_numerators(
-            self.m, -v, [x * self.den for x in B], E
+            b.m, start - v, _scaled(Q, c.numerator), D * c.denominator
         )
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
             return self * (Fraction(1) / Fraction(other))
         if isinstance(other, LaurentSeries):
-            return self * other.inverse()
+            return other.inverse(self)
         return NotImplemented
 
     def __pow__(self, k: int):

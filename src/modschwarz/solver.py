@@ -19,7 +19,9 @@ theta = p d/dp.
    F1 = u*S,   S = -(r^2/a) * theta_antider(g*E4) + a * theta(g),
    with the constant term removed (it is the value of F1/u at the cusp).
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
-   h = F2/F1 = tau + (1/u)*R with R = -2*g/S.
+   h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
+   pass of the series quotient kernel: Newton iteration on S^-1 to half
+   the window, with g folded into the last step.
 5. Verify exactly, each on its full trusted window:
        a^2*theta^2(S) - r^2*E4*S == 0                          (ODE)
        S^2 - 2a*(S*theta(g) - g*theta(S)) == nonzero constant    (Wronskian)
@@ -68,7 +70,7 @@ class DegenerateEntries(ValueError):
 
 # Largest r that solve_ode and the CLI accept.  It bounds build_B's dense
 # (-n0) x (-n0) matrix and the run time: the dearest case at the limit,
-# r = 199 at its minimum order 400, takes about 20 s on a 2-CPU VM.
+# r = 199 at its minimum order 400, takes about 10 s on a 2-CPU VM.
 MAX_R = 200
 
 
@@ -331,6 +333,13 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     cost another -n0 on g, so everything upstream is computed to
     N + 4*(-n0) + guard.
 
+    R = g/S * (-2) is the one division of a solve.  ``g / S`` runs the
+    quotient kernel of ``LaurentSeries.inverse``: it divides the
+    numerators of g and of S by their contents (at r = 96 those of S
+    share 795 of their 1964 bits), inverts the unit part of S by Newton
+    iteration to half the window, and folds g into the last step, so
+    there is no inverse of S to the full window and no product after it.
+
     The Schwarzian equation is certified, not expanded.  Write k = -n0,
     E = a^2*theta^2(S) - r^2*E4*S (the ODE residual) and w = ``wronskian``.
     Take g, S and E4 as the Laurent polynomials stored and R as the exact
@@ -389,7 +398,7 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
             f"S has order {S.order}, wanted {size}"
         )
 
-    R = g * S.inverse() * (-2)
+    R = g / S * (-2)
     res = SolveResult(
         r=r,
         N=N,
@@ -460,7 +469,7 @@ def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:
             f"the weight {weight} form has zero derivative on its known window, "
             f"through order {form.N}"
         )
-    return form * tf.inverse() * (Fraction(weight) * Fraction(form.m, 2))
+    return form / tf * (Fraction(weight) * Fraction(form.m, 2))
 
 
 def cross_ratio(
@@ -482,7 +491,7 @@ def cross_ratio(
     for name, d in (("z1-z2", d12), ("z4-z3", d43), ("z1-z3", d13), ("z4-z2", d42)):
         if d.is_zero():
             raise DegenerateEntries(f"difference {name} vanishes through order {d.N}")
-    return (d12 * d43) * (d13 * d42).inverse()
+    return (d12 * d43) / (d13 * d42)
 
 
 THETA_WEIGHT = Fraction(1, 2)
@@ -522,8 +531,8 @@ def anharmonic_images(mu: LaurentSeries) -> dict[str, LaurentSeries]:
         "1-mu": one_minus,
         "1/mu": mu.inverse(),
         "1/(1-mu)": one_minus.inverse(),
-        "mu/(mu-1)": mu * (mu - 1).inverse(),
-        "(mu-1)/mu": (mu - 1) * mu.inverse(),
+        "mu/(mu-1)": mu / (mu - 1),
+        "(mu-1)/mu": (mu - 1) / mu,
     }
 
 
@@ -543,7 +552,7 @@ def classify_theta_cross_ratio(N: int) -> tuple[str, LaurentSeries]:
         )
     w2, w3, w4 = theta_offsets(N)
     cross = cross_ratio(LaurentSeries.zero(2, N), w2, w3, w4)
-    mu = theta_fourth(2, N) * theta_fourth(3, N).inverse()
+    mu = theta_fourth(2, N) / theta_fourth(3, N)
     labels = [
         label
         for label, image in anharmonic_images(mu).items()

@@ -1,5 +1,6 @@
-"""Import hygiene of the package: no stale imports, a clean ``__all__``,
-and nothing imported from outside the standard library."""
+"""Hygiene of the package: no stale imports, a clean ``__all__``, nothing
+imported from outside the standard library, and every division through
+the one quotient kernel."""
 
 import ast
 import sys
@@ -94,3 +95,21 @@ def test_no_runtime_dependencies():
     with open(PYPROJECT, "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_no_product_with_an_inverse():
+    # ``x * y.inverse()`` inverts y to its full window and then multiplies;
+    # ``x / y`` folds x into the last Newton step of one quotient kernel.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and isinstance(node.right, ast.Call)
+            and isinstance(node.right.func, ast.Attribute)
+            and node.right.func.attr == "inverse"
+        ]
+    assert found == []

@@ -1,6 +1,6 @@
 """The certificate behind ``schwarz_residual_zero``: the direct Schwarzian
-residual as its oracle, one break per part, and the one inverse a solve
-may take."""
+residual as its oracle, one break per part, and the one division a solve
+makes."""
 
 import io
 import json
@@ -101,11 +101,13 @@ def test_rescaled_s_breaks_only_the_wronskian_part(monkeypatch):
 
 
 def test_r_off_at_its_last_coefficient_breaks_only_the_division_part(monkeypatch):
+    # R = g/S * (-2) comes out of one division kernel, so the break is put
+    # on the quotient g/S at its last coefficient.
     real = LaurentSeries.inverse
 
-    def off_at_the_end(self):
-        inv = real(self)
-        return inv + LaurentSeries.from_terms(inv.m, {inv.N: 1}, inv.N)
+    def off_at_the_end(self, numerator=1):
+        q = real(self, numerator)
+        return q + LaurentSeries.from_terms(q.m, {q.N: 1}, q.N)
 
     monkeypatch.setattr(LaurentSeries, "inverse", off_at_the_end)
     code, message, res = verify_broken(monkeypatch)
@@ -137,14 +139,16 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
     for gen in vars(modforms).values():
         if hasattr(gen, "cache_clear"):
             gen.cache_clear()
-    inverted = []
+    divided = []
     real = LaurentSeries.inverse
 
-    def spy(self):
-        inverted.append(self)
-        return real(self)
+    def spy(self, numerator=1):
+        divided.append((self, numerator))
+        return real(self, numerator)
 
     monkeypatch.setattr(LaurentSeries, "inverse", spy)
     res = solve_ode(r, minimum_order(r))
-    assert len(inverted) == 1
-    assert inverted[0] is res.S
+    assert len(divided) == 1
+    divisor, numerator = divided[0]
+    assert divisor is res.S
+    assert numerator is res.g

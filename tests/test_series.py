@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modschwarz.series import (
@@ -13,6 +13,7 @@ from modschwarz.series import (
     NonzeroConstantTerm,
     UnknownCoefficient,
     ZeroLeadingCoefficient,
+    _aligned,
     _convolve,
     format_rational,
 )
@@ -233,11 +234,75 @@ def test_convolve_window_is_slice_of_product(a, b, data):
     assert all(type(c) is int for c in out)
 
 
-def test_truediv_matches_inverse():
-    a = L(1, 0, 1, 1)
-    b = L(1, 0, 2, -4)
-    assert (a / b).matches(a * b.inverse())
-    assert (a / 2) == L(1, 0, Fraction(1, 2), Fraction(1, 2))
+# Integer contents above 1 for the divisor, a negative one included.
+contents = st.sampled_from((1, 6, -35, 2**64 + 6))
+
+
+@st.composite
+def quotient_st(draw):
+    """(a, b) for ``a / b``: mixed lattices, zero numerators, numerators
+    longer and shorter than the divisor, divisors with content above 1
+    and a negative lead, one-term windows, and numerators that are
+    products of two series with content above 1, all drawn often."""
+
+    def side(lead):
+        m = draw(st.sampled_from((1, 2)))
+        n_min = draw(st.integers(min_value=-4, max_value=3))
+        size = draw(st.sampled_from((0, 0, 1, 4, 11)))
+        rest = draw(st.lists(small_fractions, min_size=size, max_size=size))
+        return LaurentSeries(m, n_min, (lead, *rest))
+
+    b = side(draw(nonzero_fractions)) * draw(contents)
+    kind = draw(st.sampled_from(("series", "zero", "product")))
+    if kind == "zero":
+        a = LaurentSeries.zero(draw(st.sampled_from((1, 2))), draw(st.integers(-4, 8)))
+    elif kind == "product":
+        a = (side(draw(nonzero_fractions)) * 6) * (side(draw(nonzero_fractions)) * 10)
+    else:
+        a = side(draw(small_fractions))
+    return a, b
+
+
+@given(quotient_st())
+@example((L(1, 0, 1, 1), L(2, 0, 2, -4, 0, 8)))  # mixed lattices
+@example((L(2, -1, 3, 0, 5), L(1, 1, -1, 2)))  # mixed lattices, numerator longer
+@example((LaurentSeries.zero(1, 5), L(1, 2, 3, 4)))  # zero numerator
+@example((L(1, 0, 1, 2, 3, 4, 5, 6), L(1, 0, 2, -4)))  # numerator longer
+@example((L(1, -2, 7, 1), L(1, 0, 2, -4, 5, 0, 1)))  # numerator shorter
+@example((L(1, 0, 1, 1, 1), L(1, 1, -35, 70, 105)))  # content 35, negative lead
+@example((L(1, 3, 5), L(2, -1, -12)))  # one-term windows
+@example((L(1, 0, 6, 12, -18) * L(1, -1, 10, 0, 20), L(1, 0, 4, 6, 8)))  # product
+@settings(max_examples=150, deadline=None)
+def test_truediv_matches_inverse(ab):
+    a, b = ab
+    q = a / b
+    want = a * reference_inverse(b)
+    assert_canonical(q)
+    assert q == want
+    x, y = _aligned(a, b)
+    start = x.n_min - y.order
+    assert q.N == start + min(len(x.nums), len(y.nums)) - 1
+    if not a.is_zero():
+        assert q.n_min == start
+
+
+def test_division_by_a_zero_series_names_its_window():
+    zero = LaurentSeries(1, -2, (0, 0, 0, 0))
+    message = (
+        r"^cannot divide by a series that is zero through order 1, "
+        r"its whole known window$"
+    )
+    with pytest.raises(ZeroLeadingCoefficient, match=message):
+        L(1, 0, 1, 2) / zero
+    with pytest.raises(ZeroLeadingCoefficient, match=message):
+        zero.inverse()
+
+
+def test_mul_restores_the_content_of_both_factors():
+    a = L(1, 0, 6, 12, -18)
+    b = L(2, -1, Fraction(10, 3), 0, 20)
+    assert gcd(*a.nums) == 6 and gcd(*b.nums) == 10
+    assert outcome(lambda: a * b) == ref_mul(ref(1, 0, a.coeffs), ref(2, -1, b.coeffs))
 
 
 def test_pow_negative_and_zero():
