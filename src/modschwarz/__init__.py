@@ -3,7 +3,6 @@ Schwarzian solutions, with coefficient-wise and numeric verification."""
 
 from .modforms import (
     Group,
-    NamedForm,
     delta,
     delta_half,
     eisenstein,
@@ -11,7 +10,6 @@ from .modforms import (
     hauptmodul,
     j1728,
     jacobi_residual,
-    named_form,
     ramanujan_residuals,
     seed_t0,
     sigma,
@@ -19,7 +17,6 @@ from .modforms import (
     theta_logderiv,
 )
 from .numeric import (
-    EvalConfig,
     Moebius,
     check_equivariance,
     check_schwarz_numeric,
@@ -33,7 +30,6 @@ from .series import (
     ZeroLeadingCoefficient,
 )
 from .solver import (
-    BSystem,
     SolveResult,
     build_B,
     build_g,
@@ -49,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Group",
-    "NamedForm",
     "delta",
     "delta_half",
     "eisenstein",
@@ -57,13 +52,11 @@ __all__ = [
     "hauptmodul",
     "j1728",
     "jacobi_residual",
-    "named_form",
     "ramanujan_residuals",
     "seed_t0",
     "sigma",
     "theta_fourth",
     "theta_logderiv",
-    "EvalConfig",
     "Moebius",
     "check_equivariance",
     "check_schwarz_numeric",
@@ -73,7 +66,6 @@ __all__ = [
     "NonzeroConstantTerm",
     "UnknownCoefficient",
     "ZeroLeadingCoefficient",
-    "BSystem",
     "SolveResult",
     "build_B",
     "build_g",

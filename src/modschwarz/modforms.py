@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import inspect
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -268,16 +267,8 @@ def jacobi_residual(N: int) -> LaurentSeries:
     return theta_fourth(2, N) + theta_fourth(4, N) - theta_fourth(3, N)
 
 
-@dataclass(frozen=True)
-class NamedForm:
-    """A catalog entry: series plus its weight bookkeeping."""
-
-    name: str
-    weight: int
-    series: LaurentSeries
-
-
-_CATALOG = {
+# Name -> (weight, builder of the series to order N); ``cli series`` prints these.
+CATALOG = {
     "e2": (2, lambda N: eisenstein(2, N)),
     "e4": (4, lambda N: eisenstein(4, N)),
     "e6": (6, lambda N: eisenstein(6, N)),
@@ -291,15 +282,3 @@ _CATALOG = {
     "t0-full": (-2, lambda N: seed_t0(Group.FULL, N)),
     "t0-squares": (-2, lambda N: seed_t0(Group.SQUARES, N)),
 }
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(_CATALOG)
-
-
-def named_form(name: str, N: int) -> NamedForm:
-    try:
-        weight, builder = _CATALOG[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog form {name!r}") from None
-    return NamedForm(name, weight, builder(N))

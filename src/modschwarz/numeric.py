@@ -83,22 +83,6 @@ DEFAULT_POINTS = (
 )
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Sample points and tolerances for the numeric checks."""
-
-    points: tuple[complex, ...] = DEFAULT_POINTS
-    tolerance: float = 1e-6
-    min_im: float = 0.8
-
-    def __post_init__(self) -> None:
-        for z in self.points:
-            if z.imag < self.min_im:
-                raise PointOutsideDomain(
-                    f"sample point {z} has Im < {self.min_im}"
-                )
-
-
 def eval_series(
     series: LaurentSeries,
     tau: complex,
@@ -158,41 +142,48 @@ def h_value(result: SolveResult, tau: complex, *, tolerance: float | None = None
     return tau + v
 
 
+def _sample(result: SolveResult, check: str, residual, tolerance: float) -> dict:
+    """Max over ``DEFAULT_POINTS`` of |residual(tau)|, as a report; a
+    TailTooLarge is re-raised naming the check, r and the order."""
+    worst = 0.0
+    for tau in DEFAULT_POINTS:
+        try:
+            worst = max(worst, abs(residual(tau)))
+        except TailTooLarge as exc:
+            raise TailTooLarge(
+                f"{check} for r={result.r} at order {result.N}: {exc}"
+            ) from exc
+    return {
+        "r": result.r,
+        "points": [[z.real, z.imag] for z in DEFAULT_POINTS],
+        "max_residual": worst,
+        "tolerance": tolerance,
+        "pass": worst < tolerance,
+    }
+
+
 def check_equivariance(
-    result: SolveResult, gamma: Moebius, cfg: EvalConfig | None = None
+    result: SolveResult, gamma: Moebius, tolerance: float = 1e-6
 ) -> dict:
-    """Max over sample points of |h(gamma.tau) - gamma.h(tau)|.
+    """Max over the sample points of |h(gamma.tau) - gamma.h(tau)|.
 
     Both sides evaluate the same exact series; gamma.tau is evaluated
     directly (the default points keep Im(gamma.tau) high enough for the
     tails to stay negligible, which the tail guard enforces).
     """
-    cfg = cfg or EvalConfig()
-    guard = cfg.tolerance * 1e-2
-    worst = 0.0
-    for tau in cfg.points:
+    guard = tolerance * 1e-2
+
+    def residual(tau: complex) -> complex:
         gt = gamma.apply(tau)
         if gt.imag <= 0.1:
             raise PointOutsideDomain(
                 f"gamma moves {tau} to {gt}, too close to the real line"
             )
-        try:
-            lhs = h_value(result, gt, tolerance=guard)
-            rhs = gamma.apply(h_value(result, tau, tolerance=guard))
-        except TailTooLarge as exc:
-            raise TailTooLarge(
-                f"equivariance under {gamma.entries()} for r={result.r} "
-                f"at order {result.N}: {exc}"
-            ) from exc
-        worst = max(worst, abs(lhs - rhs))
-    return {
-        "r": result.r,
-        "gamma": gamma.entries(),
-        "points": [[z.real, z.imag] for z in cfg.points],
-        "max_residual": worst,
-        "tolerance": cfg.tolerance,
-        "pass": worst < cfg.tolerance,
-    }
+        lhs = h_value(result, gt, tolerance=guard)
+        return lhs - gamma.apply(h_value(result, tau, tolerance=guard))
+
+    check = f"equivariance under {gamma.entries()}"
+    return {"gamma": gamma.entries(), **_sample(result, check, residual, tolerance)}
 
 
 def _h_derivatives(result: SolveResult) -> tuple:
@@ -215,7 +206,7 @@ def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:
     return v3 / v1 - 1.5 * (v2 / v1) ** 2
 
 
-def check_schwarz_numeric(result: SolveResult, cfg: EvalConfig | None = None) -> dict:
+def check_schwarz_numeric(result: SolveResult, tolerance: float = 1e-6) -> dict:
     """Evaluate {h, tau} - 2 pi^2 r^2 E4(tau) at the sample points.
 
     h', h'' and h''' are exact series (theta images of R with the right
@@ -224,27 +215,14 @@ def check_schwarz_numeric(result: SolveResult, cfg: EvalConfig | None = None) ->
     the exact layer certifies it through the ODE residual, the Wronskian
     and R*S = -2g instead (see ``solver.solve_ode``).
     """
-    cfg = cfg or EvalConfig()
     e4 = eisenstein(4, max(result.R.N, 4), result.m)
     derivatives = _h_derivatives(result)
     scale = 2 * math.pi**2 * result.r**2
-    worst = 0.0
-    for tau in cfg.points:
-        try:
-            schwarzian = _schwarzian_at(derivatives, tau)
-            e4v, _ = eval_series(e4, tau)
-        except TailTooLarge as exc:
-            raise TailTooLarge(
-                f"schwarzian for r={result.r} at order {result.N}: {exc}"
-            ) from exc
-        worst = max(worst, abs(schwarzian - scale * e4v))
-    return {
-        "r": result.r,
-        "points": [[z.real, z.imag] for z in cfg.points],
-        "max_residual": worst,
-        "tolerance": cfg.tolerance,
-        "pass": worst < cfg.tolerance,
-    }
+
+    def residual(tau: complex) -> complex:
+        return _schwarzian_at(derivatives, tau) - scale * eval_series(e4, tau)[0]
+
+    return _sample(result, "schwarzian", residual, tolerance)
 
 
 def schwarzian_via_differences(h, tau: complex, step: float = 5e-4) -> complex:

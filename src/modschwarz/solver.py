@@ -49,7 +49,7 @@ from .modforms import (
     theta_fourth,
     theta_logderiv,
 )
-from .series import LaurentSeries, _clear_denominators
+from .series import LaurentSeries, _clear_denominators, format_rational
 
 
 class MatchFailure(RuntimeError):
@@ -68,9 +68,10 @@ class DegenerateEntries(ValueError):
     """Cross-ratio of entries that are not pairwise distinct."""
 
 
-# Largest r that solve_ode and the CLI accept.  It bounds build_B's dense
-# (-n0) x (-n0) matrix and the run time: the dearest case at the limit,
-# r = 199 at its minimum order 400, takes about 10 s on a 2-CPU VM.
+# Largest r that solve_ode and the CLI accept.  Run time sets it, almost
+# all of it in the series convolutions: at r = 199, at its minimum order
+# 400, verify takes 9-12 s on a 2-CPU VM, of which build_B and solve_eigen
+# take about 0.25 s, and B's (-n0) x (-n0) matrix peaks at 2.6 MiB.
 MAX_R = 200
 
 
@@ -79,40 +80,21 @@ def n0_for(r: int) -> int:
     return -(r // 2) if r % 2 == 0 else -r
 
 
-@dataclass(frozen=True)
-class BSystem:
-    """The upper-triangular system B X = X killing the singular part.
+def build_B(r: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The upper-triangular matrix B of the system B X = X that kills the
+    singular part.
 
-    ``matrix[k-1][l-1]`` is B_{k,l} = r^2 * b_{l-k} / (a^2 k^2) for l >= k,
+    ``B[k-1][l-1]`` is B_{k,l} = r^2 * b_{l-k} / (a^2 k^2) for l >= k,
     where the b_j are the E4 coefficients on the group's lattice and
     a = 2/m.  The last diagonal entry is exactly 1; every other diagonal
     entry differs from 1, which makes the eigenvector unique once the last
     component is pinned to 1.
     """
-
-    r: int
-    group: Group
-    n0: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return self.group.lattice
-
-    @property
-    def size(self) -> int:
-        return -self.n0
-
-
-def build_B(r: int) -> BSystem:
-    """Assemble the principal-part matrix for the given r."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    group = Group.for_r(r)
-    m = group.lattice
+    m = Group.for_r(r).lattice
     a = 2 // m
-    n0 = n0_for(r)
-    size = -n0
+    size = -n0_for(r)
     b = eisenstein(4, size - 1, m).nums  # integers b_0..b_(size-1)
     rows = []
     for k in range(1, size + 1):
@@ -122,18 +104,17 @@ def build_B(r: int) -> BSystem:
             for l in range(1, size + 1)
         )
         rows.append(row)
-    return BSystem(r=r, group=group, n0=n0, matrix=tuple(rows))
+    return tuple(rows)
 
 
-def solve_eigen(system: BSystem) -> tuple[Fraction, ...]:
+def solve_eigen(B: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
     """Unique eigenvector X of B for eigenvalue 1 with last component 1.
 
     Component X[i] (0-based) is the principal-part coefficient a_{-(i+1)}.
     Back-substitution runs from the deepest pole upwards; the divisions by
     1 - B_{k,k} are safe because those diagonal entries are != 1.
     """
-    size = system.size
-    B = system.matrix
+    size = len(B)
     X: list[Fraction] = [Fraction(0)] * size
     X[size - 1] = Fraction(1)
     for k in range(size - 1, 0, -1):
@@ -276,8 +257,6 @@ class SolveResult:
         return self.certificate_failure() is None
 
     def to_json_dict(self) -> dict:
-        from .series import format_rational
-
         return {
             "r": self.r,
             "group": self.group.value,
@@ -498,15 +477,6 @@ THETA_WEIGHT = Fraction(1, 2)
 
 # Fewest coefficients an identity comparison may rest on.
 CROSS_RATIO_MIN_OVERLAP = 10
-
-ANHARMONIC_LABELS = (
-    "mu",
-    "1-mu",
-    "1/mu",
-    "1/(1-mu)",
-    "mu/(mu-1)",
-    "(mu-1)/mu",
-)
 
 
 def theta_offsets(N: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:

@@ -1,8 +1,9 @@
-"""Hygiene of the package: no stale imports, a clean ``__all__``, nothing
-imported from outside the standard library, and every division through
-the one quotient kernel."""
+"""Hygiene of the package: no stale imports, no unread module-level
+names, a clean ``__all__``, nothing imported from outside the standard
+library, and every division through the one quotient kernel."""
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,8 @@ import modschwarz
 
 PACKAGE = Path(modschwarz.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+REPO = PACKAGE.parent.parent
+PYPROJECT = REPO / "pyproject.toml"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -48,6 +50,43 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and constants, with line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        names[n.id] = node.lineno
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes accessed, and identifiers inside string
+    constants other than docstrings (the benchmark's tracer names the
+    functions it wraps by string; a docstring only mentions them)."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = {
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes)
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value not in docs:
+                read |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    return read
+
+
 def test_package_has_modules():
     assert {p.stem for p in MODULES} >= {"series", "modforms", "solver", "numeric", "cli"}
 
@@ -63,6 +102,24 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert stale == []
+
+
+def test_every_module_level_name_is_read():
+    # Re-exporting from ``__init__`` does not count as a read.
+    readers = MODULES + sorted((REPO / "tests").rglob("*.py"))
+    readers += sorted((REPO / "perfbench").rglob("*.py"))
+    read = set()
+    for path in readers:
+        read |= read_names(ast.parse(path.read_text(), filename=str(path)))
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unread += [
+            f"{path.name}:{line} {name}"
+            for name, line in defined_names(tree).items()
+            if name not in read
+        ]
+    assert unread == []
 
 
 def test_all_names_resolve_once():

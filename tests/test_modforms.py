@@ -10,8 +10,8 @@ import pytest
 from modschwarz import modforms
 
 from modschwarz.modforms import (
+    CATALOG,
     Group,
-    catalog_names,
     delta,
     delta_from_eisenstein,
     delta_half,
@@ -20,7 +20,6 @@ from modschwarz.modforms import (
     hauptmodul,
     j1728,
     jacobi_residual,
-    named_form,
     ramanujan_residuals,
     seed_t0,
     sigma,
@@ -355,17 +354,13 @@ def test_catalog_leading_behaviour():
         "t0-full": (-2, -1, 1),
         "t0-squares": (-2, -1, 1),
     }
-    assert set(catalog_names()) == set(expectations)
+    assert set(CATALOG) == set(expectations)
     for name, (weight, lead_exp, lead_coeff) in expectations.items():
-        form = named_form(name, 8)
-        assert form.weight == weight, name
-        assert form.series.order == lead_exp, name
-        assert form.series.leading_coefficient == lead_coeff, name
-
-
-def test_named_form_unknown_name():
-    with pytest.raises(KeyError):
-        named_form("nope", 4)
+        form_weight, build = CATALOG[name]
+        series = build(8)
+        assert form_weight == weight, name
+        assert series.order == lead_exp, name
+        assert series.leading_coefficient == lead_coeff, name
 
 
 def test_group_tags():
@@ -377,7 +372,7 @@ def test_group_tags():
 
 def test_lattice_two_forms_have_even_exponents():
     for name in ("e2", "e4", "e6"):
-        aligned = named_form(name, 10).series.align(2)
+        aligned = CATALOG[name][1](10).align(2)
         assert all(n % 2 == 0 for n, _ in aligned.items()), name
 
 

@@ -8,7 +8,6 @@ import pytest
 from modschwarz.modforms import eisenstein
 from modschwarz.numeric import (
     DEFAULT_POINTS,
-    EvalConfig,
     Moebius,
     P_GEN,
     PointOutsideDomain,
@@ -122,13 +121,15 @@ def test_eval_tail_guard_raises_outside_convergence(solved):
 
 
 def test_refusals_name_check_r_and_order(solved):
-    cfg = EvalConfig(points=(0.05 + 0.45j,), min_im=0.4)
-    with pytest.raises(TailTooLarge, match=r"^schwarzian for r=3 at order 60: terms"):
-        check_schwarz_numeric(solved[3], cfg)
+    # r=5 at order 80 is the smallest case whose tails refuse at the
+    # default points; a non-decaying R makes the Schwarzian check refuse.
     with pytest.raises(
-        TailTooLarge, match=r"^equivariance under \[0, -1, 1, 1\] for r=3 at order 60: "
+        TailTooLarge, match=r"^equivariance under \[0, -1, 1, 1\] for r=5 at order 80: "
     ):
-        check_equivariance(solved[3], P_GEN, cfg)
+        check_equivariance(solve_ode(5, 80), P_GEN)
+    growing = LaurentSeries.from_numerators(2, 0, [100**n for n in range(41)], 1)
+    with pytest.raises(TailTooLarge, match=r"^schwarzian for r=3 at order 60: terms"):
+        check_schwarz_numeric(dataclasses.replace(solved[3], R=growing))
 
 
 def test_eval_is_monotone_improving(solved):
@@ -178,14 +179,9 @@ def test_equivariance_report_shape(solved):
 
 
 def test_equivariance_rejects_points_sent_too_low(solved):
-    low = EvalConfig(points=(120.0 + 0.81j,), min_im=0.8)
+    # tau -> tau/(10*tau + 1) sends -0.5+0.9j to Im ~ 0.009.
     with pytest.raises(PointOutsideDomain):
-        check_equivariance(solved[2], S_GEN, low)
-
-
-def test_config_validates_sample_points():
-    with pytest.raises(PointOutsideDomain):
-        EvalConfig(points=(0.1 + 0.5j,))
+        check_equivariance(solved[2], Moebius(1, 0, 10, 1))
 
 
 # ---------------------------------------------------------------------------
