@@ -11,10 +11,12 @@ theta = p d/dp.
    component equals 1.
 2. Realise the unique weight -2 form g whose principal part is the one X
    prescribes, as a polynomial P in the Hauptmodul t times the seed form
-   t0.  The coefficients of P come from the principal parts alone (greedy
-   cancellation from the deepest pole on short truncations); P(t)*t0 is
-   then evaluated at the full budget by Paterson-Stockmeyer, with about
-   2*sqrt(deg P) full products.
+   t0, but only a little past p^size (size = -n0): the coefficients of P
+   come from the principal parts alone, and P(t)*t0 is evaluated by
+   Paterson-Stockmeyer through p^(size + CROSS_RATIO_MIN_OVERLAP).  One
+   integer recurrence, the ODE's coefficient relation with g_size read
+   from that short build, then carries g to the full budget
+   (``continue_g``), and the two must agree wherever both are known.
 3. Integrate g*E4 termwise and combine into the first solution
    F1 = u*S,   S = -(r^2/a) * theta_antider(g*E4) + a * theta(g),
    with the constant term removed (it is the value of F1/u at the cusp).
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .modforms import (
@@ -53,7 +55,10 @@ from .series import LaurentSeries, _clear_denominators, format_rational
 
 
 class MatchFailure(RuntimeError):
-    """Greedy principal-part cancellation missed a coefficient (generator bug)."""
+    """The modular build of g disagrees with what defines g (generator bug):
+    the greedy principal-part cancellation missed a coefficient, or the
+    recurrence's g differs from the short modular build where both are
+    known."""
 
 
 class ResidualNonzero(RuntimeError):
@@ -70,9 +75,15 @@ class DegenerateEntries(ValueError):
 
 # Largest r that solve_ode and the CLI accept.  Run time sets it, almost
 # all of it in the series convolutions: at r = 199, at its minimum order
-# 400, verify takes 9-12 s on a 2-CPU VM, of which build_B and solve_eigen
-# take about 0.25 s, and B's (-n0) x (-n0) matrix peaks at 2.6 MiB.
+# 400, verify takes about 5 s on a 2-CPU VM, of which the division
+# R = -2g/S and the division residual take about 1.4 s each, the short
+# build of g about 0.9 s, build_B and solve_eigen about 0.25 s, and B's
+# (-n0) x (-n0) matrix peaks at 2.6 MiB.
 MAX_R = 200
+
+# Fewest coefficients an identity comparison may rest on; also how far past
+# p^size a solve builds g as a modular form, to compare with the recurrence.
+CROSS_RATIO_MIN_OVERLAP = 10
 
 
 def n0_for(r: int) -> int:
@@ -136,12 +147,15 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     element has leading coefficient exactly 1 at p^(-(j+1)), so the pass
     always succeeds for correct generators.
 
-    P(t) is then evaluated at the full budget by Paterson-Stockmeyer: with
-    the coefficients over one integer denominator D and k = isqrt(deg P + 1),
+    P(t) is then evaluated through p^N by Paterson-Stockmeyer: with the
+    coefficients over one integer denominator D and k = isqrt(deg P + 1),
     the blocks Q_i(t) are integer combinations of t, ..., t^(k-1), and
-    Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) full
-    products instead of deg P, then one product with t0 and one division
-    by D.  The full-budget t is asked for only when deg P >= 1.
+    Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) products
+    at the budget N + len(X) - 1 instead of deg P, then one product with
+    t0 and one division by D.  t is asked for at that budget only when
+    deg P >= 1.  A solve asks for g only through
+    p^(len(X) + CROSS_RATIO_MIN_OVERLAP) and carries it further with
+    ``continue_g``.
     """
     size = len(X)
     budget = N + size - 1
@@ -194,6 +208,90 @@ def _principal_coefficients(
             acc = acc + basis[j] * need
             c[j] = need
     return c
+
+
+def continue_g(
+    r: int, X: tuple[Fraction, ...], g_size: Fraction, e4: LaurentSeries, M: int
+) -> LaurentSeries:
+    """The weight -2 form g with principal part X and coefficient g_size
+    at p^size, through p^M, by the ODE's coefficient relation.
+
+    ``first_solution`` builds in a*theta(S) = a^2*theta^2(g) - r^2*g*E4.
+    With b_j the E4 coefficients (``e4``, known through p^(M + size)) it
+    reads, coefficient by coefficient,
+        (a^2 n^2 - r^2) g_n = r^2 * sum_(s<n) g_s b_(n-s) + a*n*S_n.
+    For n < 0 this is B X = X, so g_(-size..-1) are X.  For 0 <= n < size,
+    S_n = 0.  At n = size the left side vanishes (a*size = r), so the
+    relation fixes lambda = S_size = -r * sum_(s<size) g_s b_(size-s),
+    and g_size is free: g + c*S has the same S.  Above size, S_n comes
+    from the ODE, (a^2 n^2 - r^2) S_n = r^2 * sum_(size<=s<n) S_s b_(n-s),
+    and then g_n from the relation.
+
+    Why this is the modular g = P(t)*t0 of ``build_g`` to all orders, once
+    g_size is taken from it.  Write Gamma for SL2(Z) or its index-2
+    subgroup of squares; both have genus 0, one cusp and no cusp forms of
+    weight 2 or 4.
+    1. The modular g is a weakly holomorphic form of weight -2 on Gamma.
+    2. g*E4 has weight 2 and zero constant term, so its antiderivative is
+       a modular function, and Sigma = S + E2*g/3 is weakly holomorphic of
+       weight 0.
+    3. By E2's law, (F2, F1) = (-2g + tau*F1, u*S) transforms as a vector
+       of weight -1 for the standard representation; by Bol's identity,
+       F'' + pi^2 r^2 E4 F then has weight 3.  ``first_solution`` makes
+       L(F2) = tau*L(F1), so u^3*E = L(F1) is weakly holomorphic of weight
+       4, where E = a^2*theta^2(S) - r^2*E4*S, with poles of order at
+       most size.
+    4. With X the eigenvector, S has no principal part, and its constant
+       term is removed, so E is O(p): a weight-4 cusp form on Gamma,
+       hence zero.
+    5. So S solves the ODE to all orders: S_n = 0 for 0 <= n < size and
+       the S_n above size follow from S_size.  The modular g meets the
+       relation above with these S_n, so by induction on n it has the
+       coefficients this loop computes.
+
+    The g_n and S_n are kept as integers over one common denominator D,
+    as in ``frobenius_oracle``: each step is an integer dot product with
+    the b_j, and A, the S numerators and D are rescaled only by the part
+    of the new denominators that does not cancel.
+    """
+    size = len(X)
+    m = e4.m
+    a = 2 // m
+    rr = r * r
+    b = e4.nums  # integers b_0..b_(M+size)
+    A, D = _clear_denominators(X[::-1])  # g_(-size)..g_(-1) over D
+    T: list[int] = []  # S_size..S_(n-1) over D
+
+    def over_D(*values: tuple[int, int]) -> list[int]:
+        """Each (num, den), a new coefficient times D, as an integer over
+        the new D; A, T and D are rescaled by what the dens leave over."""
+        nonlocal A, T, D
+        reduced = []
+        L = 1
+        for num, den in values:
+            c = gcd(num, den) if den > 0 else -gcd(num, den)
+            reduced.append((num // c, den // c))
+            L = lcm(L, den // c)
+        if L != 1:
+            A = [x * L for x in A]
+            T = [x * L for x in T]
+            D *= L
+        return [num * (L // den) for num, den in reduced]
+
+    for n in range(M + 1):
+        gsum = sum(map(mul, A, b[n + size : 0 : -1]))
+        den = a * a * n * n - rr
+        if n < size:
+            (gn,) = over_D((rr * gsum, den))
+        elif n == size:
+            T.append(-r * gsum)
+            (gn,) = over_D((g_size.numerator * D, g_size.denominator))
+        else:
+            ssum = rr * sum(map(mul, T, b[n - size : 0 : -1]))
+            sn, gn = over_D((ssum, den), (rr * gsum * den + a * n * ssum, den * den))
+            T.append(sn)
+        A.append(gn)
+    return LaurentSeries.from_numerators(m, -size, A, D)
 
 
 @dataclass(frozen=True)
@@ -307,10 +405,17 @@ def wronskian(g: LaurentSeries, S: LaurentSeries) -> LaurentSeries:
 def solve_ode(r: int, N: int = 40) -> SolveResult:
     """Run the whole construction; S, R and g are trusted through at least N.
 
-    Generator budgets are chosen from the exact trust propagation: division
-    by S (order -n0) costs 3*(-n0) orders on R, and the Hauptmodul powers
-    cost another -n0 on g, so everything upstream is computed to
-    N + 4*(-n0) + guard.
+    Budgets are chosen from the exact trust propagation: division by S
+    (order -n0) costs 3*(-n0) orders on R, so g is carried to
+    M = N + 3*(-n0) + 4 and E4 to M - n0.  The Hauptmodul and the seed
+    form are asked for only through 2*(-n0) + CROSS_RATIO_MIN_OVERLAP,
+    whatever N is: past the short modular build, g comes from
+    ``continue_g``.  A wrong X shows first as a pole of S; then g must
+    equal the short build on p^n0..p^(-n0 + CROSS_RATIO_MIN_OVERLAP), or
+    ``MatchFailure`` names the first exponent where it does not.  The one
+    coefficient the recurrence reads from the short build, g at p^(-n0),
+    is not checked by that compare, and a changed value passes the
+    certificate below as well (g + c*S gives the same S).
 
     R = g/S * (-2) is the one division of a solve.  ``g / S`` runs the
     quotient kernel of ``LaurentSeries.inverse``: it divides the
@@ -366,16 +471,24 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
     X = solve_eigen(build_B(r))
     try:
-        g = build_g(X, group, N + 3 * size + 4)
+        short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
     except MatchFailure as exc:
         raise MatchFailure(f"build_g {where}: {exc}") from exc
-    e4 = eisenstein(4, g.N + size, m)
+    M = N + 3 * size + 4
+    e4 = eisenstein(4, M + size, m)
+    g = continue_g(r, X, short.coeff(size), e4, M)
     S, c_over_u = first_solution(g, e4, r)
     if S.order != size:
         raise ResidualNonzero(
             f"singular part of F1 survived {where}: "
             f"S has order {S.order}, wanted {size}"
         )
+    for n in range(-size, short.N + 1):
+        if g.coeff(n) != short.coeff(n):
+            raise MatchFailure(
+                f"g by the recurrence {where}: coefficient at p^{n} is "
+                f"{g.coeff(n)}, the short modular build gives {short.coeff(n)}"
+            )
 
     R = g / S * (-2)
     res = SolveResult(
@@ -474,9 +587,6 @@ def cross_ratio(
 
 
 THETA_WEIGHT = Fraction(1, 2)
-
-# Fewest coefficients an identity comparison may rest on.
-CROSS_RATIO_MIN_OVERLAP = 10
 
 
 def theta_offsets(N: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:

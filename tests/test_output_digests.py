@@ -5,7 +5,9 @@ inverse that the Newton inverse replaced.  The ``examples`` and
 ``identities`` digests were recorded before those commands were driven
 from the claims table in ``closed_forms``.  The ``(47, 96)`` and
 ``(64, 66)`` digests were recorded while ``build_g`` still multiplied out
-every Hauptmodul power at the full budget.  Any change to the arithmetic
+every Hauptmodul power at the full budget, as were the largest ``wide``
+case ``(96, 98)`` and the ``deep`` cases ``(12, 240)``, ``(2, 360)`` and
+``(3, 300)`` of the benchmark (copied from ``perfbench/digests.json``).  Any change to the arithmetic
 kernels or to the commands must leave every byte of this output as it is.
 
 The ``verify --numeric`` digests pin the floats of the numeric checks:
@@ -41,6 +43,10 @@ DIGESTS = {
     (3, 120): "5c157895b6c72a23dc0c78435783324ecadcda077c91084793129ab4f7c6ee33",
     (47, 96): "eea334013ed8be1d2586c6afb323241d8c2554aa7ad288fed47c3fe9ee890086",
     (64, 66): "8f00f461c24c3dbb82e6212f918ce10899ed97d7bf1f5918ad85b8f5947ca372",
+    (96, 98): "fdabcb61d9013c28d609039dd8f0e8401b1b0768619dbaaf7b36da87f06f4eaf",
+    (12, 240): "8dfab9276a77e59f268ff56fe8891e49be63f9b9ddc371022c73110bfe7e08ff",
+    (2, 360): "32ff26d51e955d45df22bc20aca214c42baa769db2b1b47018f25c73edb547d5",
+    (3, 300): "5a03c3bf74c67abfae71d6599a7733be7214ec6446bfb9e3c509bd6f2e2fe188",
 }
 
 TEXT_DIGESTS = {
@@ -77,6 +83,14 @@ def test_cli_solve_json_digest(r):
 @pytest.mark.parametrize("r, order", [(47, 96), (64, 66)])
 def test_cli_solve_json_digest_high_degree(r, order):
     # deg P = 46 on the squares lattice and 31 on the full one.
+    out = io.StringIO()
+    argv = ["solve", "--r", str(r), "--order", str(order), "--format", "json"]
+    assert run(argv, out=out) == 0
+    assert sha256(out.getvalue()) == DIGESTS[(r, order)]
+
+
+@pytest.mark.parametrize("r, order", [(96, 98), (12, 240), (2, 360), (3, 300)])
+def test_cli_solve_json_digest_benchmark_cases(r, order):
     out = io.StringIO()
     argv = ["solve", "--r", str(r), "--order", str(order), "--format", "json"]
     assert run(argv, out=out) == 0

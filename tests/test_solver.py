@@ -261,13 +261,14 @@ def test_solve_rejects_bad_arguments():
 
 
 def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
-    real = solver.build_g
+    real = solver.first_solution
 
-    def perturbed(X, group, N):
-        g = real(X, group, N)
-        return g + LaurentSeries.from_terms(g.m, {6: 1}, g.N)
+    def perturbed(g, e4, r):
+        return real(g + LaurentSeries.from_terms(g.m, {6: 1}, g.N), e4, r)
 
-    monkeypatch.setattr(solver, "build_g", perturbed)
+    # S is integrated from g + p^6; a g changed past p^size itself is caught
+    # earlier, by the compare with the short modular build (see below).
+    monkeypatch.setattr(solver, "first_solution", perturbed)
     # g + p^6 moves S by (6a - r^2/(6a)) p^6 = 35/3 p^6 for r = 2 (a = 2),
     # so the residual starts at (36a^2 - r^2) * 35/3 = 4900/3 at p^6.
     with pytest.raises(
@@ -286,6 +287,52 @@ def test_match_failure_names_r_and_order(monkeypatch):
         solve_ode(3, 40)
 
 
+@pytest.mark.parametrize("r", [3, 12])
+@pytest.mark.parametrize("where", ["below p^size", "above p^size"])
+def test_overlap_compare_names_r_order_and_exponent(r, where, monkeypatch):
+    # The recurrence reads only g_size from build_g; a generator fault that
+    # moves any other coefficient of the short build is caught by name.
+    size = -n0_for(r)
+    e = size // 2 if where == "below p^size" else size + 5
+    real = solver.build_g
+
+    def perturbed(X, group, N):
+        g = real(X, group, N)
+        return g + LaurentSeries.from_terms(g.m, {e: 1}, g.N)
+
+    monkeypatch.setattr(solver, "build_g", perturbed)
+    N = minimum_order(r)
+    with pytest.raises(
+        MatchFailure,
+        match=rf"^g by the recurrence for r={r} at order {N}: "
+        rf"coefficient at p\^{e} is -?\d+(/\d+)?, the short modular build gives ",
+    ):
+        solve_ode(r, N)
+
+
+@pytest.mark.parametrize("r", [3, 12])
+def test_a_solve_asks_the_generators_only_for_a_short_window(r, monkeypatch):
+    # build_g runs at order size + CROSS_RATIO_MIN_OVERLAP, so its budget
+    # is 2*size + CROSS_RATIO_MIN_OVERLAP - 1, whatever order is asked for.
+    orders = []
+
+    def spying_on(real):
+        def spy(group, N):
+            orders.append(N)
+            return real(group, N)
+
+        return spy
+
+    for name in ("hauptmodul", "seed_t0"):
+        monkeypatch.setattr(solver, name, spying_on(getattr(solver, name)))
+    largest = []
+    for N in (minimum_order(r), 120):
+        orders.clear()
+        solve_ode(r, N)
+        largest.append(max(orders))
+    assert largest[0] == largest[1] <= 2 * (-n0_for(r)) + CROSS_RATIO_MIN_OVERLAP
+
+
 def test_surviving_singular_part_names_r_and_order(monkeypatch):
     # A wrong eigenvector still gives a weight -2 form g, so g*E4 keeps a
     # zero constant term, but S keeps a pole: p^-2 cancels for any X
@@ -297,6 +344,16 @@ def test_surviving_singular_part_names_r_and_order(monkeypatch):
         r"S has order -1, wanted 2$",
     ):
         solve_ode(4, 40)
+
+
+@pytest.mark.parametrize(
+    "r, N", [(r, minimum_order(r)) for r in range(1, 25)] + [(47, 96), (64, 66), (96, 98)]
+)
+def test_solved_g_is_the_full_window_modular_build(r, N):
+    # A solve carries g past p^size by the ODE's recurrence; the modular
+    # P(t)*t0 at the full budget is kept here as the oracle for it.
+    res = solve_ode(r, N)
+    assert res.g == build_g(res.X, res.group, N + 3 * (-n0_for(r)) + 4)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
