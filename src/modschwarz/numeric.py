@@ -144,13 +144,14 @@ def h_value(result: SolveResult, tau: complex, *, tolerance: float | None = None
 
 def _sample(result: SolveResult, check: str, residual, tolerance: float) -> dict:
     """Max over ``DEFAULT_POINTS`` of |residual(tau)|, as a report; a
-    TailTooLarge is re-raised naming the check, r and the order."""
+    TailTooLarge, PointOutsideDomain or DerivativeVanishes is re-raised as
+    the same class, naming the check, r and the order."""
     worst = 0.0
     for tau in DEFAULT_POINTS:
         try:
             worst = max(worst, abs(residual(tau)))
-        except TailTooLarge as exc:
-            raise TailTooLarge(
+        except (TailTooLarge, PointOutsideDomain, DerivativeVanishes) as exc:
+            raise type(exc)(
                 f"{check} for r={result.r} at order {result.N}: {exc}"
             ) from exc
     return {

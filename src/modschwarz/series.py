@@ -24,8 +24,9 @@ for readers.  A product or a quotient first divides the numerators of each
 side by their content (their ``gcd``), so the convolutions multiply the
 smallest integers that carry the value; the contents go back into the
 result as one rational factor.  Division is one kernel, ``_quotient``:
-Newton iteration on the divisor's inverse to half the window, then one
-last step with the numerator folded in.
+forward substitution, one coefficient of the quotient at a time, over one
+common denominator that grows only by what the divisor's leading
+numerator leaves after cancelling.
 
 All coefficient arithmetic is exact; floats are rejected.  Values are
 immutable, so they can be shared freely across threads.
@@ -62,8 +63,45 @@ _SCALARS = (int, Fraction)
 def format_rational(c: Fraction) -> str:
     """Canonical string form: plain integer, or ``num/den`` in lowest terms."""
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
+def parse_rational(text: str) -> Fraction:
+    """The value ``format_rational`` printed, whatever its size."""
+    num, slash, den = text.partition("/")
+    return Fraction(_parse_decimal(num), _parse_decimal(den) if slash else 1)
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size.
+
+    ``str`` refuses ints of more than ``sys.get_int_max_str_digits()``
+    digits (4300 by default), and R's numerators pass that near MAX_R.
+    Such an int is split at a power of ten into two halves.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).rjust(k, "0")
+
+
+def _parse_decimal(text: str) -> int:
+    """``int(text)`` for a decimal of any size, split as ``_decimal`` does."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    k = len(digits) // 2
+    value = _parse_decimal(digits[:-k]) * 10**k + _parse_decimal(digits[-k:])
+    return -value if text[0] == "-" else value
 
 
 def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -71,16 +109,16 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]:
-    """Coefficients ``lo..hi-1`` of the product of integer lists a and b."""
-    acc = [0] * (hi - lo)
-    for i, ai in enumerate(a[:hi]):
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients ``0..n-1`` of the product of integer lists a and b."""
+    acc = [0] * n
+    for i, ai in enumerate(a[:n]):
         if not ai:
             continue
-        for j in range(max(lo - i, 0), min(len(b), hi - i)):
+        for j in range(min(len(b), n - i)):
             bj = b[j]
             if bj:
-                acc[i + j - lo] += ai * bj
+                acc[i + j] += ai * bj
     return acc
 
 
@@ -98,49 +136,27 @@ def _scaled(nums: Sequence[int], c: int) -> Sequence[int]:
 def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], int]:
     """Integers Q over one D > 0 with ``Q/D = A/U`` through ``p**(n-1)``.
 
-    Needs ``U[0] != 0``.  One step (Karp and Markstein, ACM TOMS 23(4),
-    1997): if ``B/E`` is ``U**-1`` to ``k`` terms, then ``q0 = A*B/E`` is
-    ``A/U`` to ``k`` terms, ``U*q0 - A`` vanishes below ``p**k``, and
-    ``q0 - (B/E)*(U*q0 - A)`` is ``A/U`` to ``k2 <= 2k`` terms.  The step
-    computes only the coefficients ``k..k2-1`` of ``U*q0 - A``, takes them
-    over E in lowest terms, multiplies them by B and puts the new terms
-    and the old ones over one denominator, reduced once.
-
-    Newton iteration on ``U**-1`` is this step with numerator 1, doubling
-    up to ``h = ceil(n/2)`` terms; one last step with numerator A then
-    reaches n terms, with no separate inverse to n terms and no product
-    after it.  Every product runs on ``_convolve``.
+    Needs ``U[0] != 0`` and ``len(U) >= n``; A may be shorter (its missing
+    terms are 0).  Forward substitution over one common denominator:
+    coefficient j of the quotient is ``num / (U[0] * D)`` with
+        num = A[j]*D - sum_(i<j) Q[i]*U[j-i],
+    one integer dot product.  Only the part of ``U[0]`` that does not
+    cancel against num, ``U[0] / gcd(num, U[0])``, goes into D and into
+    the earlier Q[i]; so D stays small (the quotient's own denominator,
+    in every case measured) and the n terms cost about ``n**2 / 2``
+    coefficient products, the same pairs as the product ``Q*U``.
     """
-    h = (n + 1) // 2
-    B, E = [1 if U[0] > 0 else -1], abs(U[0])
-    k = 1
-    while k < h:
-        k2 = min(2 * k, h)
-        B, E = _quotient_step([1], U, B, E, k, k2)
-        k = k2
-    return _quotient_step(A, U, B, E, h, n)
-
-
-def _quotient_step(
-    A: Sequence[int], U: Sequence[int], B: list[int], E: int, k: int, k2: int
-) -> tuple[list[int], int]:
-    """``A/U`` to ``k2`` terms from ``B/E = U**-1`` to ``k`` terms."""
-    Q = _convolve(A, B, 0, k)
-    err = _convolve(U[:k2], Q, k, k2)
-    for i, x in enumerate(A[k:k2]):
-        err[i] -= E * x
-    g = gcd(E, *err)
-    if g != 1:
-        err = [x // g for x in err]
-    scale = E // g  # the new terms lie over E * scale
-    step = _convolve(B, err, 0, k2 - k)
-    Q = _scaled(Q, scale)
-    Q += (-x for x in step)
-    D = E * scale
-    g = gcd(D, *Q)
-    if g != 1:
-        D //= g
-        Q = [x // g for x in Q]
+    u0 = U[0]
+    Q: list[int] = []
+    D = 1
+    for j in range(n):
+        num = (A[j] * D if j < len(A) else 0) - sum(map(mul, Q, U[j:0:-1]))
+        c = gcd(num, u0) if u0 > 0 else -gcd(num, u0)
+        s = u0 // c  # > 0
+        if s != 1:
+            Q = [x * s for x in Q]
+            D *= s
+        Q.append(num // c)
     return Q, D
 
 
@@ -361,7 +377,7 @@ class LaurentSeries:
         N = min(a.N + b.n_min, b.N + a.n_min)
         ca, A = _primitive(a.nums)
         cb, B = _primitive(b.nums)
-        nums = _convolve(A, B, 0, N - n_min + 1)
+        nums = _convolve(A, B, N - n_min + 1)
         c = Fraction(ca * cb, a.den * b.den)
         return LaurentSeries.from_numerators(
             a.m, n_min, _scaled(nums, c.numerator), c.denominator
@@ -382,8 +398,9 @@ class LaurentSeries:
         ``Fraction`` numerator keeps the window of the inverse.
 
         The numerators of both sides are divided by their content before
-        ``_quotient`` divides them, and the contents and denominators go
-        back into the result as one rational factor.
+        ``_quotient`` divides them by forward substitution (the inverse is
+        the same loop with numerator 1), and the contents and denominators
+        go back into the result as one rational factor.
         """
         if isinstance(numerator, LaurentSeries):
             a, b = _aligned(numerator, self)
@@ -503,7 +520,7 @@ class LaurentSeries:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "LaurentSeries":
-        terms = {int(n): Fraction(v) for n, v in d["coeffs"].items()}
+        terms = {int(n): parse_rational(v) for n, v in d["coeffs"].items()}
         return cls.from_terms(int(d["m"]), terms, int(d["N"]), n_min=int(d["n_min"]))
 
     def __str__(self) -> str:

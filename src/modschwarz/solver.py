@@ -6,9 +6,11 @@ On the group's lattice (m = 1 for even r, m = 2 for odd r) the expansion
 variable is p = q**(1/m) and d/dtau = a*u*theta with a = 2/m and
 theta = p d/dp.
 
-1. Build the upper-triangular matrix B of the principal-part conditions
-   and take its eigenvalue-1 eigenvector X, normalised so the deepest
-   component equals 1.
+1. Take the principal part X of g from the ODE's coefficient relation
+   below p^0 (``principal_part``): it is the eigenvalue-1 eigenvector of
+   the upper-triangular matrix B of the principal-part conditions
+   (``build_B``, ``solve_eigen``), normalised so the deepest component
+   equals 1.
 2. Realise the unique weight -2 form g whose principal part is the one X
    prescribes, as a polynomial P in the Hauptmodul t times the seed form
    t0, but only a little past p^size (size = -n0): the coefficients of P
@@ -17,13 +19,15 @@ theta = p d/dp.
    integer recurrence, the ODE's coefficient relation with g_size read
    from that short build, then carries g to the full budget
    (``continue_g``), and the two must agree wherever both are known.
-3. Integrate g*E4 termwise and combine into the first solution
-   F1 = u*S,   S = -(r^2/a) * theta_antider(g*E4) + a * theta(g),
-   with the constant term removed (it is the value of F1/u at the cusp).
+3. The first solution is F1 = u*S with
+   S = -(r^2/a) * theta_antider(g*E4) + a * theta(g)
+   (``first_solution``); its constant term, the value of F1/u at the
+   cusp, is 0 for every r.  The same recurrence gives S alongside g, so
+   g*E4 is never formed.
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
    h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
-   pass of the series quotient kernel: Newton iteration on S^-1 to half
-   the window, with g folded into the last step.
+   pass of the series quotient kernel, forward substitution over one
+   common denominator.
 5. Verify exactly, each on its full trusted window:
        a^2*theta^2(S) - r^2*E4*S == 0                          (ODE)
        S^2 - 2a*(S*theta(g) - g*theta(S)) == nonzero constant    (Wronskian)
@@ -74,11 +78,13 @@ class DegenerateEntries(ValueError):
 
 
 # Largest r that solve_ode and the CLI accept.  Run time sets it, almost
-# all of it in the series convolutions: at r = 199, at its minimum order
-# 400, verify takes about 5 s on a 2-CPU VM, of which the division
-# R = -2g/S and the division residual take about 1.4 s each, the short
-# build of g about 0.9 s, build_B and solve_eigen about 0.25 s, and B's
-# (-n0) x (-n0) matrix peaks at 2.6 MiB.
+# all of it in the series products and the one division.  The slowest case
+# is even r = 200 at its minimum order 402, where R's numerators reach
+# 14660 bits: ``solve --format json`` takes about 14 s on a 2-CPU VM, of
+# which the division residual R*S + 2g takes 4.5-6 s, the division
+# R = -2g/S 3-4 s, the Wronskian 1-2 s and the JSON output 0.5 s.  Odd
+# r = 199 lives on lattice 2, where half the coefficients are zero, and
+# ``verify`` at its minimum order 400 takes about 3 s.
 MAX_R = 200
 
 # Fewest coefficients an identity comparison may rest on; also how far past
@@ -93,7 +99,8 @@ def n0_for(r: int) -> int:
 
 def build_B(r: int) -> tuple[tuple[Fraction, ...], ...]:
     """The upper-triangular matrix B of the system B X = X that kills the
-    singular part.
+    singular part.  A solve takes X from ``principal_part`` instead; B and
+    ``solve_eigen`` are its reference.
 
     ``B[k-1][l-1]`` is B_{k,l} = r^2 * b_{l-k} / (a^2 k^2) for l >= k,
     where the b_j are the E4 coefficients on the group's lattice and
@@ -135,6 +142,35 @@ def solve_eigen(B: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
         )
         X[k - 1] = s / (1 - B[k - 1][k - 1])
     return tuple(X)
+
+
+def principal_part(r: int, e4: LaurentSeries) -> tuple[Fraction, ...]:
+    """The eigenvector X of ``solve_eigen(build_B(r))``, from the ODE's
+    coefficient relation at n = -size+1..-1 (see ``continue_g``).
+
+    With S_n = 0 below p^0 and g_(-size) = 1, the relation reads
+        (a^2 n^2 - r^2) g_n = r^2 * sum_(s<n) g_s b_(n-s),
+    which is B X = X row by row, with X[i] = g_(-(i+1)) and b_j the E4
+    coefficients (``e4``, on the group's lattice, known through
+    p^(size-1)).  For -size < n < 0 the factor a^2 n^2 - r^2 is negative,
+    never 0.  The g_n are integers over one common denominator D, rescaled
+    only by the part of each divisor that does not cancel, as in
+    ``frobenius_oracle``.
+    """
+    size = -n0_for(r)
+    a = 2 // e4.m
+    rr = r * r
+    b = e4.nums
+    A, D = [1], 1  # g_(-size)..g_(n-1) over D
+    for n in range(1 - size, 0):
+        num = rr * sum(map(mul, A, b[n + size : 0 : -1]))
+        den = rr - a * a * n * n  # g_n = -num / den
+        c = gcd(num, den)
+        if den != c:
+            A = [x * (den // c) for x in A]
+            D *= den // c
+        A.append(-num // c)
+    return tuple(Fraction(x, D) for x in reversed(A))
 
 
 def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
@@ -182,8 +218,9 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     for i, want in enumerate(X):
         if acc.coeff(-(i + 1)) != want:
             raise MatchFailure(
-                f"principal coefficient at p^{-(i + 1)} is {acc.coeff(-(i + 1))},"
-                f" wanted {want}"
+                f"principal coefficient at p^{-(i + 1)} is "
+                f"{format_rational(acc.coeff(-(i + 1)))}, "
+                f"wanted {format_rational(want)}"
             )
     return acc
 
@@ -212,20 +249,25 @@ def _principal_coefficients(
 
 def continue_g(
     r: int, X: tuple[Fraction, ...], g_size: Fraction, e4: LaurentSeries, M: int
-) -> LaurentSeries:
+) -> tuple[LaurentSeries, LaurentSeries]:
     """The weight -2 form g with principal part X and coefficient g_size
-    at p^size, through p^M, by the ODE's coefficient relation.
+    at p^size, and the first solution S with F1 = u*S, both through p^M,
+    by the ODE's coefficient relation.
 
-    ``first_solution`` builds in a*theta(S) = a^2*theta^2(g) - r^2*g*E4.
-    With b_j the E4 coefficients (``e4``, known through p^(M + size)) it
-    reads, coefficient by coefficient,
+    S is the series ``first_solution`` integrates from g, which builds in
+    a*theta(S) = a^2*theta^2(g) - r^2*g*E4.  With b_j the E4 coefficients
+    (``e4``, known through p^(M + size)) that reads, coefficient by
+    coefficient,
         (a^2 n^2 - r^2) g_n = r^2 * sum_(s<n) g_s b_(n-s) + a*n*S_n.
-    For n < 0 this is B X = X, so g_(-size..-1) are X.  For 0 <= n < size,
-    S_n = 0.  At n = size the left side vanishes (a*size = r), so the
-    relation fixes lambda = S_size = -r * sum_(s<size) g_s b_(size-s),
-    and g_size is free: g + c*S has the same S.  Above size, S_n comes
-    from the ODE, (a^2 n^2 - r^2) S_n = r^2 * sum_(size<=s<n) S_s b_(n-s),
-    and then g_n from the relation.
+    For n < 0 it gives S_n from X; they all vanish when X is the
+    eigenvector of B X = X, and a pole left in S names a wrong X.  At
+    n = 0 both theta(g) and theta_antider(g*E4) vanish, so S_0 = 0 (the
+    cusp value c/u is 0 for every r).  For 0 <= n < size, S_n = 0.  At
+    n = size the left side vanishes (a*size = r), so the relation fixes
+    lambda = S_size = -r * sum_(s<size) g_s b_(size-s), and g_size is
+    free: g + c*S has the same S.  Above size, S_n comes from the ODE,
+    (a^2 n^2 - r^2) S_n = r^2 * sum_(size<=s<n) S_s b_(n-s), and then g_n
+    from the relation.
 
     Why this is the modular g = P(t)*t0 of ``build_g`` to all orders, once
     g_size is taken from it.  Write Gamma for SL2(Z) or its index-2
@@ -291,7 +333,13 @@ def continue_g(
             sn, gn = over_D((ssum, den), (rr * gsum * den + a * n * ssum, den * den))
             T.append(sn)
         A.append(gn)
-    return LaurentSeries.from_numerators(m, -size, A, D)
+    below = []  # (a*n*S_n*D, a*n) for n < 0, read off X
+    for n in range(-size, 0):
+        gsum = sum(map(mul, A, b[n + size : 0 : -1]))
+        below.append(((a * a * n * n - rr) * A[n + size] - rr * gsum, a * n))
+    poles = over_D(*below)
+    S = LaurentSeries.from_numerators(m, -size, poles + [0] * size + T, D)
+    return LaurentSeries.from_numerators(m, -size, A, D), S
 
 
 @dataclass(frozen=True)
@@ -342,7 +390,7 @@ class SolveResult:
             if v is not None:
                 return (
                     f"{name} residual nonzero {where}: "
-                    f"coefficient {residual.coeff(v)} at p^{v}"
+                    f"coefficient {format_rational(residual.coeff(v))} at p^{v}"
                 )
         if self.wronskian.coeff(0) == 0:
             return f"Wronskian is zero {where}: coefficient 0 at p^0"
@@ -382,7 +430,10 @@ def first_solution(
     """Step 3: S with F1 = u*S, and the cusp value c/u removed from it.
 
     S = a*theta(g) - (r^2/a)*theta_antider(g*E4), so that
-    a*theta(S) = a^2*theta^2(g) - r^2*g*E4 holds term by term.
+    a*theta(S) = a^2*theta^2(g) - r^2*g*E4 holds term by term.  A solve
+    reads the same S off ``continue_g``; this integration is its
+    reference.  c/u is 0 for every r: theta(g) and theta_antider(g*E4)
+    both vanish at p^0.
     """
     a = 2 // g.m
     product = g * e4  # weight 2, so its constant term must vanish
@@ -410,7 +461,10 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     M = N + 3*(-n0) + 4 and E4 to M - n0.  The Hauptmodul and the seed
     form are asked for only through 2*(-n0) + CROSS_RATIO_MIN_OVERLAP,
     whatever N is: past the short modular build, g comes from
-    ``continue_g``.  A wrong X shows first as a pole of S; then g must
+    ``continue_g``.  X, g and S all come from the ODE's coefficient
+    relation (``principal_part``, ``continue_g``), so a solve builds no
+    matrix B and no product g*E4.  A wrong X shows first as a pole of S
+    (``continue_g`` reads S below p^0 off X); then g must
     equal the short build on p^n0..p^(-n0 + CROSS_RATIO_MIN_OVERLAP), or
     ``MatchFailure`` names the first exponent where it does not.  The one
     coefficient the recurrence reads from the short build, g at p^(-n0),
@@ -420,22 +474,27 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     R = g/S * (-2) is the one division of a solve.  ``g / S`` runs the
     quotient kernel of ``LaurentSeries.inverse``: it divides the
     numerators of g and of S by their contents (at r = 96 those of S
-    share 795 of their 1964 bits), inverts the unit part of S by Newton
-    iteration to half the window, and folds g into the last step, so
-    there is no inverse of S to the full window and no product after it.
+    share 795 of their 1964 bits), then finds the quotient one
+    coefficient at a time by forward substitution over one common
+    denominator, which grows only by the part of S's leading numerator
+    that does not cancel.  There is no inverse of S and no product after
+    the division.
 
     The Schwarzian equation is certified, not expanded.  Write k = -n0,
     E = a^2*theta^2(S) - r^2*E4*S (the ODE residual) and w = ``wronskian``.
     Take g, S and E4 as the Laurent polynomials stored and R as the exact
-    quotient -2g/S.  Then (i) and (iii) hold as identities of formal
-    Laurent series, and (ii) holds on the window of w:
+    quotient -2g/S.  Write delta = a*theta(S) - a^2*theta^2(g) + r^2*g*E4.
+    Then (i), (ii) and (iii) hold as identities of formal Laurent series:
 
     (i)   h' = 1 + a*theta(R) = w/S^2, since theta(R)*S^2 =
           -2*(S*theta(g) - g*theta(S)).
-    (ii)  theta(w) = (2g/a)*E, because a*theta(S) = a^2*theta^2(g) -
-          r^2*g*E4 by construction, so F2 = -2g + tau*F1 has tau times the
-          ODE residual of F1 (Abel's identity, with residuals).  So a break
-          in the ODE part also shows in the Wronskian part.
+    (ii)  theta(w) = (2/a)*(S*delta + g*E) (Abel's identity, with
+          residuals).  The recurrence builds delta == 0 in, but the
+          certificate does not rest on that: E == 0 and a constant w force
+          S*delta == 0 through M - k, so delta == 0 through M - 2k (S has
+          order k), and F2 = -2g + tau*F1 has tau times the ODE residual
+          of F1.  With delta == 0, theta(w) = (2g/a)*E, so a break in the
+          ODE part also shows in the Wronskian part.
     (iii) With V = a*theta(w)/w, the field W = a^2*theta^2(R)/h' equals
           -2a*theta(S)/S + V, and
             {h,tau}/pi^2 - 2r^2*E4 = W^2/2 - a*theta(W) - 2r^2*E4
@@ -469,15 +528,14 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     size = -n0_for(r)
     where = f"for r={r} at order {N}"
 
-    X = solve_eigen(build_B(r))
+    M = N + 3 * size + 4
+    e4 = eisenstein(4, M + size, m)
+    X = principal_part(r, e4)
     try:
         short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
     except MatchFailure as exc:
         raise MatchFailure(f"build_g {where}: {exc}") from exc
-    M = N + 3 * size + 4
-    e4 = eisenstein(4, M + size, m)
-    g = continue_g(r, X, short.coeff(size), e4, M)
-    S, c_over_u = first_solution(g, e4, r)
+    g, S = continue_g(r, X, short.coeff(size), e4, M)
     if S.order != size:
         raise ResidualNonzero(
             f"singular part of F1 survived {where}: "
@@ -487,7 +545,8 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         if g.coeff(n) != short.coeff(n):
             raise MatchFailure(
                 f"g by the recurrence {where}: coefficient at p^{n} is "
-                f"{g.coeff(n)}, the short modular build gives {short.coeff(n)}"
+                f"{format_rational(g.coeff(n))}, "
+                f"the short modular build gives {format_rational(short.coeff(n))}"
             )
 
     R = g / S * (-2)
@@ -499,7 +558,7 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         g=g,
         S=S,
         R=R,
-        c_over_u=c_over_u,
+        c_over_u=Fraction(0),  # theta(g), theta_antider(g*E4) vanish at p^0
         ode_residual=S.theta().theta() * (a * a) - S * e4 * (r * r),
         wronskian=wronskian(g, S),
         division_residual=R * S + g * 2,

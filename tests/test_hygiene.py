@@ -156,7 +156,7 @@ def test_no_runtime_dependencies():
 
 def test_no_product_with_an_inverse():
     # ``x * y.inverse()`` inverts y to its full window and then multiplies;
-    # ``x / y`` folds x into the last Newton step of one quotient kernel.
+    # ``x / y`` is one forward substitution with x as its numerator.
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from modschwarz import numeric
 from modschwarz.modforms import eisenstein
 from modschwarz.numeric import (
     DEFAULT_POINTS,
+    DerivativeVanishes,
     Moebius,
     P_GEN,
     PointOutsideDomain,
@@ -180,8 +182,21 @@ def test_equivariance_report_shape(solved):
 
 def test_equivariance_rejects_points_sent_too_low(solved):
     # tau -> tau/(10*tau + 1) sends -0.5+0.9j to Im ~ 0.009.
-    with pytest.raises(PointOutsideDomain):
+    with pytest.raises(
+        PointOutsideDomain,
+        match=r"^equivariance under \[1, 0, 10, 1\] for r=2 at order 60: gamma moves ",
+    ):
         check_equivariance(solved[2], Moebius(1, 0, 10, 1))
+
+
+def test_vanishing_derivative_names_check_r_and_order(solved, monkeypatch):
+    zero = LaurentSeries.zero(solved[3].m, solved[3].R.N)
+    monkeypatch.setattr(numeric, "_h_derivatives", lambda result: (zero, zero, zero))
+    with pytest.raises(
+        DerivativeVanishes,
+        match=r"^schwarzian for r=3 at order 60: h' vanishes at ",
+    ):
+        check_schwarz_numeric(solved[3])
 
 
 # ---------------------------------------------------------------------------

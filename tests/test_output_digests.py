@@ -1,7 +1,8 @@
 """Byte-level guard on ``solve --format json`` and the text commands.
 
 The ``solve`` digests below were recorded with the term-by-term series
-inverse that the Newton inverse replaced.  The ``examples`` and
+inverse, before Newton iteration and then integer forward substitution
+replaced it.  The ``examples`` and
 ``identities`` digests were recorded before those commands were driven
 from the claims table in ``closed_forms``.  The ``(47, 96)`` and
 ``(64, 66)`` digests were recorded while ``build_g`` still multiplied out

@@ -28,6 +28,7 @@ from modschwarz.solver import (
     classify_theta_cross_ratio,
     cross_ratio,
     equivariant_offset,
+    first_solution,
     frobenius_oracle,
     minimum_order,
     n0_for,
@@ -261,14 +262,16 @@ def test_solve_rejects_bad_arguments():
 
 
 def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
-    real = solver.first_solution
+    real = solver.continue_g
 
-    def perturbed(g, e4, r):
-        return real(g + LaurentSeries.from_terms(g.m, {6: 1}, g.N), e4, r)
+    def perturbed(r, X, g_size, e4, M):
+        g, _ = real(r, X, g_size, e4, M)
+        p6 = LaurentSeries.from_terms(g.m, {6: 1}, g.N)
+        return g, solver.first_solution(g + p6, e4, r)[0]
 
     # S is integrated from g + p^6; a g changed past p^size itself is caught
     # earlier, by the compare with the short modular build (see below).
-    monkeypatch.setattr(solver, "first_solution", perturbed)
+    monkeypatch.setattr(solver, "continue_g", perturbed)
     # g + p^6 moves S by (6a - r^2/(6a)) p^6 = 35/3 p^6 for r = 2 (a = 2),
     # so the residual starts at (36a^2 - r^2) * 35/3 = 4900/3 at p^6.
     with pytest.raises(
@@ -337,7 +340,9 @@ def test_surviving_singular_part_names_r_and_order(monkeypatch):
     # A wrong eigenvector still gives a weight -2 form g, so g*E4 keeps a
     # zero constant term, but S keeps a pole: p^-2 cancels for any X
     # (B's last diagonal entry is 1), p^-1 does not.
-    monkeypatch.setattr(solver, "solve_eigen", lambda B: (Fraction(-319), Fraction(1)))
+    monkeypatch.setattr(
+        solver, "principal_part", lambda r, e4: (Fraction(-319), Fraction(1))
+    )
     with pytest.raises(
         ResidualNonzero,
         match=r"^singular part of F1 survived for r=4 at order 40: "
@@ -354,6 +359,40 @@ def test_solved_g_is_the_full_window_modular_build(r, N):
     # P(t)*t0 at the full budget is kept here as the oracle for it.
     res = solve_ode(r, N)
     assert res.g == build_g(res.X, res.group, N + 3 * (-n0_for(r)) + 4)
+
+
+@pytest.mark.parametrize(
+    "r, N", [(r, minimum_order(r)) for r in range(1, 25)] + [(47, 96), (64, 66), (96, 98)]
+)
+def test_solved_x_and_s_are_the_eigen_solve_and_the_integration(r, N):
+    # A solve takes X and S from the ODE's coefficient relation; B's
+    # eigenvector and the termwise integration of g*E4 are kept here as
+    # the oracles for them.  The cusp value that integration removes is 0.
+    res = solve_ode(r, N)
+    assert res.X == solve_eigen(build_B(r))
+    e4 = eisenstein(4, res.g.N - n0_for(r), res.m)
+    S, c_over_u = first_solution(res.g, e4, r)
+    assert S == res.S
+    assert c_over_u == 0
+
+
+@pytest.mark.parametrize("r", [3, 12])
+def test_a_solve_calls_neither_the_eigen_solve_nor_the_integration(r, monkeypatch):
+    called = []
+
+    def spying_on(name):
+        real = getattr(solver, name)
+
+        def spy(*args):
+            called.append(name)
+            return real(*args)
+
+        return spy
+
+    for name in ("build_B", "solve_eigen", "first_solution"):
+        monkeypatch.setattr(solver, name, spying_on(name))
+    solve_ode(r, minimum_order(r))
+    assert called == []
 
 
 @pytest.mark.parametrize("r", range(1, 7))
