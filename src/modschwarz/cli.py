@@ -22,6 +22,7 @@ from .numeric import check_equivariance, check_schwarz_numeric, generators_for
 from .series import LaurentSeries, format_rational
 from .solver import (
     CROSS_RATIO_MIN_OVERLAP,
+    MAX_ORDER,
     MAX_R,
     MatchFailure,
     ResidualNonzero,
@@ -100,6 +101,8 @@ def _validate(args) -> None:
             raise UsageError(f"--r must be <= {MAX_R}")
         if args.order < minimum_order(args.r):
             raise UsageError(f"--order must be >= {minimum_order(args.r)} for r={args.r}")
+    if args.order > MAX_ORDER:
+        raise UsageError(f"--order must be <= {MAX_ORDER}")
     if args.command == "series" and args.order < 0:
         raise UsageError("--order must be >= 0")
     if args.command == "identities" and args.order < CROSS_RATIO_MIN_OVERLAP:

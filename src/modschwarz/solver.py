@@ -6,23 +6,22 @@ On the group's lattice (m = 1 for even r, m = 2 for odd r) the expansion
 variable is p = q**(1/m) and d/dtau = a*u*theta with a = 2/m and
 theta = p d/dp.
 
-1. Take the principal part X of g from the ODE's coefficient relation
-   below p^0 (``principal_part``): it is the eigenvalue-1 eigenvector of
-   the upper-triangular matrix B of the principal-part conditions
-   (``build_B``, ``solve_eigen``), normalised so the deepest component
-   equals 1.
-2. Realise the unique weight -2 form g whose principal part is the one X
-   prescribes, as a polynomial P in the Hauptmodul t times the seed form
-   t0, but only a little past p^size (size = -n0): the coefficients of P
-   come from the principal parts alone, and P(t)*t0 is evaluated by
-   Paterson-Stockmeyer through p^(size + CROSS_RATIO_MIN_OVERLAP).  One
-   integer recurrence, the ODE's coefficient relation with g_size read
-   from that short build, then carries g to the full budget
-   (``continue_g``), and the two must agree wherever both are known.
+1. One pass of the ODE's coefficient relation, in integers, from the
+   deepest pole p^n0 (size = -n0) to the full budget (``relation_series``)
+   gives g and the first solution S.  Below p^0 it is B X = X: the
+   principal part X of g is the eigenvalue-1 eigenvector of the
+   upper-triangular matrix B (``build_B``, ``solve_eigen``) with deepest
+   component 1.  At p^size it leaves g free.
+2. Realise the weight -2 form with principal part X as P(t)*t0, with t
+   the Hauptmodul and t0 the seed form, only through
+   p^(size + CROSS_RATIO_MIN_OVERLAP): the coefficients of P come from the
+   principal parts alone, and P(t)*t0 is evaluated by Paterson-Stockmeyer.
+   Its coefficient at p^size fixes the free multiple of S in g; the two
+   must agree wherever both are known.
 3. The first solution is F1 = u*S with
    S = -(r^2/a) * theta_antider(g*E4) + a * theta(g)
    (``first_solution``); its constant term, the value of F1/u at the
-   cusp, is 0 for every r.  The same recurrence gives S alongside g, so
+   cusp, is 0 for every r.  The pass of step 1 gives S alongside g, so
    g*E4 is never formed.
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
    h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
@@ -59,10 +58,10 @@ from .series import LaurentSeries, _clear_denominators, format_rational
 
 
 class MatchFailure(RuntimeError):
-    """The modular build of g disagrees with what defines g (generator bug):
-    the greedy principal-part cancellation missed a coefficient, or the
-    recurrence's g differs from the short modular build where both are
-    known."""
+    """The coefficient relation's g differs from the short modular build
+    at an exponent both know: a fault in the generators t and t0, in the
+    greedy principal-part cancellation, or in the relation's pass, its
+    principal part X included."""
 
 
 class ResidualNonzero(RuntimeError):
@@ -87,6 +86,12 @@ class DegenerateEntries(ValueError):
 # ``verify`` at its minimum order 400 takes about 3 s.
 MAX_R = 200
 
+# Largest --order the CLI accepts, for every command.  The slowest input
+# it lets through is r = MAX_R at this order: ``solve --format json`` took
+# 38 s and 39 MiB peak RSS on a 2-CPU VM (one run; 12 s at order 402),
+# and prints 6.4 MB; r = 2 at this order took 0.6 s.
+MAX_ORDER = 600
+
 # Fewest coefficients an identity comparison may rest on; also how far past
 # p^size a solve builds g as a modular form, to compare with the recurrence.
 CROSS_RATIO_MIN_OVERLAP = 10
@@ -99,8 +104,8 @@ def n0_for(r: int) -> int:
 
 def build_B(r: int) -> tuple[tuple[Fraction, ...], ...]:
     """The upper-triangular matrix B of the system B X = X that kills the
-    singular part.  A solve takes X from ``principal_part`` instead; B and
-    ``solve_eigen`` are its reference.
+    singular part.  A solve reads X off ``relation_series`` instead; B
+    and ``solve_eigen`` are its reference.
 
     ``B[k-1][l-1]`` is B_{k,l} = r^2 * b_{l-k} / (a^2 k^2) for l >= k,
     where the b_j are the E4 coefficients on the group's lattice and
@@ -144,67 +149,39 @@ def solve_eigen(B: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
     return tuple(X)
 
 
-def principal_part(r: int, e4: LaurentSeries) -> tuple[Fraction, ...]:
-    """The eigenvector X of ``solve_eigen(build_B(r))``, from the ODE's
-    coefficient relation at n = -size+1..-1 (see ``continue_g``).
-
-    With S_n = 0 below p^0 and g_(-size) = 1, the relation reads
-        (a^2 n^2 - r^2) g_n = r^2 * sum_(s<n) g_s b_(n-s),
-    which is B X = X row by row, with X[i] = g_(-(i+1)) and b_j the E4
-    coefficients (``e4``, on the group's lattice, known through
-    p^(size-1)).  For -size < n < 0 the factor a^2 n^2 - r^2 is negative,
-    never 0.  The g_n are integers over one common denominator D, rescaled
-    only by the part of each divisor that does not cancel, as in
-    ``frobenius_oracle``.
-    """
-    size = -n0_for(r)
-    a = 2 // e4.m
-    rr = r * r
-    b = e4.nums
-    A, D = [1], 1  # g_(-size)..g_(n-1) over D
-    for n in range(1 - size, 0):
-        num = rr * sum(map(mul, A, b[n + size : 0 : -1]))
-        den = rr - a * a * n * n  # g_n = -num / den
-        c = gcd(num, den)
-        if den != c:
-            A = [x * (den // c) for x in A]
-            D *= den // c
-        A.append(-num // c)
-    return tuple(Fraction(x, D) for x in reversed(A))
-
-
 def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     """The weight -2 form with principal part sum X[i] * p^(-(i+1)).
 
     Built as P(t)*t0 where t is the Hauptmodul and t0 the seed form.  The
     coefficients of P come from the principal parts alone: a greedy pass
-    over the basis t^j * t0, with t and t0 asked for only to order len(X),
-    cancels the most negative surviving exponent first.  Each basis
-    element has leading coefficient exactly 1 at p^(-(j+1)), so the pass
-    always succeeds for correct generators.
+    over the basis t^j * t0, with t and t0 cut to order len(X), cancels
+    the most negative surviving exponent first.  Each basis element has
+    leading coefficient exactly 1 at p^(-(j+1)), so for correct
+    generators the result has principal part X.
 
     P(t) is then evaluated through p^N by Paterson-Stockmeyer: with the
     coefficients over one integer denominator D and k = isqrt(deg P + 1),
     the blocks Q_i(t) are integer combinations of t, ..., t^(k-1), and
     Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) products
     at the budget N + len(X) - 1 instead of deg P, then one product with
-    t0 and one division by D.  t is asked for at that budget only when
-    deg P >= 1.  A solve asks for g only through
-    p^(len(X) + CROSS_RATIO_MIN_OVERLAP) and carries it further with
-    ``continue_g``.
+    t0 and one division by D.  t0, and t when len(X) > 1, are asked for
+    at that budget first, so the short calls of the greedy pass are
+    truncations from the generators' prefix caches.  A solve asks for g
+    only through p^(len(X) + CROSS_RATIO_MIN_OVERLAP).
     """
     size = len(X)
     budget = N + size - 1
-    c = _principal_coefficients(X, hauptmodul(group, size), seed_t0(group, size))
+    t0 = seed_t0(group, budget)
+    tp = [1]  # tp[l] = t^l
+    if size > 1:
+        tp.append(hauptmodul(group, budget))
+    c = _principal_coefficients(X, group)
     C, D = _clear_denominators(c)
     deg = max((j for j, cj in enumerate(C) if cj), default=0)
     k = isqrt(deg + 1)
-    tp = [1]  # tp[l] = t^l
     if deg:
-        tp.append(hauptmodul(group, budget))
         for _ in range(k - 1):
             tp.append(tp[-1] * tp[1])
-    t0 = seed_t0(group, budget)
 
     def block(i: int):
         """Q_i(t) = sum C[i*k + l] * t^l over l < k, an int when only l = 0."""
@@ -214,31 +191,23 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     P = block(deg // k)
     for i in range(deg // k - 1, -1, -1):
         P = P * tp[k] + block(i)
-    acc = P * t0 / D
-    for i, want in enumerate(X):
-        if acc.coeff(-(i + 1)) != want:
-            raise MatchFailure(
-                f"principal coefficient at p^{-(i + 1)} is "
-                f"{format_rational(acc.coeff(-(i + 1)))}, "
-                f"wanted {format_rational(want)}"
-            )
-    return acc
+    return P * t0 / D
 
 
-def _principal_coefficients(
-    X: tuple[Fraction, ...], t: LaurentSeries, t0: LaurentSeries
-) -> list[Fraction]:
+def _principal_coefficients(X: tuple[Fraction, ...], group: Group) -> list[Fraction]:
     """Coefficients c_j of P with P(t)*t0 = sum X[i] * p^(-(i+1)) + O(1).
 
-    Only the exponents -len(X)..-1 are read, so t and t0 need only be
-    known a little past p^len(X).
+    Only the exponents -len(X)..-1 are read, so t and t0 are asked for
+    only to order len(X), and t only when len(X) > 1.
     """
     size = len(X)
-    basis = [t0]
-    for _ in range(size - 1):
-        basis.append(basis[-1] * t)
+    basis = [seed_t0(group, size)]
+    if size > 1:
+        t = hauptmodul(group, size)
+        for _ in range(size - 1):
+            basis.append(basis[-1] * t)
     c = [Fraction(0)] * size
-    acc = LaurentSeries.zero(t.m, -1)
+    acc = LaurentSeries.zero(group.lattice, -1)
     for j in range(size - 1, -1, -1):
         need = X[j] - acc.coeff(-(j + 1))
         if need:
@@ -247,32 +216,33 @@ def _principal_coefficients(
     return c
 
 
-def continue_g(
-    r: int, X: tuple[Fraction, ...], g_size: Fraction, e4: LaurentSeries, M: int
+def relation_series(
+    r: int, e4: LaurentSeries, M: int
 ) -> tuple[LaurentSeries, LaurentSeries]:
-    """The weight -2 form g with principal part X and coefficient g_size
-    at p^size, and the first solution S with F1 = u*S, both through p^M,
-    by the ODE's coefficient relation.
+    """One pass of the ODE's coefficient relation from p^-size through
+    p^M (size = -n0): the weight -2 form g with g_(-size) = 1 and 0 at
+    p^size, and the first solution S with F1 = u*S.
 
     S is the series ``first_solution`` integrates from g, which builds in
     a*theta(S) = a^2*theta^2(g) - r^2*g*E4.  With b_j the E4 coefficients
     (``e4``, known through p^(M + size)) that reads, coefficient by
     coefficient,
         (a^2 n^2 - r^2) g_n = r^2 * sum_(s<n) g_s b_(n-s) + a*n*S_n.
-    For n < 0 it gives S_n from X; they all vanish when X is the
-    eigenvector of B X = X, and a pole left in S names a wrong X.  At
-    n = 0 both theta(g) and theta_antider(g*E4) vanish, so S_0 = 0 (the
-    cusp value c/u is 0 for every r).  For 0 <= n < size, S_n = 0.  At
-    n = size the left side vanishes (a*size = r), so the relation fixes
+    The pass puts S_n = 0 below p^size.  For n < 0 the relation is then
+    B X = X row by row (``build_B``), with X[i] = g_(-(i+1)), and the
+    factor a^2 n^2 - r^2 is negative, never 0.  At n = 0 both theta(g) and
+    theta_antider(g*E4) vanish, so S_0 = 0 (the cusp value c/u is 0 for
+    every r).  For 0 <= n < size, S_n = 0.  At n = size the left side
+    vanishes (a*size = r), so the relation fixes
     lambda = S_size = -r * sum_(s<size) g_s b_(size-s), and g_size is
     free: g + c*S has the same S.  Above size, S_n comes from the ODE,
     (a^2 n^2 - r^2) S_n = r^2 * sum_(size<=s<n) S_s b_(n-s), and then g_n
     from the relation.
 
-    Why this is the modular g = P(t)*t0 of ``build_g`` to all orders, once
-    g_size is taken from it.  Write Gamma for SL2(Z) or its index-2
-    subgroup of squares; both have genus 0, one cusp and no cusp forms of
-    weight 2 or 4.
+    Why g + (g_size/lambda)*S is the modular g = P(t)*t0 of ``build_g``
+    to all orders, with g_size its coefficient at p^size.  Write Gamma for
+    SL2(Z) or its index-2 subgroup of squares; both have genus 0, one cusp
+    and no cusp forms of weight 2 or 4.
     1. The modular g is a weakly holomorphic form of weight -2 on Gamma.
     2. g*E4 has weight 2 and zero constant term, so its antiderivative is
        a modular function, and Sigma = S + E2*g/3 is weakly holomorphic of
@@ -289,19 +259,20 @@ def continue_g(
     5. So S solves the ODE to all orders: S_n = 0 for 0 <= n < size and
        the S_n above size follow from S_size.  The modular g meets the
        relation above with these S_n, so by induction on n it has the
-       coefficients this loop computes.
+       coefficients of this pass below p^size, and those of
+       g + (g_size/lambda)*S from p^size on.
 
     The g_n and S_n are kept as integers over one common denominator D,
     as in ``frobenius_oracle``: each step is an integer dot product with
     the b_j, and A, the S numerators and D are rescaled only by the part
     of the new denominators that does not cancel.
     """
-    size = len(X)
+    size = -n0_for(r)
     m = e4.m
     a = 2 // m
     rr = r * r
     b = e4.nums  # integers b_0..b_(M+size)
-    A, D = _clear_denominators(X[::-1])  # g_(-size)..g_(-1) over D
+    A, D = [1], 1  # g_(-size)..g_(n-1) over D
     T: list[int] = []  # S_size..S_(n-1) over D
 
     def over_D(*values: tuple[int, int]) -> list[int]:
@@ -320,26 +291,21 @@ def continue_g(
             D *= L
         return [num * (L // den) for num, den in reduced]
 
-    for n in range(M + 1):
+    for n in range(1 - size, M + 1):
         gsum = sum(map(mul, A, b[n + size : 0 : -1]))
         den = a * a * n * n - rr
         if n < size:
             (gn,) = over_D((rr * gsum, den))
         elif n == size:
             T.append(-r * gsum)
-            (gn,) = over_D((g_size.numerator * D, g_size.denominator))
+            gn = 0
         else:
             ssum = rr * sum(map(mul, T, b[n - size : 0 : -1]))
             sn, gn = over_D((ssum, den), (rr * gsum * den + a * n * ssum, den * den))
             T.append(sn)
         A.append(gn)
-    below = []  # (a*n*S_n*D, a*n) for n < 0, read off X
-    for n in range(-size, 0):
-        gsum = sum(map(mul, A, b[n + size : 0 : -1]))
-        below.append(((a * a * n * n - rr) * A[n + size] - rr * gsum, a * n))
-    poles = over_D(*below)
-    S = LaurentSeries.from_numerators(m, -size, poles + [0] * size + T, D)
-    return LaurentSeries.from_numerators(m, -size, A, D), S
+    g = LaurentSeries.from_numerators(m, -size, A, D)
+    return g, LaurentSeries.from_numerators(m, size, T, D)
 
 
 @dataclass(frozen=True)
@@ -431,7 +397,7 @@ def first_solution(
 
     S = a*theta(g) - (r^2/a)*theta_antider(g*E4), so that
     a*theta(S) = a^2*theta^2(g) - r^2*g*E4 holds term by term.  A solve
-    reads the same S off ``continue_g``; this integration is its
+    reads the same S off ``relation_series``; this integration is its
     reference.  c/u is 0 for every r: theta(g) and theta_antider(g*E4)
     both vanish at p^0.
     """
@@ -458,18 +424,18 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
     Budgets are chosen from the exact trust propagation: division by S
     (order -n0) costs 3*(-n0) orders on R, so g is carried to
-    M = N + 3*(-n0) + 4 and E4 to M - n0.  The Hauptmodul and the seed
+    M = N + 3*(-n0) + 4 and E4 to M - n0.  X, g and S come from one pass
+    of the ODE's coefficient relation (``relation_series``), so a solve
+    builds no matrix B and no product g*E4.  The Hauptmodul and the seed
     form are asked for only through 2*(-n0) + CROSS_RATIO_MIN_OVERLAP,
-    whatever N is: past the short modular build, g comes from
-    ``continue_g``.  X, g and S all come from the ODE's coefficient
-    relation (``principal_part``, ``continue_g``), so a solve builds no
-    matrix B and no product g*E4.  A wrong X shows first as a pole of S
-    (``continue_g`` reads S below p^0 off X); then g must
-    equal the short build on p^n0..p^(-n0 + CROSS_RATIO_MIN_OVERLAP), or
-    ``MatchFailure`` names the first exponent where it does not.  The one
-    coefficient the recurrence reads from the short build, g at p^(-n0),
-    is not checked by that compare, and a changed value passes the
-    certificate below as well (g + c*S gives the same S).
+    whatever N is, for the short modular build from X.  Its coefficient
+    at p^(-n0), where the pass leaves g free, fixes the multiple of S
+    added to g; on every other exponent it knows, g must equal it, or
+    ``MatchFailure`` names the first that differs.  That compare also
+    names a wrong X, since g from p^0 on follows the relation and not the
+    X read off it, and so does the Wronskian part below (delta == 0
+    reaches below p^0).  A changed g at p^(-n0) passes both (g + c*S gives
+    the same S).
 
     R = g/S * (-2) is the one division of a solve.  ``g / S`` runs the
     quotient kernel of ``LaurentSeries.inverse``: it divides the
@@ -530,17 +496,15 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
     M = N + 3 * size + 4
     e4 = eisenstein(4, M + size, m)
-    X = principal_part(r, e4)
-    try:
-        short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
-    except MatchFailure as exc:
-        raise MatchFailure(f"build_g {where}: {exc}") from exc
-    g, S = continue_g(r, X, short.coeff(size), e4, M)
+    g, S = relation_series(r, e4, M)
     if S.order != size:
         raise ResidualNonzero(
-            f"singular part of F1 survived {where}: "
+            f"first solution has no term at p^{size} {where}: "
             f"S has order {S.order}, wanted {size}"
         )
+    X = tuple(g.coeff(-i) for i in range(1, size + 1))
+    short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
+    g = g + S * (short.coeff(size) / S.coeff(size))
     for n in range(-size, short.N + 1):
         if g.coeff(n) != short.coeff(n):
             raise MatchFailure(

@@ -10,7 +10,7 @@ import pytest
 from modschwarz import cli
 from modschwarz.cli import build_parser, run
 from modschwarz.series import LaurentSeries
-from modschwarz.solver import MAX_R
+from modschwarz.solver import MAX_ORDER, MAX_R
 
 
 def capture(argv):
@@ -52,6 +52,38 @@ def test_r_above_the_limit_exits_2_before_solving(command, monkeypatch):
     assert_usage_error(
         [command, "--r", str(MAX_R + 1), "--order", "1000"], f"--r must be <= {MAX_R}"
     )
+
+
+COMMANDS = {
+    "series": ["series", "e4"],
+    "solve": ["solve", "--r", "2"],
+    "verify": ["verify", "--r", "2"],
+    "examples": ["examples", "--r", "2"],
+    "identities": ["identities"],
+}
+
+
+def refuse_every_command(monkeypatch):
+    def refuse(args, out):
+        raise AssertionError(f"{args.command} ran")
+
+    for command in COMMANDS:
+        monkeypatch.setattr(cli, f"_cmd_{command}", refuse)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_order_above_the_limit_exits_2_before_running(command, monkeypatch):
+    refuse_every_command(monkeypatch)
+    assert_usage_error(
+        [*COMMANDS[command], "--order", str(MAX_ORDER + 1)],
+        f"--order must be <= {MAX_ORDER}",
+    )
+
+
+def test_the_slowest_input_passes_validation(monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_solve", lambda args, out: 0)
+    argv = ["solve", "--r", str(MAX_R), "--order", str(MAX_ORDER)]
+    assert capture(argv) == (0, "", "")
 
 
 def test_too_small_order_exits_2():

@@ -65,13 +65,13 @@ def test_s_off_at_its_last_coefficient_breaks_the_ode_part(monkeypatch):
     # (2/a)*(S*delta + g*E), and a change at p^M moves delta only at p^M,
     # past w's window, so the break shows in the Wronskian through g*E,
     # one |n0| lower.  The ODE part is checked first and names itself.
-    real = solver.continue_g
+    real = solver.relation_series
 
-    def off_at_the_end(r, X, g_size, e4, M):
-        g, S = real(r, X, g_size, e4, M)
+    def off_at_the_end(r, e4, M):
+        g, S = real(r, e4, M)
         return g, S + LaurentSeries.from_terms(S.m, {S.N: 1}, S.N)
 
-    monkeypatch.setattr(solver, "continue_g", off_at_the_end)
+    monkeypatch.setattr(solver, "relation_series", off_at_the_end)
     code, message, res = verify_broken(monkeypatch)
     assert code == 1
     assert nonzero_parts(res) == ["ODE", "Wronskian"]
@@ -85,13 +85,13 @@ def test_s_off_at_its_last_coefficient_breaks_the_ode_part(monkeypatch):
 def test_rescaled_s_breaks_only_the_wronskian_part(monkeypatch):
     # 2S still solves the ODE and R = -2g/(2S) still divides, but
     # F2 = -2g + tau*F1 is no longer a solution: w = 2w_0 + 2S^2.
-    real = solver.continue_g
+    real = solver.relation_series
 
-    def rescaled(r, X, g_size, e4, M):
-        g, S = real(r, X, g_size, e4, M)
+    def rescaled(r, e4, M):
+        g, S = real(r, e4, M)
         return g, S * 2
 
-    monkeypatch.setattr(solver, "continue_g", rescaled)
+    monkeypatch.setattr(solver, "relation_series", rescaled)
     code, message, res = verify_broken(monkeypatch)
     assert code == 1
     assert nonzero_parts(res) == ["Wronskian"]

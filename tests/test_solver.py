@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from modschwarz import closed_forms, solver
+from modschwarz import closed_forms, modforms, solver
 from modschwarz.modforms import (
     Group,
     delta,
@@ -214,12 +214,6 @@ def test_build_g_equals_reference_with_a_zero_block_of_p(group):
     assert_same_g(principal_part_of(c, group, 30), group, 30)
 
 
-def test_build_g_rejects_a_non_monic_seed(monkeypatch):
-    monkeypatch.setattr(solver, "seed_t0", lambda group, N: 2 * seed_t0(group, N))
-    with pytest.raises(MatchFailure):
-        build_g(solve_eigen(build_B(3)), Group.SQUARES, 40)
-
-
 @pytest.mark.parametrize("r, full_budget", [(1, False), (2, False), (3, True), (4, True)])
 def test_build_g_asks_for_the_full_budget_t_only_for_nonconstant_p(
     r, full_budget, monkeypatch
@@ -233,8 +227,27 @@ def test_build_g_asks_for_the_full_budget_t_only_for_nonconstant_p(
     monkeypatch.setattr(solver, "hauptmodul", spy)
     X = solve_eigen(build_B(r))
     build_g(X, Group.for_r(r), 40)
-    assert orders[0] == len(X)
-    assert (len(X) + 39 in orders) == full_budget
+    # t at the budget first, so the greedy pass's short call is a truncation
+    # from the prefix cache; with one pole coefficient t is not needed.
+    assert orders == ([len(X) + 39, len(X)] if full_budget else [])
+
+
+def test_a_cold_solve_builds_the_hauptmodul_once(monkeypatch):
+    for gen in vars(modforms).values():
+        if hasattr(gen, "cache_clear"):
+            gen.cache_clear()
+    calls = []
+    real = modforms.j1728
+
+    def spy(N):
+        calls.append(N)
+        return real(N)
+
+    monkeypatch.setattr(modforms, "j1728", spy)
+    solve_ode(4, 40)
+    # build_g at order size + CROSS_RATIO_MIN_OVERLAP asks for t through
+    # its budget 2*size + CROSS_RATIO_MIN_OVERLAP - 1, with size = 2.
+    assert calls == [3 + CROSS_RATIO_MIN_OVERLAP]
 
 
 def test_g3_misprinted_coefficient_is_rejected():
@@ -262,16 +275,22 @@ def test_solve_rejects_bad_arguments():
 
 
 def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
-    real = solver.continue_g
+    solved = solve_ode(2, 40)
+    c = solved.g.coeff(1) / solved.S.coeff(1)  # g = pass's g + c*S
+    real = solver.relation_series
 
-    def perturbed(r, X, g_size, e4, M):
-        g, _ = real(r, X, g_size, e4, M)
+    def perturbed(r, e4, M):
+        g, S = real(r, e4, M)
+        g = g + S * c
         p6 = LaurentSeries.from_terms(g.m, {6: 1}, g.N)
-        return g, solver.first_solution(g + p6, e4, r)[0]
+        S6 = solver.first_solution(g + p6, e4, r)[0]
+        return g - S6 * c, S6
 
-    # S is integrated from g + p^6; a g changed past p^size itself is caught
-    # earlier, by the compare with the short modular build (see below).
-    monkeypatch.setattr(solver, "continue_g", perturbed)
+    # S is integrated from g + p^6, and the pass's g is moved by -c*S6 so
+    # that the solve still forms the solved g; a g changed past p^size
+    # itself is caught earlier, by the compare with the short modular
+    # build (see below).
+    monkeypatch.setattr(solver, "relation_series", perturbed)
     # g + p^6 moves S by (6a - r^2/(6a)) p^6 = 35/3 p^6 for r = 2 (a = 2),
     # so the residual starts at (36a^2 - r^2) * 35/3 = 4900/3 at p^6.
     with pytest.raises(
@@ -282,10 +301,12 @@ def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
 
 
 def test_match_failure_names_r_and_order(monkeypatch):
+    # A doubled seed form gives the short build 2 at the deepest pole.
     monkeypatch.setattr(solver, "seed_t0", lambda group, N: 2 * seed_t0(group, N))
     with pytest.raises(
         MatchFailure,
-        match=r"^build_g for r=3 at order 40: principal coefficient at p\^-1 is ",
+        match=r"^g by the recurrence for r=3 at order 40: coefficient at p\^-3 "
+        r"is 1, the short modular build gives 2$",
     ):
         solve_ode(3, 40)
 
@@ -336,17 +357,40 @@ def test_a_solve_asks_the_generators_only_for_a_short_window(r, monkeypatch):
     assert largest[0] == largest[1] <= 2 * (-n0_for(r)) + CROSS_RATIO_MIN_OVERLAP
 
 
-def test_surviving_singular_part_names_r_and_order(monkeypatch):
-    # A wrong eigenvector still gives a weight -2 form g, so g*E4 keeps a
-    # zero constant term, but S keeps a pole: p^-2 cancels for any X
-    # (B's last diagonal entry is 1), p^-1 does not.
-    monkeypatch.setattr(
-        solver, "principal_part", lambda r, e4: (Fraction(-319), Fraction(1))
-    )
+@pytest.mark.parametrize("r, e", [(3, 1), (4, 0)])
+def test_shifted_principal_part_names_r_order_and_exponent(r, e, monkeypatch):
+    # g shifted at p^-1 after the pass reads off as a wrong X.  The short
+    # build realises that X exactly, but the pass's g from p^0 on follows
+    # the right one, so the compare names the first exponent they part at.
+    real = solver.relation_series
+
+    def shifted(r, e4, M):
+        g, S = real(r, e4, M)
+        return g + LaurentSeries.from_terms(g.m, {-1: 1}, g.N), S
+
+    monkeypatch.setattr(solver, "relation_series", shifted)
+    with pytest.raises(
+        MatchFailure,
+        match=rf"^g by the recurrence for r={r} at order 40: coefficient at "
+        rf"p\^{e} is -?\d+(/\d+)?, the short modular build gives ",
+    ):
+        solve_ode(r, 40)
+
+
+def test_a_first_solution_without_its_leading_term_is_named(monkeypatch):
+    # The solve divides by S at p^size to fix the free multiple of S in g.
+    real = solver.relation_series
+
+    def headless(r, e4, M):
+        g, S = real(r, e4, M)
+        lead = LaurentSeries.from_terms(S.m, {S.order: S.leading_coefficient}, S.N)
+        return g, S - lead
+
+    monkeypatch.setattr(solver, "relation_series", headless)
     with pytest.raises(
         ResidualNonzero,
-        match=r"^singular part of F1 survived for r=4 at order 40: "
-        r"S has order -1, wanted 2$",
+        match=r"^first solution has no term at p\^2 for r=4 at order 40: "
+        r"S has order 3, wanted 2$",
     ):
         solve_ode(4, 40)
 
