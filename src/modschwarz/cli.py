@@ -214,7 +214,10 @@ def _cmd_identities(args, out) -> int:
     for name, residual in residuals:
         # The residual "lhs-rhs" is reported as the identity "lhs=rhs".
         v = residual.order
-        detail = "" if v is None else f"coefficient {residual.coeff(v)} at p^{v}"
+        detail = (
+            "" if v is None
+            else f"coefficient {format_rational(residual.coeff(v))} at p^{v}"
+        )
         _check(out, failures, name.replace("-", "=", 1), v is None, detail)
 
     _check(out, failures, "eta product Delta == (E4^3-E6^2)/1728",

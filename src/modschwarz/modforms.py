@@ -121,15 +121,6 @@ def eisenstein(k: int, N: int, m: int = 1) -> LaurentSeries:
     return LaurentSeries.from_numerators(m, 0, coeffs)
 
 
-def _sigma1_table(K: int) -> list[int]:
-    """[0, sigma_1(1), ..., sigma_1(K)] by a divisor sieve."""
-    table = [0] * (K + 1)
-    for d in range(1, K + 1):
-        for n in range(d, K + 1, d):
-            table[n] += d
-    return table
-
-
 @_prefix_cached
 def eta_power(exponent: int, N: int) -> LaurentSeries:
     """eta^24 = Delta = q prod (1-q^n)^24 on lattice 1,
@@ -149,10 +140,10 @@ def eta_power(exponent: int, N: int) -> LaurentSeries:
     lead = 1 if exponent > 0 else -1
     top = max(N, lead)
     K = (top - lead) // m
-    sigma1 = _sigma1_table(K)
+    sigma1 = [sigma(1, j) for j in range(1, K + 1)]
     f = [1]
     for n in range(1, K + 1):
-        f.append(-exponent * sum(map(mul, sigma1[1:n + 1], reversed(f))) // n)
+        f.append(-exponent * sum(map(mul, sigma1[:n], reversed(f))) // n)
     coeffs = [0] * (top - lead + 1)
     coeffs[::m] = f
     series = LaurentSeries.from_numerators(m, lead, coeffs)

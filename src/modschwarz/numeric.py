@@ -108,8 +108,11 @@ def eval_series(
     den = series.den
     for n, x in enumerate(series.nums, series.n_min):
         if x:
-            # int / int is correctly rounded: the double of Fraction(x, den)
-            t = x / den * p**n
+            try:
+                # int / int is correctly rounded: the double of Fraction(x, den)
+                t = x / den * p**n
+            except OverflowError:
+                t = _scaled_term(x, den, p, n)
             value += t
             terms.append((n, abs(t)))
 
@@ -117,6 +120,18 @@ def eval_series(
     if tolerance is not None and tail > tolerance:
         raise TailTooLarge(f"tail estimate {tail:.3e} exceeds {tolerance:.3e}")
     return U**e * value, tail
+
+
+def _scaled_term(x: int, den: int, p: complex, n: int) -> complex:
+    """x/den * p**n when x/den or p**n alone exceeds a double.
+
+    With k = x.bit_length() - den.bit_length() the mantissa x/(den*2^k)
+    lies in (1/2, 2), and 2^k joins p**n in one exponential.  Raises
+    OverflowError only if the term itself exceeds a double.
+    """
+    k = x.bit_length() - den.bit_length()
+    mantissa = x / (den << k) if k >= 0 else (x << -k) / den
+    return mantissa * cmath.exp(n * cmath.log(p) + k * math.log(2))
 
 
 def _tail_estimate(terms: list[tuple[int, float]], N: int, ap: float) -> float:
@@ -144,13 +159,16 @@ def h_value(result: SolveResult, tau: complex, *, tolerance: float | None = None
 
 def _sample(result: SolveResult, check: str, residual, tolerance: float) -> dict:
     """Max over ``DEFAULT_POINTS`` of |residual(tau)|, as a report; a
-    TailTooLarge, PointOutsideDomain or DerivativeVanishes is re-raised as
-    the same class, naming the check, r and the order."""
+    TailTooLarge, PointOutsideDomain, DerivativeVanishes or OverflowError
+    (a term that exceeds a double) is re-raised as the same class, naming
+    the check, r and the order."""
     worst = 0.0
     for tau in DEFAULT_POINTS:
         try:
             worst = max(worst, abs(residual(tau)))
-        except (TailTooLarge, PointOutsideDomain, DerivativeVanishes) as exc:
+        except (
+            TailTooLarge, PointOutsideDomain, DerivativeVanishes, OverflowError
+        ) as exc:
             raise type(exc)(
                 f"{check} for r={result.r} at order {result.N}: {exc}"
             ) from exc

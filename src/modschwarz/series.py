@@ -35,6 +35,7 @@ immutable, so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -78,30 +79,28 @@ def _decimal(n: int) -> str:
 
     ``str`` refuses ints of more than ``sys.get_int_max_str_digits()``
     digits (4300 by default), and R's numerators pass that near MAX_R.
-    Such an int is split at a power of ten into two halves.
+    ``decimal.Decimal`` converts ints of any size without that limit.
     """
     try:
         return str(n)
     except ValueError:
-        pass
-    if n < 0:
-        return "-" + _decimal(-n)
-    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
-    hi, lo = divmod(n, 10**k)
-    return _decimal(hi) + _decimal(lo).rjust(k, "0")
+        return str(Decimal(n))
 
 
 def _parse_decimal(text: str) -> int:
-    """``int(text)`` for a decimal of any size, split as ``_decimal`` does."""
+    """``int(text)`` for a decimal of any size, read as ``_decimal`` prints.
+
+    Past the digit limit only an optional minus and ASCII digits are read:
+    ``Decimal`` alone would also take exponents, underscores, whitespace
+    and ``Infinity``.
+    """
     try:
         return int(text)
     except ValueError:
         digits = text.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise
-    k = len(digits) // 2
-    value = _parse_decimal(digits[:-k]) * 10**k + _parse_decimal(digits[-k:])
-    return -value if text[0] == "-" else value
+    return int(Decimal(text))
 
 
 def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -165,20 +165,18 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) products
     at the budget N + len(X) - 1 instead of deg P, then one product with
     t0 and one division by D.  t0, and t when len(X) > 1, are asked for
-    at that budget first, so the short calls of the greedy pass are
-    truncations from the generators' prefix caches.  A solve asks for g
-    only through p^(len(X) + CROSS_RATIO_MIN_OVERLAP).
+    once, at that budget; the greedy pass cuts them to order len(X).  A
+    solve asks for g only through p^(len(X) + CROSS_RATIO_MIN_OVERLAP).
     """
     size = len(X)
     budget = N + size - 1
     t0 = seed_t0(group, budget)
-    tp = [1]  # tp[l] = t^l
-    if size > 1:
-        tp.append(hauptmodul(group, budget))
-    c = _principal_coefficients(X, group)
+    t = hauptmodul(group, budget) if size > 1 else 1
+    c = _principal_coefficients(X, t0, t)
     C, D = _clear_denominators(c)
     deg = max((j for j, cj in enumerate(C) if cj), default=0)
     k = isqrt(deg + 1)
+    tp = [1, t]  # tp[l] = t^l
     if deg:
         for _ in range(k - 1):
             tp.append(tp[-1] * tp[1])
@@ -194,20 +192,21 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     return P * t0 / D
 
 
-def _principal_coefficients(X: tuple[Fraction, ...], group: Group) -> list[Fraction]:
+def _principal_coefficients(
+    X: tuple[Fraction, ...], t0: LaurentSeries, t: LaurentSeries | int
+) -> list[Fraction]:
     """Coefficients c_j of P with P(t)*t0 = sum X[i] * p^(-(i+1)) + O(1).
 
-    Only the exponents -len(X)..-1 are read, so t and t0 are asked for
-    only to order len(X), and t only when len(X) > 1.
+    Only the exponents -len(X)..-1 are read, so t0 and t are cut to order
+    len(X); t (1 when len(X) == 1) is read only when len(X) > 1.
     """
     size = len(X)
-    basis = [seed_t0(group, size)]
-    if size > 1:
-        t = hauptmodul(group, size)
-        for _ in range(size - 1):
-            basis.append(basis[-1] * t)
+    basis = [t0.truncate(size)]
+    for _ in range(size - 1):
+        t = t.truncate(size)  # a no-op after the first pass
+        basis.append(basis[-1] * t)
     c = [Fraction(0)] * size
-    acc = LaurentSeries.zero(group.lattice, -1)
+    acc = LaurentSeries.zero(t0.m, -1)
     for j in range(size - 1, -1, -1):
         need = X[j] - acc.coeff(-(j + 1))
         if need:
@@ -505,13 +504,13 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     X = tuple(g.coeff(-i) for i in range(1, size + 1))
     short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
     g = g + S * (short.coeff(size) / S.coeff(size))
-    for n in range(-size, short.N + 1):
-        if g.coeff(n) != short.coeff(n):
-            raise MatchFailure(
-                f"g by the recurrence {where}: coefficient at p^{n} is "
-                f"{format_rational(g.coeff(n))}, "
-                f"the short modular build gives {format_rational(short.coeff(n))}"
-            )
+    n = (g - short).order
+    if n is not None:
+        raise MatchFailure(
+            f"g by the recurrence {where}: coefficient at p^{n} is "
+            f"{format_rational(g.coeff(n))}, "
+            f"the short modular build gives {format_rational(short.coeff(n))}"
+        )
 
     R = g / S * (-2)
     res = SolveResult(

@@ -210,6 +210,16 @@ def test_verify_numeric():
     assert doc["numeric"]["schwarzian"]["pass"] is True
 
 
+def test_verify_numeric_passes_where_coefficients_of_r_exceed_a_double():
+    # For r = 2 at order 200, R's last coefficient (at p^204) exceeds
+    # 1.8e308, and more of its theta images' do.
+    code, out, _ = capture(["verify", "--r", "2", "--order", "200", "--numeric"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert all(check["pass"] for check in doc["numeric"].values())
+
+
 def test_verify_numeric_refusal_names_check_r_and_order():
     code, out, err = capture(["verify", "--r", "5", "--order", "80", "--numeric"])
     assert code == 1

@@ -170,3 +170,18 @@ def test_no_product_with_an_inverse():
             and node.right.func.attr == "inverse"
         ]
     assert found == []
+
+
+def test_the_int_digit_limit_is_left_alone():
+    # Printing and parsing coefficients past the limit go through
+    # ``decimal``; the package never changes the interpreter's limit.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{getattr(node, 'lineno', '?')}"
+            for node in ast.walk(tree)
+            if "set_int_max_str_digits"
+            in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))
+        ]
+    assert found == []

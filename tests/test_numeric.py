@@ -134,6 +134,26 @@ def test_refusals_name_check_r_and_order(solved):
         check_schwarz_numeric(dataclasses.replace(solved[3], R=growing))
 
 
+def test_eval_scales_a_term_whose_factor_exceeds_a_double():
+    # 10**400 alone, and p**-200 at tau = i alone, exceed a double; each
+    # term is near 1e-146 or 1e146.
+    big = LaurentSeries.from_numerators(1, 200, [10**400], 1)
+    v, _ = eval_series(big, 1j)
+    assert v.real == pytest.approx(math.exp(400 * math.log(10) - 400 * math.pi), rel=1e-12)
+    small = LaurentSeries.from_numerators(1, -200, [1], 10**400)
+    v, _ = eval_series(small, 1j)
+    assert v.real == pytest.approx(math.exp(400 * math.pi - 400 * math.log(10)), rel=1e-12)
+
+
+def test_a_term_past_a_double_names_check_r_and_order(solved):
+    # p**-400 on lattice 2 exceeds a double at every default point.
+    deep_pole = LaurentSeries.from_numerators(2, -400, [1], 1)
+    with pytest.raises(
+        OverflowError, match=r"^equivariance under \[0, -1, 1, 1\] for r=3 at order 60: "
+    ):
+        check_equivariance(dataclasses.replace(solved[3], R=deep_pole), P_GEN)
+
+
 def test_eval_is_monotone_improving(solved):
     # Increasing the order changes the value by less than the reported tail.
     R = solved[2].R

@@ -17,6 +17,7 @@ from modschwarz.series import (
     _aligned,
     _convolve,
     format_rational,
+    parse_rational,
 )
 
 
@@ -297,6 +298,23 @@ def test_json_round_trips_a_coefficient_of_5000_digits():
     assert d["coeffs"] == {"-1": f"-{text}/3", "1": f"-3/{text}"}
     assert LaurentSeries.from_json_dict(d) == s
     assert str(s) == f"-{text}/3*p^-1 + -3/{text}*p + O(p^2)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1" * 5000 + "e3",
+        "_".join(["1" * 100] * 50),
+        " " + "1" * 5000,
+        "-" + "1" * 5000 + ".0",
+        "3/" + "1" * 5000 + "e3",
+    ],
+    ids=["exponent", "underscores", "whitespace", "point", "denominator"],
+)
+def test_parse_rational_past_the_digit_limit_reads_only_digits(text):
+    # Decimal would read each of these; a printed coefficient has none.
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 def test_division_by_a_zero_series_names_its_window():

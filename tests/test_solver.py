@@ -227,9 +227,9 @@ def test_build_g_asks_for_the_full_budget_t_only_for_nonconstant_p(
     monkeypatch.setattr(solver, "hauptmodul", spy)
     X = solve_eigen(build_B(r))
     build_g(X, Group.for_r(r), 40)
-    # t at the budget first, so the greedy pass's short call is a truncation
-    # from the prefix cache; with one pole coefficient t is not needed.
-    assert orders == ([len(X) + 39, len(X)] if full_budget else [])
+    # t once, at the budget; the greedy pass cuts it to order len(X).  With
+    # one pole coefficient t is not needed.
+    assert orders == ([len(X) + 39] if full_budget else [])
 
 
 def test_a_cold_solve_builds_the_hauptmodul_once(monkeypatch):
