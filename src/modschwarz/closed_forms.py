@@ -64,21 +64,18 @@ def s1(N: int) -> LaurentSeries:
     With E4' = 2u * theta(E4) this is -theta(E4)/Delta^(1/2), the
     theta image taken on lattice 1 and aligned to lattice 2.
     """
-    pad = N + 6
-    te4 = eisenstein(4, pad).theta().align(2)
-    return (-te4 * eta_power(-12, 2 * pad - 2)).truncate(N)
+    te4 = eisenstein(4, N // 2 + 2).theta().align(2)
+    return (-te4 * eta_power(-12, N + 2)).truncate(N)
 
 
 def antider_identity_1(N: int) -> LaurentSeries:
     """-E6/Delta^(1/2): the exact value of theta_antider(g1 * E4)."""
-    pad = N + 6
-    return (-eisenstein(6, 2 * pad, 2) * eta_power(-12, 2 * pad - 2)).truncate(N)
+    return (-eisenstein(6, N + 2, 2) * eta_power(-12, N + 2)).truncate(N)
 
 
 def r1(N: int) -> LaurentSeries:
     """R for r=1 from h_1 = tau + 4*E4/E4': body 2*E4/theta(E4), aligned."""
-    pad = N + 6
-    e4 = eisenstein(4, pad)
+    e4 = eisenstein(4, N // 2 + 3)
     return (e4 / e4.theta() * 2).align(2).truncate(N)
 
 
@@ -107,10 +104,9 @@ def r_from_h_denominator(r: int, N: int) -> LaurentSeries:
     """R = 6 / (E2 + correction terms) for r in 2..4, on the group lattice."""
     if r not in (2, 3, 4):
         raise ValueError("closed h-denominator forms exist for r = 2, 3, 4")
-    body = _h_denominator_tail(N, depth=r).inverse() * 6
     if r % 2:
-        body = body.align(2)
-    return body.truncate(N)
+        return _h_denominator_tail(N // 2, depth=r).inverse(6).align(2).truncate(N)
+    return _h_denominator_tail(N, depth=r).inverse(6).truncate(N)
 
 
 def s2(N: int) -> LaurentSeries:
@@ -126,7 +122,7 @@ def s2(N: int) -> LaurentSeries:
 def f1_body_3(N: int) -> LaurentSeries:
     """F1/u for r=3:
     (9E6^3 - E2E4^4 - 8E4^3E6 + 15006*E6*Delta + 1266*E2E4*Delta) / (3 Delta^(3/2))."""
-    pad = 2 * N + 12
+    pad = N // 2 + 2
     e2 = eisenstein(2, pad)
     e4 = eisenstein(4, pad)
     e6 = eisenstein(6, pad)
@@ -138,7 +134,7 @@ def f1_body_3(N: int) -> LaurentSeries:
         + e6 * dl * 15006
         + e2 * e4 * dl * 1266
     )
-    body = num.align(2) * eta_power(-12, pad - 2) ** 3 * Fraction(1, 3)
+    body = num.align(2) * eta_power(-12, N + 2) ** 3 * Fraction(1, 3)
     return body.truncate(N)
 
 

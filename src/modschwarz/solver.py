@@ -46,14 +46,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .modforms import (
-    Group,
-    eisenstein,
-    hauptmodul,
-    seed_t0,
-    theta_fourth,
-    theta_logderiv,
-)
+from .modforms import Group, eisenstein, hauptmodul, seed_t0, theta_fourth
 from .series import LaurentSeries, _clear_denominators, format_rational
 
 
@@ -608,21 +601,14 @@ def cross_ratio(
     return (d12 * d43) / (d13 * d42)
 
 
-THETA_WEIGHT = Fraction(1, 2)
-
-
 def theta_offsets(N: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
     """The rational series o_j with h_{theta_j} - tau = u^(-1) * o_j,
     j = 2, 3, 4, on lattice 2.
 
-    theta2 itself has no integer p-expansion, so the offsets are built from
-    the log-derivatives: k*f/f' = (k/2) / (q d/dq log f) with k = 1/2.
+    theta2 itself has no integer p-expansion, but h_{f^n} = h_f for any
+    form f, so each offset comes from the weight-2 form theta_j^4.
     """
-    out = []
-    for j in (2, 3, 4):
-        offset, body = theta_logderiv(j, N)
-        out.append((body + offset).inverse() * (THETA_WEIGHT / 2))
-    return tuple(out)
+    return tuple(equivariant_offset(theta_fourth(j, N), 2) for j in (2, 3, 4))
 
 
 def anharmonic_images(mu: LaurentSeries) -> dict[str, LaurentSeries]:

@@ -154,9 +154,18 @@ def test_no_runtime_dependencies():
     assert project["dependencies"] == []
 
 
+def is_inverse_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "inverse"
+    )
+
+
 def test_no_product_with_an_inverse():
     # ``x * y.inverse()`` inverts y to its full window and then multiplies;
-    # ``x / y`` is one forward substitution with x as its numerator.
+    # ``x / y`` is one forward substitution with x as its numerator, and
+    # ``y.inverse() * c`` for a scalar c is ``y.inverse(c)``, one pass.
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -165,9 +174,7 @@ def test_no_product_with_an_inverse():
             for node in ast.walk(tree)
             if isinstance(node, ast.BinOp)
             and isinstance(node.op, ast.Mult)
-            and isinstance(node.right, ast.Call)
-            and isinstance(node.right.func, ast.Attribute)
-            and node.right.func.attr == "inverse"
+            and (is_inverse_call(node.left) or is_inverse_call(node.right))
         ]
     assert found == []
 

@@ -544,6 +544,25 @@ def test_s_closed_form_r1(solved):
     assert solved[1].S.leading_coefficient == -240
 
 
+# The odd-r closed forms build lattice-1 forms at about N/2 and lattice-2
+# factors at about N.  A claim passes on any overlap of 30, so only the
+# window shows a pad that is too small.
+@pytest.mark.parametrize(
+    "build",
+    [
+        closed_forms.s1,
+        closed_forms.antider_identity_1,
+        closed_forms.r1,
+        lambda N: closed_forms.r_from_h_denominator(3, N),
+        closed_forms.f1_body_3,
+    ],
+    ids=["s1", "antider_identity_1", "r1", "r_from_h_denominator-3", "f1_body_3"],
+)
+def test_odd_r_closed_forms_end_exactly_at_the_order(build):
+    for N in [*range(1, 42), 64, 97, 123]:
+        assert build(N).N == N, N
+
+
 def test_f1_closed_form_r4_needs_both_corrections(solved):
     res = solved[4]
     uncorrected = closed_forms.f1_body_4(res.S.N, corrected=False)
@@ -594,6 +613,27 @@ def test_cross_ratio_j_identity():
     cross = cross_ratio(LaurentSeries.zero(1, pad), w2, w3, w4)
     j_inv = eisenstein(4, pad) ** 3 * delta(pad + 2).inverse() * Fraction(1, 1728)
     assert cross.matches(j_inv, min_overlap=N)
+
+
+def logderiv_theta_offsets(N):
+    """The theta offsets k*f/f' = (k/2) / (q d/dq log f) with k = 1/2,
+    from the log-derivatives of theta_j itself: a route independent of
+    theta_j^4 and ``equivariant_offset``."""
+    out = []
+    for j in (2, 3, 4):
+        offset, body = modforms.theta_logderiv(j, N)
+        out.append((body + offset).inverse(Fraction(1, 4)))
+    return out
+
+
+@pytest.mark.parametrize("N", [10, 40, 120])
+def test_theta_offsets_match_the_log_derivative_route(N):
+    reference = logderiv_theta_offsets(N)
+    for k, (offset, ref) in enumerate(zip(theta_offsets(N), reference)):
+        assert offset.matches(ref, min_overlap=N), k
+    label, cross = classify_theta_cross_ratio(N)
+    assert label == "mu"
+    assert cross == cross_ratio(LaurentSeries.zero(2, N), *reference)
 
 
 def test_cross_ratio_invariant_under_common_scaling():
