@@ -85,7 +85,7 @@ def _h_denominator_tail(N: int, depth: int) -> LaurentSeries:
     depth 2 stops there (r=2); depth 3 adds the Delta^2 term (r=3);
     depth 4 also subtracts the Delta^3 term (r=4).
     """
-    pad = N + 12
+    pad = N + 2 * depth
     e2 = eisenstein(2, pad)
     e4 = eisenstein(4, pad)
     e6 = eisenstein(6, pad)

@@ -231,8 +231,8 @@ def check_schwarz_numeric(result: SolveResult, tolerance: float = 1e-6) -> dict:
     h', h'' and h''' are exact series (theta images of R with the right
     u-powers), built once per check and evaluated at every point.  This is
     the only check in the package that evaluates {h, tau} from R itself:
-    the exact layer certifies it through the ODE residual, the Wronskian
-    and R*S = -2g instead (see ``solver.solve_ode``).
+    the exact layer certifies it through the ODE and delta residuals and
+    R*S = -2g instead (see ``solver.solve_ode``).
     """
     e4 = eisenstein(4, max(result.R.N, 4), result.m)
     derivatives = _h_derivatives(result)

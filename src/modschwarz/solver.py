@@ -21,18 +21,21 @@ theta = p d/dp.
 3. The first solution is F1 = u*S with
    S = -(r^2/a) * theta_antider(g*E4) + a * theta(g)
    (``first_solution``); its constant term, the value of F1/u at the
-   cusp, is 0 for every r.  The pass of step 1 gives S alongside g, so
-   g*E4 is never formed.
+   cusp, is 0 for every r.  The pass of step 1 gives S alongside g; g*E4
+   is formed only to check it (step 5).
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
    h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
    pass of the series quotient kernel, forward substitution over one
    common denominator.
 5. Verify exactly, each on its full trusted window:
        a^2*theta^2(S) - r^2*E4*S == 0                          (ODE)
-       S^2 - 2a*(S*theta(g) - g*theta(S)) == nonzero constant    (Wronskian)
+       a*theta(S) - a^2*theta^2(g) + r^2*g*E4 == 0             (delta)
        R*S + 2*g == 0                                          (division)
-   By Abel's identity these three prove {h,tau}/pi^2 - 2*r^2*E4 == 0
-   on the window that R determines; ``solve_ode`` states the lemma.
+   and the constant 4*r*lambda of the Wronskian is nonzero, with lambda
+   the leading coefficient of S.  By Abel's identity these prove
+   {h,tau}/pi^2 - 2*r^2*E4 == 0 on the window that R determines;
+   ``solve_ode`` states the lemma.  R*S is the only product of two of
+   g, S and R.
 
 An independent Frobenius recurrence (``frobenius_oracle``) recomputes the
 regular solution coefficient by coefficient straight from the ODE and is
@@ -72,9 +75,9 @@ class DegenerateEntries(ValueError):
 # Largest r that solve_ode and the CLI accept.  Run time sets it, almost
 # all of it in the series products and the one division.  The slowest case
 # is even r = 200 at its minimum order 402, where R's numerators reach
-# 14660 bits: ``solve --format json`` takes about 14 s on a 2-CPU VM, of
+# 14660 bits: ``solve --format json`` takes 10-14 s on a 2-CPU VM, of
 # which the division residual R*S + 2g takes 4.5-6 s, the division
-# R = -2g/S 3-4 s, the Wronskian 1-2 s and the JSON output 0.5 s.  Odd
+# R = -2g/S 3-5 s, the delta residual 0.13 s and the JSON output 0.5 s.  Odd
 # r = 199 lives on lattice 2, where half the coefficients are zero, and
 # ``verify`` at its minimum order 400 takes about 3 s.
 MAX_R = 200
@@ -313,8 +316,9 @@ class SolveResult:
     R: LaurentSeries
     c_over_u: Fraction
     ode_residual: LaurentSeries
-    wronskian: LaurentSeries
+    delta_residual: LaurentSeries
     division_residual: LaurentSeries
+    wronskian: Fraction  # w(0) = 4*r*lambda*g_(-k), the constant of w (solve_ode)
 
     @property
     def m(self) -> int:
@@ -330,12 +334,11 @@ class SolveResult:
 
     def certificate(self) -> tuple[tuple[str, LaurentSeries], ...]:
         """The three parts of the Schwarzian certificate, each a series that
-        must be zero on its whole window; the Wronskian enters as its
-        non-constant part (its constant must also be nonzero)."""
-        w = self.wronskian
+        must be zero on its whole window; the Wronskian's constant must
+        also be nonzero."""
         return (
             ("ODE", self.ode_residual),
-            ("Wronskian", w - w.coeff(0)),
+            ("delta", self.delta_residual),
             ("division", self.division_residual),
         )
 
@@ -350,7 +353,7 @@ class SolveResult:
                     f"{name} residual nonzero {where}: "
                     f"coefficient {format_rational(residual.coeff(v))} at p^{v}"
                 )
-        if self.wronskian.coeff(0) == 0:
+        if self.wronskian == 0:
             return f"Wronskian is zero {where}: coefficient 0 at p^0"
         return None
 
@@ -400,17 +403,6 @@ def first_solution(
     return s_tilde - c_over_u, c_over_u
 
 
-def wronskian(g: LaurentSeries, S: LaurentSeries) -> LaurentSeries:
-    """w = S^2 - 2a*(S*theta(g) - g*theta(S)), the rational series of the
-    Wronskian F1*F2' - F1'*F2 = u^2*w of F1 = u*S and F2 = -2g + tau*F1.
-
-    When R*S = -2g this is S^2*(1 + a*theta(R)) = S^2*h', with no inverse.
-    It is computed as S*(S - 2a*theta(g)) + 2a*g*theta(S): two products.
-    """
-    a = 2 // g.m
-    return S * (S - g.theta() * (2 * a)) + g * S.theta() * (2 * a)
-
-
 def solve_ode(r: int, N: int = 40) -> SolveResult:
     """Run the whole construction; S, R and g are trusted through at least N.
 
@@ -418,16 +410,16 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     (order -n0) costs 3*(-n0) orders on R, so g is carried to
     M = N + 3*(-n0) + 4 and E4 to M - n0.  X, g and S come from one pass
     of the ODE's coefficient relation (``relation_series``), so a solve
-    builds no matrix B and no product g*E4.  The Hauptmodul and the seed
-    form are asked for only through 2*(-n0) + CROSS_RATIO_MIN_OVERLAP,
-    whatever N is, for the short modular build from X.  Its coefficient
-    at p^(-n0), where the pass leaves g free, fixes the multiple of S
-    added to g; on every other exponent it knows, g must equal it, or
-    ``MatchFailure`` names the first that differs.  That compare also
-    names a wrong X, since g from p^0 on follows the relation and not the
-    X read off it, and so does the Wronskian part below (delta == 0
-    reaches below p^0).  A changed g at p^(-n0) passes both (g + c*S gives
-    the same S).
+    builds no matrix B, and forms g*E4 only to check the pass.  The
+    Hauptmodul and the seed form are asked for only through
+    2*(-n0) + CROSS_RATIO_MIN_OVERLAP, whatever N is, for the short
+    modular build from X.  Its coefficient at p^(-n0), where the pass
+    leaves g free, fixes the multiple of S added to g; on every other
+    exponent it knows, g must equal it, or ``MatchFailure`` names the
+    first that differs.  That compare also names a wrong X, since g from
+    p^0 on follows the relation and not the X read off it, and so does
+    the delta part below (delta starts at p^n0).  A changed g at p^(-n0)
+    passes both (g + c*S gives the same S).
 
     R = g/S * (-2) is the one division of a solve.  ``g / S`` runs the
     quotient kernel of ``LaurentSeries.inverse``: it divides the
@@ -439,38 +431,44 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     the division.
 
     The Schwarzian equation is certified, not expanded.  Write k = -n0,
-    E = a^2*theta^2(S) - r^2*E4*S (the ODE residual) and w = ``wronskian``.
-    Take g, S and E4 as the Laurent polynomials stored and R as the exact
-    quotient -2g/S.  Write delta = a*theta(S) - a^2*theta^2(g) + r^2*g*E4.
-    Then (i), (ii) and (iii) hold as identities of formal Laurent series:
+    E = a^2*theta^2(S) - r^2*E4*S (the ODE residual),
+    delta = a*theta(S) - a^2*theta^2(g) + r^2*g*E4 and
+    w = S^2 - 2a*(S*theta(g) - g*theta(S)), so that u^2*w is the
+    Wronskian F1*F2' - F1'*F2 of F1 = u*S and F2 = -2g + tau*F1.  Take g,
+    S and E4 as the Laurent polynomials stored and R as the exact
+    quotient -2g/S.  Then (i), (ii) and (iii) hold as identities of formal
+    Laurent series:
 
     (i)   h' = 1 + a*theta(R) = w/S^2, since theta(R)*S^2 =
           -2*(S*theta(g) - g*theta(S)).
     (ii)  theta(w) = (2/a)*(S*delta + g*E) (Abel's identity, with
-          residuals).  The recurrence builds delta == 0 in, but the
-          certificate does not rest on that: E == 0 and a constant w force
-          S*delta == 0 through M - k, so delta == 0 through M - 2k (S has
-          order k), and F2 = -2g + tau*F1 has tau times the ODE residual
-          of F1.  With delta == 0, theta(w) = (2g/a)*E, so a break in the
-          ODE part also shows in the Wronskian part.
+          residuals): F2 has tau times the ODE residual of F1, and delta
+          is what is left.  The recurrence builds delta == 0 in; the
+          delta part checks its integer pass against the convolution
+          kernel of ``LaurentSeries.__mul__``.
     (iii) With V = a*theta(w)/w, the field W = a^2*theta^2(R)/h' equals
           -2a*theta(S)/S + V, and
             {h,tau}/pi^2 - 2r^2*E4 = W^2/2 - a*theta(W) - 2r^2*E4
                                    = 2E/S + V*(V/2 - 2a*theta(S)/S) - a*theta(V).
           When w is a constant, V = 0 and this is 2E/S.
 
-    Windows.  g and S are known through M, E through M, w through
-    M - k and R*S + 2g through M - 2k, and R through N_R = M - 3k.  The
-    certificate is: E == 0 through M, w == nonzero constant through
-    N_R + 2k, and R*S + 2g == 0 through N_R + k.  The last fixes every
+    Windows.  g and S are known through M, E and delta through M,
+    R*S + 2g through M - 2k, and R through N_R = M - 3k.  The certificate
+    is: E == 0 and delta == 0 through M, R*S + 2g == 0 through N_R + k,
+    and w(0) != 0.  By (ii), theta(w) == 0 through M - k = N_R + 2k: S*delta
+    vanishes through M + k (S has order k) and g*E through M - k (g has
+    order -k).  So w == w(0) through N_R + 2k, and w(0) = 4*r*lambda*g_(-k)
+    with lambda = S_k, since only S_k*g_(-k) reaches p^0 in S*theta(g)
+    and g*theta(S), and a*k = r.  The division part fixes every
     coefficient of R (the one at p^j first enters R*S at p^(j+k)), so R
     is the exact quotient through N_R.  Through N_R + 2k, the direct
     residual reads R only through N_R, V vanishes (w - w(0) does, and w
     is a unit of order 0), theta(S)/S has order >= 0, and E/S vanishes
-    (E is zero through M, S has order k).  So the Schwarzian residual is
-    zero through N_R + 2k, the whole window a direct expansion from R
-    reaches.  Each part is checked on its own, so that two nonzero parts
-    cannot cancel, and each failure raises ``ResidualNonzero`` naming it.
+    (E is zero through M, S has order k), so (iii) is 2E/S = 0.  So the
+    Schwarzian residual is zero through N_R + 2k, the whole window a
+    direct expansion from R reaches.  Each part is checked on its own, so
+    that two nonzero parts cannot cancel, and each failure raises
+    ``ResidualNonzero`` naming it.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -516,8 +514,9 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         R=R,
         c_over_u=Fraction(0),  # theta(g), theta_antider(g*E4) vanish at p^0
         ode_residual=S.theta().theta() * (a * a) - S * e4 * (r * r),
-        wronskian=wronskian(g, S),
+        delta_residual=S.theta() * a - g.theta().theta() * (a * a) + g * e4 * (r * r),
         division_residual=R * S + g * 2,
+        wronskian=4 * r * S.coeff(size) * g.coeff(-size),
     )
     failure = res.certificate_failure()
     if failure is not None:

@@ -1,6 +1,8 @@
-"""The Schwarzian residual expanded directly from R, as ``solve_ode``
-computed it before the Wronskian certificate replaced it.  Kept here only
-as an independent oracle for that certificate."""
+"""References for the certificate behind ``schwarz_residual_zero``: the
+Schwarzian residual expanded directly from R, as ``solve_ode`` computed it
+before the certificate replaced it, and the Wronskian series, which the
+certificate proves constant from the ODE and delta parts without forming
+it.  Kept here only as independent oracles."""
 
 from fractions import Fraction
 
@@ -17,3 +19,14 @@ def direct_schwarz_residual(res):
     h_deriv = R.theta() * a + 1
     W = R.theta().theta() * (a * a) * h_deriv.inverse()
     return W * W * Fraction(1, 2) - W.theta() * a - e4 * (2 * r * r)
+
+
+def wronskian(g, S):
+    """w = S^2 - 2a*(S*theta(g) - g*theta(S)), the rational series of the
+    Wronskian F1*F2' - F1'*F2 = u^2*w of F1 = u*S and F2 = -2g + tau*F1.
+
+    When R*S = -2g this is S^2*(1 + a*theta(R)) = S^2*h', with no inverse.
+    It is computed as S*(S - 2a*theta(g)) + 2a*g*theta(S): two products.
+    """
+    a = 2 // g.m
+    return S * (S - g.theta() * (2 * a)) + g * S.theta() * (2 * a)

@@ -70,9 +70,10 @@ def test_criterion_4_schwarzian_exactness(solved):
     # The direct expansion from R, checked on the certificate's window.
     ok = True
     for r in range(1, 9):
-        direct = direct_schwarz_residual(solved[r])
-        ok = ok and solved[r].schwarz_residual_zero and direct.is_zero()
-        ok = ok and direct.N == solved[r].wronskian.N
+        res = solved[r]
+        direct = direct_schwarz_residual(res)
+        ok = ok and res.schwarz_residual_zero and direct.is_zero()
+        ok = ok and direct.N == res.R.N + 2 * (-res.n0)
     report(
         4,
         ok,

@@ -1,17 +1,19 @@
 """The certificate behind ``schwarz_residual_zero``: the direct Schwarzian
-residual as its oracle, one break per part, and the one division a solve
-makes."""
+residual and the Wronskian series as its oracles, one break per part, and
+the one division and three products a solve makes."""
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from modschwarz import cli, modforms, solver
-from modschwarz.series import LaurentSeries
+from modschwarz.modforms import eisenstein
+from modschwarz.series import LaurentSeries, format_rational
 from modschwarz.solver import minimum_order, solve_ode
 
-from schwarz_oracle import direct_schwarz_residual
+from schwarz_oracle import direct_schwarz_residual, wronskian
 from test_output_digests import DIGESTS
 
 CASES = sorted(
@@ -24,9 +26,12 @@ def test_direct_residual_is_zero_on_the_certificate_window(r, N):
     res = solve_ode(r, N)
     k = -res.n0
     direct = direct_schwarz_residual(res)
+    w = wronskian(res.g, res.S)
     assert res.schwarz_residual_zero
     assert direct.is_zero()
-    assert direct.N == res.wronskian.N == res.R.N + 2 * k
+    assert (w - res.wronskian).is_zero()
+    assert direct.N == w.N == res.R.N + 2 * k
+    assert res.delta_residual.N == res.ode_residual.N == res.S.N
     assert res.division_residual.N == res.R.N + k
 
 
@@ -37,14 +42,15 @@ def test_direct_residual_is_zero_on_the_certificate_window(r, N):
 R, ORDER = 3, 40
 
 
-def verify_broken(monkeypatch):
+def verify_broken(monkeypatch, **override):
     """Run ``verify`` for r=3 at order 40; return its exit code, the error
-    message and the SolveResult that solve_ode built before checking it."""
+    message and the SolveResult that solve_ode built before checking it,
+    with the fields in ``override`` put in place of the solved ones."""
     built = []
     real = solver.SolveResult
 
     def record(**fields):
-        built.append(real(**fields))
+        built.append(real(**{**fields, **override}))
         return built[-1]
 
     monkeypatch.setattr(solver, "SolveResult", record)
@@ -61,10 +67,10 @@ def nonzero_parts(res):
 
 
 def test_s_off_at_its_last_coefficient_breaks_the_ode_part(monkeypatch):
-    # No S that pairs with g can break the ODE part alone: theta(w) =
-    # (2/a)*(S*delta + g*E), and a change at p^M moves delta only at p^M,
-    # past w's window, so the break shows in the Wronskian through g*E,
-    # one |n0| lower.  The ODE part is checked first and names itself.
+    # A change at p^M moves E and delta there, so both parts are nonzero;
+    # the ODE part is checked first and names itself.  The Wronskian
+    # series shows the break through g*E, one |n0| lower, since
+    # theta(w) = (2/a)*(S*delta + g*E) and S*delta starts past p^M.
     real = solver.relation_series
 
     def off_at_the_end(r, e4, M):
@@ -74,17 +80,18 @@ def test_s_off_at_its_last_coefficient_breaks_the_ode_part(monkeypatch):
     monkeypatch.setattr(solver, "relation_series", off_at_the_end)
     code, message, res = verify_broken(monkeypatch)
     assert code == 1
-    assert nonzero_parts(res) == ["ODE", "Wronskian"]
+    assert nonzero_parts(res) == ["ODE", "delta"]
     M = res.S.N  # a = 1 and r = 3 on the squares lattice
     assert message == (
         f"ODE residual nonzero for r=3 at order 40: coefficient {M * M - 9} at p^{M}"
     )
-    assert res.wronskian.theta().matches(res.g * res.ode_residual * 2)
+    assert wronskian(res.g, res.S).theta().matches(res.g * res.ode_residual * 2)
 
 
-def test_rescaled_s_breaks_only_the_wronskian_part(monkeypatch):
+def test_rescaled_s_breaks_only_the_delta_part(monkeypatch):
     # 2S still solves the ODE and R = -2g/(2S) still divides, but
-    # F2 = -2g + tau*F1 is no longer a solution: w = 2w_0 + 2S^2.
+    # F2 = -2g + tau*F1 is no longer a solution: delta(g, cS) =
+    # (c-1)*a*theta(S), and the Wronskian series is 2w_0 + 2S^2.
     real = solver.relation_series
 
     def rescaled(r, e4, M):
@@ -94,11 +101,13 @@ def test_rescaled_s_breaks_only_the_wronskian_part(monkeypatch):
     monkeypatch.setattr(solver, "relation_series", rescaled)
     code, message, res = verify_broken(monkeypatch)
     assert code == 1
-    assert nonzero_parts(res) == ["Wronskian"]
+    assert nonzero_parts(res) == ["delta"]
+    assert (res.delta_residual - res.S.theta() / 2).is_zero()
     assert message == (
-        f"Wronskian residual nonzero for r=3 at order 40: "
-        f"coefficient {res.S.leading_coefficient ** 2 / 2} at p^6"
+        f"delta residual nonzero for r=3 at order 40: coefficient "
+        f"{format_rational(3 * res.S.leading_coefficient / 2)} at p^3"
     )
+    assert (wronskian(res.g, res.S) - res.wronskian).order == 6
 
 
 def test_r_off_at_its_last_coefficient_breaks_only_the_division_part(monkeypatch):
@@ -122,9 +131,7 @@ def test_r_off_at_its_last_coefficient_breaks_only_the_division_part(monkeypatch
 
 
 def test_a_zero_wronskian_is_reported(monkeypatch):
-    real = solver.wronskian
-    monkeypatch.setattr(solver, "wronskian", lambda g, S: real(g, S) * 0)
-    code, message, res = verify_broken(monkeypatch)
+    code, message, res = verify_broken(monkeypatch, wronskian=Fraction(0))
     assert code == 1
     assert nonzero_parts(res) == []
     assert message == "Wronskian is zero for r=3 at order 40: coefficient 0 at p^0"
@@ -137,19 +144,45 @@ def test_a_zero_wronskian_is_reported(monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 12])
 def test_a_solve_inverts_only_s(r, monkeypatch):
+    # Outside the short modular build, the only products of two series are
+    # S*E4 (ODE), g*E4 (delta) and R*S (division): no Wronskian series.
     for gen in vars(modforms).values():
         if hasattr(gen, "cache_clear"):
             gen.cache_clear()
-    divided = []
-    real = LaurentSeries.inverse
+    divided, multiplied, building = [], [], []
+    real_inverse, real_mul = LaurentSeries.inverse, LaurentSeries.__mul__
+    real_build_g = solver.build_g
 
-    def spy(self, numerator=1):
+    def inverse_spy(self, numerator=1):
         divided.append((self, numerator))
-        return real(self, numerator)
+        return real_inverse(self, numerator)
 
-    monkeypatch.setattr(LaurentSeries, "inverse", spy)
+    def mul_spy(self, other):
+        if isinstance(other, LaurentSeries) and not building:
+            multiplied.append((self, other))
+        return real_mul(self, other)
+
+    def build_g_spy(*args):
+        building.append(True)
+        try:
+            return real_build_g(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(LaurentSeries, "inverse", inverse_spy)
+    monkeypatch.setattr(LaurentSeries, "__mul__", mul_spy)
+    monkeypatch.setattr(solver, "build_g", build_g_spy)
     res = solve_ode(r, minimum_order(r))
     assert len(divided) == 1
     divisor, numerator = divided[0]
     assert divisor is res.S
     assert numerator is res.g
+
+    def name(x):
+        for label, y in (("g", res.g), ("S", res.S), ("R", res.R)):
+            if x is y:
+                return label
+        return "E4" if x == eisenstein(4, x.N, res.m) else f"p^{x.n_min}..p^{x.N}"
+
+    products = sorted((name(x), name(y)) for x, y in multiplied)
+    assert products == [("R", "S"), ("S", "E4"), ("g", "E4")]

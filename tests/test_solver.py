@@ -545,18 +545,29 @@ def test_s_closed_form_r1(solved):
 
 
 # The odd-r closed forms build lattice-1 forms at about N/2 and lattice-2
-# factors at about N.  A claim passes on any overlap of 30, so only the
-# window shows a pad that is too small.
+# factors at about N, and the h-denominator forms for r = 2, 3, 4 pad
+# their lattice-1 forms by 2*r.  A claim passes on any overlap of 30, so
+# only the window shows a pad that is too small.
 @pytest.mark.parametrize(
     "build",
     [
         closed_forms.s1,
         closed_forms.antider_identity_1,
         closed_forms.r1,
+        lambda N: closed_forms.r_from_h_denominator(2, N),
         lambda N: closed_forms.r_from_h_denominator(3, N),
+        lambda N: closed_forms.r_from_h_denominator(4, N),
         closed_forms.f1_body_3,
     ],
-    ids=["s1", "antider_identity_1", "r1", "r_from_h_denominator-3", "f1_body_3"],
+    ids=[
+        "s1",
+        "antider_identity_1",
+        "r1",
+        "r_from_h_denominator-2",
+        "r_from_h_denominator-3",
+        "r_from_h_denominator-4",
+        "f1_body_3",
+    ],
 )
 def test_odd_r_closed_forms_end_exactly_at_the_order(build):
     for N in [*range(1, 42), 64, 97, 123]:
