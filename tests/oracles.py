@@ -1,0 +1,52 @@
+"""Independent references for what a solve reads off the coefficient
+relation or certifies without forming: the first solution integrated
+from g, the Schwarzian residual expanded directly from R, as
+``solve_ode`` computed it before the certificate replaced it, and the
+Wronskian series, which the certificate proves constant from the ODE and
+delta parts.  Kept here only as oracles."""
+
+from fractions import Fraction
+
+from modschwarz.modforms import eisenstein
+from modschwarz.series import LaurentSeries
+
+
+def first_solution(
+    g: LaurentSeries, e4: LaurentSeries, r: int
+) -> tuple[LaurentSeries, Fraction]:
+    """S with F1 = u*S, and the cusp value c/u removed from it.
+
+    S = a*theta(g) - (r^2/a)*theta_antider(g*E4), so that
+    a*theta(S) = a^2*theta^2(g) - r^2*g*E4 holds term by term.  A solve
+    reads the same S off ``relation_series``; this integration is its
+    reference.  c/u is 0 for every r: theta(g) and theta_antider(g*E4)
+    both vanish at p^0.
+    """
+    a = 2 // g.m
+    product = g * e4  # weight 2, so its constant term must vanish
+    s_tilde = g.theta() * a - product.theta_antider() * Fraction(r * r, a)
+    c_over_u = s_tilde.coeff(0)
+    return s_tilde - c_over_u, c_over_u
+
+
+def direct_schwarz_residual(res):
+    """{h,tau}/pi^2 - 2*r^2*E4 = W^2/2 - a*theta(W) - 2*r^2*E4 with
+    W = a^2*theta^2(R)/h' and h' = 1 + a*theta(R), on its trusted window."""
+    r, m = res.r, res.m
+    a = 2 // m
+    R = res.R
+    e4 = eisenstein(4, res.g.N - res.n0, m)
+    h_deriv = R.theta() * a + 1
+    W = R.theta().theta() * (a * a) * h_deriv.inverse()
+    return W * W * Fraction(1, 2) - W.theta() * a - e4 * (2 * r * r)
+
+
+def wronskian(g, S):
+    """w = S^2 - 2a*(S*theta(g) - g*theta(S)), the rational series of the
+    Wronskian F1*F2' - F1'*F2 = u^2*w of F1 = u*S and F2 = -2g + tau*F1.
+
+    When R*S = -2g this is S^2*(1 + a*theta(R)) = S^2*h', with no inverse.
+    It is computed as S*(S - 2a*theta(g)) + 2a*g*theta(S): two products.
+    """
+    a = 2 // g.m
+    return S * (S - g.theta() * (2 * a)) + g * S.theta() * (2 * a)

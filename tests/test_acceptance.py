@@ -24,7 +24,7 @@ from modschwarz.solver import (
     solve_eigen,
 )
 
-from schwarz_oracle import direct_schwarz_residual
+from oracles import direct_schwarz_residual
 
 ORDER = 60  # the order of the shared ``solved`` fixture (conftest.py)
 

@@ -146,10 +146,11 @@ def reference_euler_product(N):
 
 @functools.cache
 def reference_eta_power(exponent, N):
-    """The Euler product raised to the power; the negative powers invert
-    the positive ones at order N + 2, as j1728 and seed_t0 used to."""
+    """The Euler product raised to the power, cut to end at N; the negative
+    powers invert the positive ones at order N + 2, as j1728 and seed_t0
+    used to."""
     if exponent == 24:
-        return (reference_euler_product(N - 1) ** 24).shift(1)
+        return (reference_euler_product(N - 1) ** 24).shift(1).truncate(N)
     if exponent == 12:
         K = max((N - 1) // 2, 0)
         return ((reference_euler_product(K).align(2) ** 12).shift(1)).truncate(N)
@@ -400,6 +401,23 @@ def test_generators_are_memoised_transparently():
                 fresh = gen.__wrapped__(N=N, **key)
                 assert (got.m, got.n_min, got.N) == (fresh.m, fresh.n_min, fresh.N)
                 assert got == fresh, (gen.__name__, key, N)
+
+
+def test_every_window_ends_exactly_at_the_order():
+    """Each generator, served from its cache or built fresh, and each
+    ``CATALOG`` builder ends its window at the order asked for, also below
+    a lead term (``delta(0)`` is 0 + O(q))."""
+    cached = {f for f in vars(modforms).values() if hasattr(f, "cache_entries")}
+    assert cached == {gen for gen, _ in CACHED}
+    wrong = []
+    for N in (3, 2, 1, 0):
+        for gen, keys in CACHED:
+            for key in keys:
+                for build in (gen, gen.__wrapped__):
+                    if build(N=N, **key).N != N:
+                        wrong.append((build.__qualname__, key, N))
+        wrong += [(name, N) for name, (_, build) in CATALOG.items() if build(N).N != N]
+    assert wrong == []
 
 
 def test_prefix_cache_answers_shorter_orders_without_building():

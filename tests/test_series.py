@@ -25,6 +25,18 @@ def L(m, n_min, *coeffs):
     return LaurentSeries(m, n_min, tuple(Fraction(c) for c in coeffs))
 
 
+def width(a: LaurentSeries) -> int:
+    """Number of coefficients in the window n_min..N."""
+    return a.N - a.n_min + 1
+
+
+def agree_on_the_shorter_window(a: LaurentSeries, b: LaurentSeries) -> bool:
+    """``a.matches(b)`` on a common window that holds all of the shorter
+    series.  A theta or a cancellation can drop leading zeros, so the
+    property tests size the overlap by their results, not their inputs."""
+    return a.matches(b, min_overlap=min(width(a), width(b)))
+
+
 # E4, E6 truncated at q^2, built by hand from sigma_3 and sigma_5.
 E4_2 = L(1, 0, 1, 240, 2160)
 E6_2 = L(1, 0, 1, -504, -16632)
@@ -189,7 +201,7 @@ def test_mul_inverse_is_one(a):
 @given(unit_series_st())
 @settings(max_examples=60, deadline=None)
 def test_inverse_involution(a):
-    assert a.inverse().inverse().matches(a)
+    assert a.inverse().inverse().matches(a, min_overlap=width(a))
 
 
 @given(long_unit_series_st())
@@ -338,7 +350,7 @@ def test_mul_restores_the_content_of_both_factors():
 
 def test_pow_negative_and_zero():
     a = L(1, 1, 1, -24)
-    assert (a**-1).matches(a.inverse())
+    assert (a**-1).matches(a.inverse(), min_overlap=2)
     assert (a**0).coeff(0) == 1
 
 
@@ -365,7 +377,7 @@ def test_theta_of_e4():
 def test_theta_is_a_derivation(a, b):
     lhs = (a * b).theta()
     rhs = a.theta() * b + a * b.theta()
-    assert lhs.matches(rhs)
+    assert agree_on_the_shorter_window(lhs, rhs)
 
 
 @given(series_st())
@@ -373,7 +385,7 @@ def test_theta_is_a_derivation(a, b):
 def test_antider_of_theta_recovers_up_to_constant(a):
     recovered = a.theta().theta_antider()
     shift = a.coeff(0) if a.n_min <= 0 <= a.N else Fraction(0)
-    assert recovered.matches(a - shift)
+    assert agree_on_the_shorter_window(recovered, a - shift)
 
 
 def test_antider_requires_zero_constant_term():
@@ -457,13 +469,15 @@ def test_mul_commutes(a, b):
 @given(series_st(), series_st(), series_st())
 @settings(max_examples=40, deadline=None)
 def test_mul_associates(a, b, c):
-    assert ((a * b) * c).matches(a * (b * c))
+    # The product knows as many coefficients as its shortest factor.
+    overlap = min(map(width, (a, b, c)))
+    assert ((a * b) * c).matches(a * (b * c), min_overlap=overlap)
 
 
 @given(series_st(), series_st(), series_st())
 @settings(max_examples=40, deadline=None)
 def test_mul_distributes(a, b, c):
-    assert (a * (b + c)).matches(a * b + a * c)
+    assert agree_on_the_shorter_window(a * (b + c), a * b + a * c)
 
 
 def test_recomputation_is_bit_identical():
