@@ -69,11 +69,11 @@ def _prefix_cached(build):
     """Serve ``build(..., N)`` from the longest expansion built so far.
 
     One entry per value of the arguments other than ``N``.  A call at an
-    order 0 <= N <= entry.N returns ``entry.truncate(N)``; below order 0 a
-    fresh window can end past N (``eisenstein`` starts at p^0), so such
-    calls go to ``build``.  A build runs outside the lock; its result
-    replaces the entry only if it is longer, so a reader never sees a
-    partial series.
+    order N <= entry.N returns ``entry.truncate(N)``: the coefficients of
+    a fresh build, on the window that ends at N (the zero window, when N
+    is below the entry's first term).  A build runs outside the lock; its
+    result replaces the entry only if it is longer, so a reader never sees
+    a partial series.
     """
     signature = inspect.signature(build)
     store: dict[tuple, LaurentSeries] = {}
@@ -87,7 +87,7 @@ def _prefix_cached(build):
         key = tuple(v for name, v in bound.arguments.items() if name != "N")
         with lock:
             entry = store.get(key)
-        if entry is not None and 0 <= N <= entry.N:
+        if entry is not None and N <= entry.N:
             return entry.truncate(N)
         fresh = build(*bound.args, **bound.kwargs)
         with lock:
@@ -114,7 +114,9 @@ def _prefix_cached(build):
 def eisenstein(k: int, N: int, m: int = 1) -> LaurentSeries:
     """E2, E4 or E6: 1 + c_k * sum sigma_{k-1}(n) q^n on lattice m."""
     factor = {2: -24, 4: 240, 6: -504}[k]
-    coeffs = [0] * (max(N, 0) + 1)
+    if N < 0:
+        return LaurentSeries.zero(m, N)
+    coeffs = [0] * (N + 1)
     coeffs[0] = 1
     for n in range(1, N // m + 1):
         coeffs[m * n] = factor * sigma(k - 1, n)
@@ -188,12 +190,14 @@ def seed_t0(group: Group, N: int) -> LaurentSeries:
 @_prefix_cached
 def triangular_series(N: int) -> LaurentSeries:
     """sum q^(n(n+1)/2), the odd-theta core: theta2 = 2 q^(1/8) * this."""
+    if N < 0:
+        return LaurentSeries.zero(1, N)
     terms = {}
     n = 0
     while n * (n + 1) // 2 <= N:
         terms[n * (n + 1) // 2] = 1
         n += 1
-    return LaurentSeries.from_terms(1, terms, max(N, 0), n_min=0)
+    return LaurentSeries.from_terms(1, terms, N, n_min=0)
 
 
 @_prefix_cached
@@ -201,12 +205,14 @@ def theta_series(j: int, N: int) -> LaurentSeries:
     """theta3 or theta4 on lattice 2 (exponent of p is n^2)."""
     if j not in (3, 4):
         raise ValueError("direct p-expansions exist for theta3 and theta4 only")
+    if N < 0:
+        return LaurentSeries.zero(2, N)
     terms = {0: 1}
     n = 1
     while n * n <= N:
         terms[n * n] = 2 if j == 3 or n % 2 == 0 else -2
         n += 1
-    return LaurentSeries.from_terms(2, terms, max(N, 0), n_min=0)
+    return LaurentSeries.from_terms(2, terms, N, n_min=0)
 
 
 @_prefix_cached

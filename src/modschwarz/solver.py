@@ -77,8 +77,9 @@ class DegenerateEntries(ValueError):
 # 14660 bits: ``solve --format json`` takes 10-14 s on a 2-CPU VM, of
 # which the division residual R*S + 2g takes 4.5-6 s, the division
 # R = -2g/S 3-5 s, the delta residual 0.13 s and the JSON output 0.5 s.  Odd
-# r = 199 lives on lattice 2, where half the coefficients are zero, and
-# ``verify`` at its minimum order 400 takes about 3 s.
+# r = 199 lives on lattice 2, where half the coefficients are zero and the
+# kernels skip them: ``verify`` at its minimum order 400 takes 2.4 s (CPU,
+# best of 3).
 MAX_R = 200
 
 # Largest --order the CLI accepts, for every command.  The slowest input
@@ -217,20 +218,26 @@ def relation_series(
     p^size, and the first solution S with F1 = u*S.
 
     S = a*theta(g) - (r^2/a)*theta_antider(g*E4), which builds in
-    a*theta(S) = a^2*theta^2(g) - r^2*g*E4.  With b_j the E4 coefficients
-    (``e4``, known through p^(M + size)) that reads, coefficient by
-    coefficient,
-        (a^2 n^2 - r^2) g_n = r^2 * sum_(s<n) g_s b_(n-s) + a*n*S_n.
-    The pass puts S_n = 0 below p^size.  For n < 0 the relation is then
-    B X = X row by row (``build_B``), with X[i] = g_(-(i+1)), and the
-    factor a^2 n^2 - r^2 is negative, never 0.  At n = 0 both theta(g) and
-    theta_antider(g*E4) vanish, so S_0 = 0 (the cusp value c/u, which
-    ``solve`` prints, is 0 for every r).  For 0 <= n < size, S_n = 0.  At
-    n = size the left side vanishes (a*size = r), so the relation fixes
-    lambda = S_size = -r * sum_(s<size) g_s b_(size-s), and g_size is
-    free: g + c*S has the same S.  Above size, S_n comes from the ODE,
-    (a^2 n^2 - r^2) S_n = r^2 * sum_(size<=s<n) S_s b_(n-s), and then g_n
-    from the relation.
+    a*theta(S) = a^2*theta^2(g) - r^2*g*E4.  On lattice m, g and S can be
+    nonzero only at the exponents n = -size + m*k, one per q-step k >= 0,
+    and E4 only at multiples of m, so the pass runs on k and reads b_j, the
+    coefficient of q^j in E4 (``e4`` on lattice m, known through
+    p^(M + size)).  With a = 2/m, a*n = 2k - r on both lattices, and
+    coefficient by coefficient the relation reads
+        4k(k - r) g_k = r^2 * sum_(i<k) g_i b_(k-i) + (2k - r)*S_k.
+    The pass puts S_k = 0 for k < r, that is below p^size.  For k < r the
+    relation is then B X = X row by row (``build_B``), with X[i] the
+    coefficient of g at p^(-(i+1)), and the factor 4k(k - r) is negative,
+    never 0.  At p^0 both theta(g) and theta_antider(g*E4) vanish, so S is
+    0 there (the cusp value c/u, which ``solve`` prints, is 0 for every
+    r), as at every exponent below p^size.  At k = r, n = size, the left
+    side vanishes, so the relation fixes lambda = S_r = -r * sum_(i<r)
+    g_i b_(r-i), and g_r is free: g + c*S has the same S.  For k > r,
+    S_k comes from the ODE,
+        4k(k - r) S_k = r^2 * sum_(r<=i<k) S_i b_(k-i),
+    and then g_k from the relation.  The lattice only decides where the
+    results land: step k is the coefficient of p^(-size + m*k) of g and of
+    S, and the exponents in between are zero.
 
     Why g + (g_size/lambda)*S is the modular g = P(t)*t0 of ``build_g``
     to all orders, with g_size its coefficient at p^size.  Write Gamma for
@@ -249,24 +256,23 @@ def relation_series(
     4. With X the eigenvector, S has no principal part, and its constant
        term is removed, so E is O(p): a weight-4 cusp form on Gamma,
        hence zero.
-    5. So S solves the ODE to all orders: S_n = 0 for 0 <= n < size and
-       the S_n above size follow from S_size.  The modular g meets the
-       relation above with these S_n, so by induction on n it has the
-       coefficients of this pass below p^size, and those of
-       g + (g_size/lambda)*S from p^size on.
+    5. So S solves the ODE to all orders: S_k = 0 for k < r and the S_k
+       for k > r follow from S_r.  The modular g meets the relation above
+       with these S_k, so by induction on k it has the coefficients of
+       this pass below p^size, and those of g + (g_size/lambda)*S from
+       p^size on.
 
-    The g_n and S_n are kept as integers over one common denominator D,
+    The g_k and S_k are kept as integers over one common denominator D,
     as in ``frobenius_oracle``: each step is an integer dot product with
     the b_j, and A, the S numerators and D are rescaled only by the part
     of the new denominators that does not cancel.
     """
     size = -n0_for(r)
     m = e4.m
-    a = 2 // m
     rr = r * r
-    b = e4.nums  # integers b_0..b_(M+size)
-    A, D = [1], 1  # g_(-size)..g_(n-1) over D
-    T: list[int] = []  # S_size..S_(n-1) over D
+    b = e4.nums[::m]  # q-coefficients b_0..b_K of E4
+    A, D = [1], 1  # g_0..g_(k-1) over D
+    T: list[int] = []  # S_r..S_(k-1) over D
 
     def over_D(*values: tuple[int, int]) -> list[int]:
         """Each (num, den), a new coefficient times D, as an integer over
@@ -284,21 +290,28 @@ def relation_series(
             D *= L
         return [num * (L // den) for num, den in reduced]
 
-    for n in range(1 - size, M + 1):
-        gsum = sum(map(mul, A, b[n + size : 0 : -1]))
-        den = a * a * n * n - rr
-        if n < size:
-            (gn,) = over_D((rr * gsum, den))
-        elif n == size:
+    for k in range(1, (M + size) // m + 1):
+        gsum = sum(map(mul, A, b[k:0:-1]))
+        den = 4 * k * (k - r)
+        if k < r:
+            (gk,) = over_D((rr * gsum, den))
+        elif k == r:
             T.append(-r * gsum)
-            gn = 0
+            gk = 0
         else:
-            ssum = rr * sum(map(mul, T, b[n - size : 0 : -1]))
-            sn, gn = over_D((ssum, den), (rr * gsum * den + a * n * ssum, den * den))
-            T.append(sn)
-        A.append(gn)
-    g = LaurentSeries.from_numerators(m, -size, A, D)
-    return g, LaurentSeries.from_numerators(m, size, T, D)
+            ssum = rr * sum(map(mul, T, b[k - r : 0 : -1]))
+            gnum = rr * gsum * den + (2 * k - r) * ssum
+            sk, gk = over_D((ssum, den), (gnum, den * den))
+            T.append(sk)
+        A.append(gk)
+    return _on_lattice(A, D, m, -size, M), _on_lattice(T, D, m, size, M)
+
+
+def _on_lattice(nums: list[int], D: int, m: int, start: int, N: int) -> LaurentSeries:
+    """The series whose coefficient at p^(start + m*k) is nums[k]/D, zero
+    between those exponents, known through p^N."""
+    steps = LaurentSeries.from_numerators(1, 0, nums, D)
+    return steps.align(m).shift(start).truncate(N)
 
 
 @dataclass(frozen=True)
@@ -506,9 +519,11 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
     """The regular Frobenius solution by direct recurrence, independent of
     the eigenvector/integration pipeline.
 
-    y = sum_{n >= -n0} alpha_n p^n with alpha_{-n0} = 1 and, for n > -n0,
-    (a^2 n^2 - r^2) alpha_n = r^2 * sum_{s < n} alpha_s b_{n-s}; the
-    divisor never vanishes because a*n > r there.
+    y = sum_{n >= -n0} alpha_n p^n with alpha_{-n0} = 1.  As in
+    ``relation_series``, only n = -n0 + m*k can carry a coefficient, and
+    with b_j the q-coefficients of E4 and a*n = r + 2k,
+    4k(k + r) alpha_k = r^2 * sum_{i < k} alpha_i b_{k-i} for k >= 1; the
+    divisor never vanishes.
 
     The b_j are integers, so the alphas are kept as integers A over one
     common denominator D: each step is an integer dot product, the part
@@ -517,19 +532,16 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    group = Group.for_r(r)
-    m = group.lattice
-    a = 2 // m
+    m = Group.for_r(r).lattice
     lead = -n0_for(r)
     if N < lead:
         raise ValueError(f"order {N} cannot hold the leading exponent {lead}")
-    b = eisenstein(4, N - lead, m).nums  # integers b_0..b_(N-lead)
+    b = eisenstein(4, N - lead, m).nums[::m]  # q-coefficients b_0..b_K
     A = [1]
     D = 1
-    for n in range(lead + 1, N + 1):
-        j = n - lead
-        num = r * r * sum(map(mul, A, b[j:0:-1]))
-        den = a * a * n * n - r * r
+    for k in range(1, (N - lead) // m + 1):
+        num = r * r * sum(map(mul, A, b[k:0:-1]))
+        den = 4 * k * (k + r)
         g = gcd(num, den)
         num //= g
         den //= g
@@ -537,7 +549,7 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
             A = [x * den for x in A]
             D *= den
         A.append(num)
-    return LaurentSeries.from_numerators(m, lead, A, D)
+    return _on_lattice(A, D, m, lead, N)
 
 
 def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:

@@ -420,6 +420,26 @@ def test_every_window_ends_exactly_at_the_order():
     assert wrong == []
 
 
+# The generators whose first term is at p^0, with their lattices.
+FROM_ORDER_ZERO = [
+    (eisenstein, {"k": 4}, 1),
+    (eisenstein, {"k": 6, "m": 2}, 2),
+    (triangular_series, {}, 1),
+    (theta_series, {"j": 3}, 2),
+    (theta_series, {"j": 4}, 2),
+]
+
+
+@pytest.mark.parametrize("N", [-1, -3])
+def test_below_order_zero_the_window_is_zero_and_ends_at_the_order(N):
+    """Asked for an order below their first term, fresh or from a cache
+    entry that covers it, these give the zero window that ends at N."""
+    for gen, key, m in FROM_ORDER_ZERO:
+        gen(N=20, **key)
+        for build in (gen, gen.__wrapped__):
+            assert build(N=N, **key) == LaurentSeries.zero(m, N), (build, key)
+
+
 def test_prefix_cache_answers_shorter_orders_without_building():
     builds = []
 

@@ -8,8 +8,12 @@ from the claims table in ``closed_forms``.  The ``(47, 96)`` and
 ``(64, 66)`` digests were recorded while ``build_g`` still multiplied out
 every Hauptmodul power at the full budget, as were the largest ``wide``
 case ``(96, 98)`` and the ``deep`` cases ``(12, 240)``, ``(2, 360)`` and
-``(3, 300)`` of the benchmark (copied from ``perfbench/digests.json``).  Any change to the arithmetic
-kernels or to the commands must leave every byte of this output as it is.
+``(3, 300)`` of the benchmark (copied from ``perfbench/digests.json``).  The odd-r
+``sweep`` cases at order 90, also copied from there, were checked against
+the kernels that still ran over every index, before the lattice-2 series
+of an odd-r solve ran on their nonzero half only.  Any change to the
+arithmetic kernels or to the commands must leave every byte of this output
+as it is.
 
 The ``verify --numeric`` digests pin the floats of the numeric checks:
 they were recorded while coefficients were still evaluated through
@@ -48,6 +52,12 @@ DIGESTS = {
     (12, 240): "8dfab9276a77e59f268ff56fe8891e49be63f9b9ddc371022c73110bfe7e08ff",
     (2, 360): "32ff26d51e955d45df22bc20aca214c42baa769db2b1b47018f25c73edb547d5",
     (3, 300): "5a03c3bf74c67abfae71d6599a7733be7214ec6446bfb9e3c509bd6f2e2fe188",
+    (1, 90): "50201abcfa2fe40bc792703497e942cb1f85d0ca632f8261ff0e3b8f0ed206f2",
+    (3, 90): "5ecef8b824ff6135a5940655f0243ffb19585bee70d1ba3409acc686faa57b93",
+    (5, 90): "fc8fadee6156308c134865b19004063194cae1b16101d40981aead027b3d71cc",
+    (7, 90): "f4156f1cce1d44e04b610ff383d4ceaaa0d9aa7f8f50765e8c7332108d97d833",
+    (9, 90): "3ac49ba4026eb8d4bf85726a85f239ca19c364e388c5c573c0659f45c29c6123",
+    (11, 90): "b05ee63153900b25df17ceee7be64080c0d384d537e954bbbc97594a3a957254",
 }
 
 TEXT_DIGESTS = {
@@ -90,7 +100,10 @@ def test_cli_solve_json_digest_high_degree(r, order):
     assert sha256(out.getvalue()) == DIGESTS[(r, order)]
 
 
-@pytest.mark.parametrize("r, order", [(96, 98), (12, 240), (2, 360), (3, 300)])
+@pytest.mark.parametrize(
+    "r, order",
+    [(96, 98), (12, 240), (2, 360), (3, 300)] + [(r, 90) for r in range(1, 13, 2)],
+)
 def test_cli_solve_json_digest_benchmark_cases(r, order):
     out = io.StringIO()
     argv = ["solve", "--r", str(r), "--order", str(order), "--format", "json"]

@@ -16,6 +16,8 @@ from modschwarz.series import (
     ZeroLeadingCoefficient,
     _aligned,
     _convolve,
+    _even_halves,
+    _quotient,
     format_rational,
     parse_rational,
 )
@@ -297,6 +299,98 @@ def test_truediv_matches_inverse(ab):
     assert q.N == start + min(len(x.nums), len(y.nums)) - 1
     if not a.is_zero():
         assert q.n_min == start
+
+
+# ---------------------------------------------------------------------------
+# the half path: inputs that vanish at every odd index
+# ---------------------------------------------------------------------------
+
+
+def one_parity(xs: list, offset: int) -> list:
+    """xs with 0 at every index that is not ``offset`` mod 2."""
+    return [x if i % 2 == offset else 0 for i, x in enumerate(xs)]
+
+
+def reference_substitution(A: list[int], U: list[int], n: int) -> tuple[list[int], int]:
+    """The forward substitution of ``_quotient`` run at every index, the
+    zero steps included: the Q and D its half path must reproduce."""
+    Q, D = [], 1
+    for j in range(n):
+        num = (A[j] * D if j < len(A) else 0) - sum(Q[i] * U[j - i] for i in range(j))
+        c = gcd(num, U[0]) if U[0] > 0 else -gcd(num, U[0])
+        Q = [x * (U[0] // c) for x in Q]
+        D *= U[0] // c
+        Q.append(num // c)
+    return Q, D
+
+
+def test_even_halves_needs_every_list_zero_at_every_odd_index():
+    assert _even_halves(5, [1, 0, 2], [3, 0, 0, 0, 4]) == [[1, 2], [3, 0, 4]]
+    assert _even_halves(5, [1, 0, 2], [3, 1]) is None
+    assert _even_halves(1, [1], [3]) is None  # nothing left to halve
+
+
+@given(
+    st.lists(kernel_ints, min_size=1, max_size=20),
+    st.lists(kernel_ints, min_size=1, max_size=20),
+    st.sampled_from((0, 1)),
+    st.sampled_from((0, 1, None)),
+)
+@example([1, 0, 2, 0, 3], [4, 0, 5], 0, 0)  # the half path
+@example([0, 7, 0, 2**90], [3, 0, -1], 1, 0)  # odd offset times even
+@settings(max_examples=60, deadline=None)
+def test_convolve_on_one_parity_is_slice_of_product(a, b, a_offset, b_offset):
+    # b_offset None keeps b dense: one sparse factor with one dense factor.
+    a = one_parity(a, a_offset)
+    if b_offset is not None:
+        b = one_parity(b, b_offset)
+    full = reference_product(a, b)
+    for n in range(len(full) + 1):
+        assert _convolve(a, b, n) == full[:n]
+
+
+@given(
+    st.lists(kernel_ints, min_size=1, max_size=20),
+    st.lists(kernel_ints.filter(bool), min_size=1, max_size=20),
+    st.sampled_from((0, 1)),
+    st.booleans(),
+)
+@example([5, 0, 3], [-6, 0, 4, 0, 9], 0, True)  # n = 5 and n = 4
+@settings(max_examples=100, deadline=None)
+def test_quotient_on_one_parity_keeps_the_dense_q_and_d(A, U, offset, dense_u):
+    """The half path gives the Q and D of the substitution over every
+    index, and Q/D times U gives back A."""
+    A = one_parity(A, offset)
+    if not dense_u:
+        U = one_parity(U, 0)
+    for n in {len(U), max(len(U) - 1, 1)}:
+        Q, D = _quotient(A, U, n)
+        assert (Q, D) == reference_substitution(A, U, n)
+        padded = (A + [0] * n)[:n]
+        assert reference_product(Q, U)[:n] == [x * D for x in padded]
+
+
+@st.composite
+def one_parity_series_st(draw, lead):
+    """A lattice-2 series whose exponents all have the parity of its
+    n_min, which is odd or even."""
+    n_min = draw(st.integers(min_value=-5, max_value=4))
+    rest = draw(st.lists(small_fractions, min_size=0, max_size=16))
+    return LaurentSeries(2, n_min, tuple(one_parity([draw(lead), *rest], 0)))
+
+
+@given(
+    one_parity_series_st(small_fractions),
+    one_parity_series_st(nonzero_fractions),
+)
+@example(L(2, -3, 1, 0, 2, 0, -1), L(2, 3, 5, 0, 7))  # g/S: both odd exponents
+@example(L(2, 0, 1, 0, 2, 0, -1), L(2, 1, 5, 0, 7, 0, 1))  # even over odd
+@settings(max_examples=100, deadline=None)
+def test_truediv_on_one_parity_matches_reference_inverse(a, b):
+    q = a / b
+    want = a * reference_inverse(b)
+    assert_canonical(q)
+    assert q == want
 
 
 def test_json_round_trips_a_coefficient_of_5000_digits():

@@ -521,6 +521,21 @@ def test_frobenius_oracle_argument_checks():
         frobenius_oracle(4, 1)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 12, 13])
+def test_relation_and_oracle_windows_end_exactly_at_the_order(r):
+    # The passes run one q-step at a time, two exponents on lattice 2.  An
+    # order between two steps keeps its known-zero slot at the end.
+    size = -n0_for(r)
+    m = Group.for_r(r).lattice
+    for M in (2 * size + 5, 2 * size + 6):
+        g, S = solver.relation_series(r, eisenstein(4, M + size, m), M)
+        assert (g.m, g.n_min, g.N) == (m, -size, M)
+        assert (S.m, S.n_min, S.N) == (m, size, M)
+        oracle = frobenius_oracle(r, M)
+        assert (oracle.m, oracle.n_min, oracle.N) == (m, size, M)
+        assert oracle.matches(S * (1 / S.leading_coefficient), min_overlap=M - size + 1)
+
+
 def test_theta_antider_raises_on_nonzero_constant():
     bad = LaurentSeries.from_terms(1, {0: 3, 1: 1}, 4)
     with pytest.raises(NonzeroConstantTerm):
