@@ -71,9 +71,13 @@ def _prefix_cached(build):
     One entry per value of the arguments other than ``N``.  A call at an
     order N <= entry.N returns ``entry.truncate(N)``: the coefficients of
     a fresh build, on the window that ends at N (the zero window, when N
-    is below the entry's first term).  A build runs outside the lock; its
-    result replaces the entry only if it is longer, so a reader never sees
-    a partial series.
+    is below the entry's first term).  A miss builds through ``max(N, 0)``
+    and returns that build truncated to N, so a call below order 0 gives
+    the same series whether or not an entry covers it: a build at a
+    negative order multiplies windows that end below their first terms,
+    and their products end below N or ask for an unknown constant term.
+    A build runs outside the lock; its result replaces the entry only if
+    it is longer, so a reader never sees a partial series.
     """
     signature = inspect.signature(build)
     store: dict[tuple, LaurentSeries] = {}
@@ -89,12 +93,13 @@ def _prefix_cached(build):
             entry = store.get(key)
         if entry is not None and N <= entry.N:
             return entry.truncate(N)
+        bound.arguments["N"] = max(N, 0)
         fresh = build(*bound.args, **bound.kwargs)
         with lock:
             entry = store.get(key)
             if entry is None or fresh.N > entry.N:
                 store[key] = fresh
-        return fresh
+        return fresh.truncate(N)
 
     def cache_entries() -> dict[tuple, LaurentSeries]:
         """A snapshot of the store: other arguments -> longest expansion."""

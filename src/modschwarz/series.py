@@ -23,12 +23,14 @@ whole series; ``coeff``, ``coeffs`` and ``items`` give ``Fraction`` views
 for readers.  A product or a quotient first divides the numerators of each
 side by their content (their ``gcd``), so the convolutions multiply the
 smallest integers that carry the value; the contents go back into the
-result as one rational factor.  Division is one kernel, ``_quotient``:
-forward substitution, one coefficient of the quotient at a time, over one
-common denominator that grows only by what the divisor's leading
-numerator leaves after cancelling.  Both kernels run at half length on
-numerators that are zero at every odd index, as every lattice-2 series
-of an odd-r solve is.
+result as one rational factor.  A product is one kernel, ``_convolve``,
+one dot product per output coefficient.  Division is one kernel,
+``_quotient``: forward substitution, one coefficient of the quotient at a
+time.  Each coefficient stays over the denominator of its own step,
+which grows only by what the divisor's leading numerator leaves after
+cancelling; all of them go over the last denominator once, at the end.
+Both kernels run at half length on numerators that are zero at every odd
+index, as every lattice-2 series of an odd-r solve is.
 
 All coefficient arithmetic is exact; floats are rejected.  Values are
 immutable, so they can be shared freely across threads.
@@ -137,20 +139,15 @@ def _spread(half: Sequence[int], n: int) -> list[int]:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Coefficients ``0..n-1`` of the product of integer lists a and b;
-    on ``_even_halves``, a quarter of the products and no loop over zeros."""
+    """Coefficients ``0..n-1`` of the product of integer lists a and b,
+    each one dot product of a with b reversed; on ``_even_halves``, a
+    quarter of the products and none of the zeros."""
     halves = _even_halves(n, a, b)
     if halves:
         return _spread(_convolve(*halves, (n + 1) // 2), n)
-    acc = [0] * n
-    for i, ai in enumerate(a[:n]):
-        if not ai:
-            continue
-        for j in range(min(len(b), n - i)):
-            bj = b[j]
-            if bj:
-                acc[i + j] += ai * bj
-    return acc
+    rb = [0] * (n - len(b)) + list(b[n - 1::-1])  # b[:n] reversed, 0-padded
+    # a[i] pairs with b[k-i] = rb[n-1-k+i]: map stops at the shorter list.
+    return [sum(map(mul, a, rb[i:])) for i in range(n - 1, -1, -1)]
 
 
 def _primitive(nums: Sequence[int]) -> tuple[int, Sequence[int]]:
@@ -168,14 +165,18 @@ def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], in
     """Integers Q over one D > 0 with ``Q/D = A/U`` through ``p**(n-1)``.
 
     Needs ``U[0] != 0`` and ``len(U) >= n``; A may be shorter (its missing
-    terms are 0).  Forward substitution over one common denominator:
-    coefficient j of the quotient is ``num / (U[0] * D)`` with
-        num = A[j]*D - sum_(i<j) Q[i]*U[j-i],
-    one integer dot product.  Only the part of ``U[0]`` that does not
-    cancel against num, ``U[0] / gcd(num, U[0])``, goes into D and into
-    the earlier Q[i]; so D stays small (the quotient's own denominator,
-    in every case measured) and the n terms cost about ``n**2 / 2``
-    coefficient products, the same pairs as the product ``Q*U``.
+    terms are 0).  Forward substitution with lazy scaling: coefficient j
+    of the quotient is ``q[j] / D_j``, with
+        num = A[j]*D_(j-1) - sum_(i<j) q[i]*(D_(j-1)/D_i)*U[j-i],
+    ``q[j] = num / c`` and ``D_j = D_(j-1)*s_j`` for ``c = gcd(num, U[0])``
+    (signed as U[0]) and the step ``s_j = U[0] / c``.  The sum is one dot
+    product over the indices before the first step above 1, and Horner,
+    ``acc = acc*s_i + q[i]*U[j-i]``, over the rest; at the end every q[i]
+    is scaled to the last D once.  So the n terms cost about ``n**2 / 2``
+    products of a q[i] at its own size by a U[j-i], plus as many products
+    of the running sum by a step, which is no bigger than U[0]; no
+    earlier q[i] is rescaled at each step.  The last D is the quotient's
+    own denominator in every case measured.
 
     When A and U vanish at every odd index, so does Q, and each odd step
     finds num = 0 and keeps D: the ``_even_halves`` give the same Q and D.
@@ -185,17 +186,31 @@ def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], in
         Q, D = _quotient(*halves, (n + 1) // 2)
         return _spread(Q, n), D
     u0 = U[0]
-    Q: list[int] = []
+    q: list[int] = []
+    steps: list[int] = []
     D = 1
+    plain = n  # the first index above 0 with a step above 1; n while none
     for j in range(n):
-        num = (A[j] * D if j < len(A) else 0) - sum(map(mul, Q, U[j:0:-1]))
+        if j <= plain:
+            acc = sum(map(mul, q, U[j:0:-1]))
+        else:
+            acc = sum(map(mul, q, U[j:j - plain:-1]))
+            for qi, si, ui in zip(q[plain:], steps[plain:], U[j - plain:0:-1]):
+                acc = acc * si + qi * ui
+        num = (A[j] * D if j < len(A) else 0) - acc
         c = gcd(num, u0) if u0 > 0 else -gcd(num, u0)
         s = u0 // c  # > 0
-        if s != 1:
-            Q = [x * s for x in Q]
-            D *= s
-        Q.append(num // c)
-    return Q, D
+        if s != 1 and j and plain == n:
+            plain = j
+        D *= s
+        q.append(num // c)
+        steps.append(s)
+    if plain < n:
+        scale = 1
+        for i in range(n - 1, 0, -1):
+            scale *= steps[i]
+            q[i - 1] *= scale
+    return q, D
 
 
 @dataclass(frozen=True, init=False, slots=True)

@@ -74,18 +74,18 @@ class DegenerateEntries(ValueError):
 # Largest r that solve_ode and the CLI accept.  Run time sets it, almost
 # all of it in the series products and the one division.  The slowest case
 # is even r = 200 at its minimum order 402, where R's numerators reach
-# 14660 bits: ``solve --format json`` takes 10-14 s on a 2-CPU VM, of
-# which the division residual R*S + 2g takes 4.5-6 s, the division
-# R = -2g/S 3-5 s, the delta residual 0.13 s and the JSON output 0.5 s.  Odd
-# r = 199 lives on lattice 2, where half the coefficients are zero and the
-# kernels skip them: ``verify`` at its minimum order 400 takes 2.4 s (CPU,
-# best of 3).
+# 14660 bits: ``solve --format json`` takes 6.3-7.7 s on a 2-CPU VM (CPU,
+# best of 2 to 6), of which the division residual R*S + 2g takes 3.2 s,
+# the division R = -2g/S 1.3 s, the delta residual 0.11 s and the JSON
+# output 0.3 s.  Odd r = 199 lives on lattice 2, where half the
+# coefficients are zero and the kernels skip them: ``verify`` at its
+# minimum order 400 takes 2.0 s (CPU, best of 3).
 MAX_R = 200
 
 # Largest --order the CLI accepts, for every command.  The slowest input
 # it lets through is r = MAX_R at this order: ``solve --format json`` took
-# 38 s and 39 MiB peak RSS on a 2-CPU VM (one run; 12 s at order 402),
-# and prints 6.4 MB; r = 2 at this order took 0.6 s.
+# 17 s and 39 MiB peak RSS on a 2-CPU VM (one run; 6.3-7.7 s at order
+# 402), and prints 6.4 MB; r = 2 at this order took 0.4 s.
 MAX_ORDER = 600
 
 # Fewest coefficients an identity comparison may rest on; also how far past
@@ -417,10 +417,13 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     quotient kernel of ``LaurentSeries.inverse``: it divides the
     numerators of g and of S by their contents (at r = 96 those of S
     share 795 of their 1964 bits), then finds the quotient one
-    coefficient at a time by forward substitution over one common
-    denominator, which grows only by the part of S's leading numerator
-    that does not cancel.  There is no inverse of S and no product after
-    the division.
+    coefficient at a time by forward substitution.  Each coefficient
+    stays over the denominator of its own step, which grows only by the
+    part of S's leading numerator that does not cancel, and all of them
+    go over the last denominator once, at the end: at r = 96 that
+    denominator grows at each of its 199 steps, to 2489 bits, and no
+    earlier coefficient is rescaled on the way.  There is no inverse of
+    S and no product after the division.
 
     The Schwarzian equation is certified, not expanded.  Write k = -n0,
     E = a^2*theta^2(S) - r^2*E4*S (the ODE residual),

@@ -440,6 +440,23 @@ def test_below_order_zero_the_window_is_zero_and_ends_at_the_order(N):
             assert build(N=N, **key) == LaurentSeries.zero(m, N), (build, key)
 
 
+@pytest.mark.parametrize("N", [-3, -1, 0, 2])
+def test_a_call_gives_the_same_series_on_cold_and_warm_caches(N):
+    """Every generator and key at orders below, at and above 0: a call on
+    empty caches equals the same call served from an entry built at 12.
+    Below order 0 the result is the zero window or the lead term, and
+    ends at N."""
+    for gen, keys in CACHED:
+        for key in keys:
+            for other, _ in CACHED:
+                other.cache_clear()
+            cold = gen(N=N, **key)
+            gen(N=12, **key)
+            warm = gen(N=N, **key)
+            assert cold.N == warm.N == N, (gen.__name__, key)
+            assert cold == warm, (gen.__name__, key)
+
+
 def test_prefix_cache_answers_shorter_orders_without_building():
     builds = []
 

@@ -11,7 +11,10 @@ case ``(96, 98)`` and the ``deep`` cases ``(12, 240)``, ``(2, 360)`` and
 ``(3, 300)`` of the benchmark (copied from ``perfbench/digests.json``).  The odd-r
 ``sweep`` cases at order 90, also copied from there, were checked against
 the kernels that still ran over every index, before the lattice-2 series
-of an odd-r solve ran on their nonzero half only.  Any change to the
+of an odd-r solve ran on their nonzero half only.  The ``(199, 400)``
+digest, the largest odd case, was recorded while the quotient kernel
+still rescaled every earlier coefficient at each step of the division
+``g / S``, before each one stayed over its own denominator.  Any change to the
 arithmetic kernels or to the commands must leave every byte of this output
 as it is.
 
@@ -58,6 +61,7 @@ DIGESTS = {
     (7, 90): "f4156f1cce1d44e04b610ff383d4ceaaa0d9aa7f8f50765e8c7332108d97d833",
     (9, 90): "3ac49ba4026eb8d4bf85726a85f239ca19c364e388c5c573c0659f45c29c6123",
     (11, 90): "b05ee63153900b25df17ceee7be64080c0d384d537e954bbbc97594a3a957254",
+    (199, 400): "f5ce721f6bbe519be0bb87576c26a24745720a826485fb4c6bca433faff9126b",
 }
 
 TEXT_DIGESTS = {
@@ -109,6 +113,15 @@ def test_cli_solve_json_digest_benchmark_cases(r, order):
     argv = ["solve", "--r", str(r), "--order", str(order), "--format", "json"]
     assert run(argv, out=out) == 0
     assert sha256(out.getvalue()) == DIGESTS[(r, order)]
+
+
+def test_cli_solve_json_digest_at_the_largest_odd_r():
+    # The common denominator of g / S grows at each of the 402 steps of
+    # the nonzero half, to 5582 bits: the quotient kernel's hardest case.
+    out = io.StringIO()
+    argv = ["solve", "--r", "199", "--order", "400", "--format", "json"]
+    assert run(argv, out=out) == 0
+    assert sha256(out.getvalue()) == DIGESTS[(199, 400)]
 
 
 @pytest.mark.parametrize("argv", TEXT_DIGESTS, ids=" ".join)
