@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import mul
 
-from .series import LaurentSeries
+from .series import LaurentSeries, _on_lattice
 
 
 class Group(Enum):
@@ -119,13 +119,8 @@ def _prefix_cached(build):
 def eisenstein(k: int, N: int, m: int = 1) -> LaurentSeries:
     """E2, E4 or E6: 1 + c_k * sum sigma_{k-1}(n) q^n on lattice m."""
     factor = {2: -24, 4: 240, 6: -504}[k]
-    if N < 0:
-        return LaurentSeries.zero(m, N)
-    coeffs = [0] * (N + 1)
-    coeffs[0] = 1
-    for n in range(1, N // m + 1):
-        coeffs[m * n] = factor * sigma(k - 1, n)
-    return LaurentSeries.from_numerators(m, 0, coeffs)
+    steps = [1] + [factor * sigma(k - 1, n) for n in range(1, N // m + 1)]
+    return _on_lattice(steps, 1, m, 0, N)
 
 
 @_prefix_cached
@@ -144,15 +139,12 @@ def eta_power(exponent: int, N: int) -> LaurentSeries:
         raise ValueError("supported eta powers are 24, 12, -24 and -12")
     m = 1 if abs(exponent) == 24 else 2
     lead = 1 if exponent > 0 else -1
-    top = max(N, lead)
-    K = (top - lead) // m
+    K = (N - lead) // m
     sigma1 = [sigma(1, j) for j in range(1, K + 1)]
     f = [1]
     for n in range(1, K + 1):
         f.append(-exponent * sum(map(mul, sigma1[:n], reversed(f))) // n)
-    coeffs = [0] * (top - lead + 1)
-    coeffs[::m] = f
-    return LaurentSeries.from_numerators(m, lead, coeffs).truncate(N)
+    return _on_lattice(f, 1, m, lead, N)
 
 
 def delta(N: int) -> LaurentSeries:

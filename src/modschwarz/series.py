@@ -191,12 +191,10 @@ def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], in
     D = 1
     plain = n  # the first index above 0 with a step above 1; n while none
     for j in range(n):
-        if j <= plain:
-            acc = sum(map(mul, q, U[j:0:-1]))
-        else:
-            acc = sum(map(mul, q, U[j:j - plain:-1]))
-            for qi, si, ui in zip(q[plain:], steps[plain:], U[j - plain:0:-1]):
-                acc = acc * si + qi * ui
+        p = min(plain, j)  # q[:p] share one denominator; Horner takes q[p:]
+        acc = sum(map(mul, q, U[j:j - p:-1]))
+        for qi, si, ui in zip(q[p:], steps[p:], U[j - p:0:-1]):
+            acc = acc * si + qi * ui
         num = (A[j] * D if j < len(A) else 0) - acc
         c = gcd(num, u0) if u0 > 0 else -gcd(num, u0)
         s = u0 // c  # > 0
@@ -357,7 +355,10 @@ class LaurentSeries:
 
         Raises if the common window holds fewer than ``min_overlap``
         coefficients, so a vacuous comparison cannot pass silently; the
-        overlap has no default, so every caller states it.
+        overlap has no default, so every caller states it.  It counts
+        stored coefficients from the lower stored ``n_min``, not the known
+        window: two series known to be zero far below their first term
+        (leading zeros are not stored) get a short count.
         """
         a, b = _aligned(self, other)
         lo = min(a.n_min, b.n_min)
@@ -540,12 +541,9 @@ class LaurentSeries:
             return self
         if m_target % self.m != 0 or m_target not in (1, 2):
             raise IncompatibleLattice(f"cannot align lattice {self.m} to {m_target}")
-        k = m_target // self.m
-        # Exponents between stored multiples are known-zero, so the trust
-        # bound tightens to k*(N+1) - 1.
-        nums = [0] * (k * len(self.nums))
-        nums[::k] = self.nums
-        return LaurentSeries.from_numerators(m_target, k * self.n_min, nums, self.den)
+        # Only 1 -> 2 gets here.  Exponents between stored multiples are
+        # known-zero, so the trust bound tightens to 2*(N+1) - 1.
+        return _on_lattice(self.nums, self.den, 2, 2 * self.n_min, 2 * self.N + 1)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by the exact monomial ``p**k``."""
@@ -594,6 +592,19 @@ class LaurentSeries:
                 parts.append(f"{cs}*p^{n}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(p^{self.N + 1})"
+
+
+def _on_lattice(nums: Sequence[int], den: int, m: int, start: int, N: int) -> LaurentSeries:
+    """``nums[k] / den`` at ``p**(start + m*k)`` on lattice m, known zeros
+    between, on the window ``start..N`` (the zero window at N if N < start).
+    Every generator and recurrence lays out its q-steps here.  ``nums``
+    must hold every step through N: a short list would silently shorten
+    the window for m = 1."""
+    if N < start:
+        start, nums = N, [0]
+    out = [0] * (N - start + 1)
+    out[::m] = nums[: (N - start) // m + 1]
+    return LaurentSeries.from_numerators(m, start, out, den)
 
 
 def _aligned(a: LaurentSeries, b: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:

@@ -36,20 +36,19 @@ theta = p d/dp.
    ``solve_ode`` states the lemma.  R*S is the only product of two of
    g, S and R.
 
-An independent Frobenius recurrence (``frobenius_oracle``) recomputes the
-regular solution coefficient by coefficient straight from the ODE and is
-used to cross-check S.
+A second implementation of the recurrence for S (``frobenius_oracle``)
+checks the bookkeeping of the pass of step 1; the ODE residual is the proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from .modforms import Group, eisenstein, hauptmodul, seed_t0, theta_fourth
-from .series import LaurentSeries, _clear_denominators, format_rational
+from .series import LaurentSeries, _clear_denominators, _on_lattice, format_rational
 
 
 class MatchFailure(RuntimeError):
@@ -264,8 +263,8 @@ def relation_series(
 
     The g_k and S_k are kept as integers over one common denominator D,
     as in ``frobenius_oracle``: each step is an integer dot product with
-    the b_j, and A, the S numerators and D are rescaled only by the part
-    of the new denominators that does not cancel.
+    the b_j.  Each new coefficient, S_k and then g_k, is one rescale: A,
+    the S numerators and D grow by what 4k(k - r) leaves after cancelling.
     """
     size = -n0_for(r)
     m = e4.m
@@ -274,44 +273,33 @@ def relation_series(
     A, D = [1], 1  # g_0..g_(k-1) over D
     T: list[int] = []  # S_r..S_(k-1) over D
 
-    def over_D(*values: tuple[int, int]) -> list[int]:
-        """Each (num, den), a new coefficient times D, as an integer over
-        the new D; A, T and D are rescaled by what the dens leave over."""
+    def over_D(num: int, den: int) -> int:
+        """num/den, a new coefficient times D, as an integer over the new
+        D; A, T and D are rescaled by what den leaves after cancelling."""
         nonlocal A, T, D
-        reduced = []
-        L = 1
-        for num, den in values:
-            c = gcd(num, den) if den > 0 else -gcd(num, den)
-            reduced.append((num // c, den // c))
-            L = lcm(L, den // c)
-        if L != 1:
-            A = [x * L for x in A]
-            T = [x * L for x in T]
-            D *= L
-        return [num * (L // den) for num, den in reduced]
+        c = gcd(num, den) if den > 0 else -gcd(num, den)
+        s = den // c
+        if s != 1:
+            A = [x * s for x in A]
+            T = [x * s for x in T]
+            D *= s
+        return num // c
 
     for k in range(1, (M + size) // m + 1):
-        gsum = sum(map(mul, A, b[k:0:-1]))
         den = 4 * k * (k - r)
-        if k < r:
-            (gk,) = over_D((rr * gsum, den))
-        elif k == r:
+        sk = 0
+        if k > r:
+            # over_D rebinds T, so T is read only after it returns.
+            sk = over_D(rr * sum(map(mul, T, b[k - r : 0 : -1])), den)
+            T.append(sk)
+        gsum = sum(map(mul, A, b[k:0:-1]))
+        if k == r:
             T.append(-r * gsum)
             gk = 0
         else:
-            ssum = rr * sum(map(mul, T, b[k - r : 0 : -1]))
-            gnum = rr * gsum * den + (2 * k - r) * ssum
-            sk, gk = over_D((ssum, den), (gnum, den * den))
-            T.append(sk)
+            gk = over_D(rr * gsum + (2 * k - r) * sk, den)
         A.append(gk)
     return _on_lattice(A, D, m, -size, M), _on_lattice(T, D, m, size, M)
-
-
-def _on_lattice(nums: list[int], D: int, m: int, start: int, N: int) -> LaurentSeries:
-    """The series whose coefficient at p^(start + m*k) is nums[k]/D, zero
-    between those exponents, known through p^N."""
-    steps = LaurentSeries.from_numerators(1, 0, nums, D)
-    return steps.align(m).shift(start).truncate(N)
 
 
 @dataclass(frozen=True)
@@ -519,14 +507,16 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
 
 def frobenius_oracle(r: int, N: int) -> LaurentSeries:
-    """The regular Frobenius solution by direct recurrence, independent of
-    the eigenvector/integration pipeline.
+    """The regular Frobenius solution S/lambda by direct recurrence: a
+    second implementation that checks the bookkeeping of the pass in
+    ``relation_series``; the ODE residual of a solve is the proof.
 
     y = sum_{n >= -n0} alpha_n p^n with alpha_{-n0} = 1.  As in
     ``relation_series``, only n = -n0 + m*k can carry a coefficient, and
     with b_j the q-coefficients of E4 and a*n = r + 2k,
-    4k(k + r) alpha_k = r^2 * sum_{i < k} alpha_i b_{k-i} for k >= 1; the
-    divisor never vanishes.
+    4k(k + r) alpha_k = r^2 * sum_{i < k} alpha_i b_{k-i} for k >= 1: the
+    pass's 4k(k - r) S_k = r^2 * sum S_i b_(k-i) shifted by r steps, with
+    a divisor that never vanishes.
 
     The b_j are integers, so the alphas are kept as integers A over one
     common denominator D: each step is an integer dot product, the part

@@ -1,6 +1,7 @@
 """Hygiene of the package: no stale imports, no unread module-level
 names, a clean ``__all__``, nothing imported from outside the standard
-library, and every division through the one quotient kernel."""
+library, every division through the one quotient kernel, and every
+lattice layout through ``series``."""
 
 import ast
 import re
@@ -190,5 +191,24 @@ def test_the_int_digit_limit_is_left_alone():
             for node in ast.walk(tree)
             if "set_int_max_str_digits"
             in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))
+        ]
+    assert found == []
+
+
+def test_only_series_lays_out_steps():
+    # Spreading q-steps over a lattice, ``xs[::m] = steps``, is the job of
+    # ``series._on_lattice``; a strided read such as ``e4.nums[::m]`` is fine.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "series.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Slice)
+            and node.slice.step is not None
         ]
     assert found == []

@@ -17,6 +17,7 @@ from modschwarz.series import (
     _aligned,
     _convolve,
     _even_halves,
+    _on_lattice,
     _primitive,
     _quotient,
     format_rational,
@@ -594,6 +595,37 @@ def test_align_cannot_coarsen():
     a = LaurentSeries.one(2, 3)
     with pytest.raises(IncompatibleLattice):
         a.align(1)
+
+
+# Steps 1 to 6 long, some with a zero step inside or in front.
+STEP_LISTS = [
+    [3], [0], [5, -2], [4, 0, 7], [0, 1, 0, -6], [2, 3, 0, 1, 9], [1, 0, 0, 2, 4, 6]
+]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("start", [-5, 0, 3])
+def test_on_lattice_is_the_composition_it_replaced(m, start):
+    # The layout before ``_on_lattice``: the steps on lattice 1, spread to
+    # lattice m, moved to start and cut at N.  ``align`` now lays out
+    # through ``_on_lattice`` itself, so each coefficient is also checked
+    # against the definition.
+    for nums in STEP_LISTS:
+        last = start + m * len(nums) - 1  # the last exponent the steps cover
+        for den in (1, 6):
+            for N in range(start - 3, last + 1):
+                old = (
+                    LaurentSeries.from_numerators(1, 0, nums, den)
+                    .align(m)
+                    .shift(start)
+                    .truncate(N)
+                )
+                new = _on_lattice(nums, den, m, start, N)
+                assert new == old and new.N == N
+                for n in range(start - 3, N + 1):
+                    k, off = divmod(n - start, m)
+                    on_step = n >= start and off == 0
+                    assert new.coeff(n) == (Fraction(nums[k], den) if on_step else 0)
 
 
 def test_coeff_below_window_is_zero_above_raises():
