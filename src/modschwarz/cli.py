@@ -19,7 +19,7 @@ from .modforms import (
     ramanujan_residuals,
 )
 from .numeric import check_equivariance, check_schwarz_numeric, generators_for
-from .series import LaurentSeries, format_rational
+from .series import format_rational
 from .solver import (
     CROSS_RATIO_MIN_OVERLAP,
     MAX_ORDER,
@@ -27,10 +27,9 @@ from .solver import (
     MatchFailure,
     ResidualNonzero,
     classify_theta_cross_ratio,
-    cross_ratio,
-    equivariant_offset,
     minimum_order,
     solve_ode,
+    tau_cross_ratio,
 )
 
 _JSON_KW = {"sort_keys": True, "indent": 2}
@@ -225,10 +224,9 @@ def _cmd_identities(args, out) -> int:
 
     # cross-ratio [tau, h_E4, h_Delta, h_E6] == E4^3/(1728*Delta)
     pad = N + 6
-    w_e4 = equivariant_offset(eisenstein(4, pad), 4)
-    w_delta = equivariant_offset(delta(pad), 12)
-    w_e6 = equivariant_offset(eisenstein(6, pad), 6)
-    cross = cross_ratio(LaurentSeries.zero(1, pad), w_e4, w_delta, w_e6)
+    cross = tau_cross_ratio(
+        [(eisenstein(4, pad), 4), (delta(pad), 12), (eisenstein(6, pad), 6)]
+    )
     j = j1728(pad) / 1728
     _check(out, failures, "cross-ratio [tau,h_E4,h_Delta,h_E6] == E4^3/(1728*Delta)",
            cross.matches(j, min_overlap=N))

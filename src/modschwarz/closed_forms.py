@@ -141,7 +141,7 @@ def f1_body_3(N: int) -> LaurentSeries:
 F1_4_CONSTANT = 1115232
 
 
-def f1_body_4(N: int, *, corrected: bool = True) -> LaurentSeries:
+def f1_body_4(N: int) -> LaurentSeries:
     """F1/u for r=4 in the weight-24 basis:
     -(219E4^6 - 641E4^3E6^2 + 113E2E4^4E6 + 103E2E4E6^3 + 206E6^4)/(648 Delta^2)
     plus the constant 1115232.
@@ -149,7 +149,7 @@ def f1_body_4(N: int, *, corrected: bool = True) -> LaurentSeries:
     The combination is sometimes quoted with denominator Delta (weight
     bookkeeping forces Delta^2) and without the constant; as printed it is
     the basepoint-dependent f_1, which misses the zero-constant solution by
-    exactly F1_4_CONSTANT.  ``corrected=False`` returns that variant.
+    exactly F1_4_CONSTANT: that variant is ``f1_body_4(N) - F1_4_CONSTANT``.
     """
     pad = N + 8
     e2 = eisenstein(2, pad)
@@ -163,9 +163,7 @@ def f1_body_4(N: int, *, corrected: bool = True) -> LaurentSeries:
         + e6**4 * 206
     )
     body = num * eta_power(-24, pad - 2) ** 2 * Fraction(-1, 648)
-    if corrected:
-        body = body + F1_4_CONSTANT
-    return body.truncate(N)
+    return (body + F1_4_CONSTANT).truncate(N)
 
 
 @dataclass(frozen=True)

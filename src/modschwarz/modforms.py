@@ -4,9 +4,9 @@ Generators return series on their natural lattice, truncated to exactly
 the requested order N (counted in the lattice variable p).  Everything is
 exact rational arithmetic.
 
-Each generator except ``j1728`` (built only when the cached full-group
-``hauptmodul`` misses) has a prefix cache: for every value of its other
-arguments it keeps one entry, the longest expansion built so far.  A call
+``eisenstein``, ``eta_power``, ``hauptmodul``, ``seed_t0`` and
+``theta_fourth`` have a prefix cache: for every value of their other
+arguments they keep one entry, the longest expansion built so far.  A call
 at an order that entry covers returns its truncation, which is exactly
 the series a fresh call gives; a longer call builds afresh and replaces
 the entry.  So memory stays bounded by one series per generator and key, the
@@ -184,7 +184,6 @@ def seed_t0(group: Group, N: int) -> LaurentSeries:
     return eisenstein(4, N + 1, 2) * eta_power(-12, N)
 
 
-@_prefix_cached
 def triangular_series(N: int) -> LaurentSeries:
     """sum q^(n(n+1)/2), the odd-theta core: theta2 = 2 q^(1/8) * this."""
     if N < 0:
@@ -197,7 +196,6 @@ def triangular_series(N: int) -> LaurentSeries:
     return LaurentSeries.from_terms(1, terms, N, n_min=0)
 
 
-@_prefix_cached
 def theta_series(j: int, N: int) -> LaurentSeries:
     """theta3 or theta4 on lattice 2 (exponent of p is n^2)."""
     if j not in (3, 4):

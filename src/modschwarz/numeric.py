@@ -248,13 +248,3 @@ def check_schwarz_numeric(result: SolveResult, tolerance: float = 1e-6) -> dict:
         return _schwarzian_at(derivatives, tau) - scale * eval_series(e4, tau)[0]
 
     return _sample(result, "schwarzian", residual, tolerance)
-
-
-def schwarzian_via_differences(h, tau: complex, step: float = 5e-4) -> complex:
-    """Finite-difference Schwarzian of a callable h; independent of any
-    series reduction, used to cross-validate the exact derivation."""
-    f = [h(tau + k * step) for k in (-2, -1, 0, 1, 2)]
-    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * step)
-    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step**2)
-    d3 = (f[4] - 2 * f[3] + 2 * f[1] - f[0]) / (2 * step**3)
-    return d3 / d1 - 1.5 * (d2 / d1) ** 2

@@ -193,8 +193,8 @@ def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], in
     for j in range(n):
         p = min(plain, j)  # q[:p] share one denominator; Horner takes q[p:]
         acc = sum(map(mul, q, U[j:j - p:-1]))
-        for qi, si, ui in zip(q[p:], steps[p:], U[j - p:0:-1]):
-            acc = acc * si + qi * ui
+        for i in range(p, j):
+            acc = acc * steps[i] + q[i] * U[j - i]
         num = (A[j] * D if j < len(A) else 0) - acc
         c = gcd(num, u0) if u0 > 0 else -gcd(num, u0)
         s = u0 // c  # > 0

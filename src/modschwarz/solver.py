@@ -583,26 +583,33 @@ def cross_ratio(
     return (d12 * d43) / (d13 * d42)
 
 
-def theta_offsets(N: int) -> tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
-    """The rational series o_j with h_{theta_j} - tau = u^(-1) * o_j,
-    j = 2, 3, 4, on lattice 2.
+def tau_cross_ratio(forms) -> LaurentSeries:
+    """The cross-ratio [tau, h_f1, h_f2, h_f3] of three (form, weight)
+    pairs, as a rational series (see ``cross_ratio``).
 
-    theta2 itself has no integer p-expansion, but h_{f^n} = h_f for any
-    form f, so each offset comes from the weight-2 form theta_j^4.
+    tau is the point with offset 0, the zero series on the first form's
+    window; each h_f - tau is ``equivariant_offset`` of its form.
     """
-    return tuple(equivariant_offset(theta_fourth(j, N), 2) for j in (2, 3, 4))
+    forms = list(forms)
+    f = forms[0][0]
+    offsets = (equivariant_offset(form, weight) for form, weight in forms)
+    return cross_ratio(LaurentSeries.zero(f.m, f.N), *offsets)
 
 
 def anharmonic_images(mu: LaurentSeries) -> dict[str, LaurentSeries]:
-    """The six images of mu under the anharmonic group."""
+    """The six images of mu under the anharmonic group; with
+    mu/(mu-1) = 1 - 1/(1-mu) and (mu-1)/mu = 1 - 1/mu they take two
+    inverses."""
     one_minus = 1 - mu
+    inv = mu.inverse()
+    inv_one_minus = one_minus.inverse()
     return {
         "mu": mu,
         "1-mu": one_minus,
-        "1/mu": mu.inverse(),
-        "1/(1-mu)": one_minus.inverse(),
-        "mu/(mu-1)": mu / (mu - 1),
-        "(mu-1)/mu": (mu - 1) / mu,
+        "1/mu": inv,
+        "1/(1-mu)": inv_one_minus,
+        "mu/(mu-1)": 1 - inv_one_minus,
+        "(mu-1)/mu": 1 - inv,
     }
 
 
@@ -620,8 +627,9 @@ def classify_theta_cross_ratio(N: int) -> tuple[str, LaurentSeries]:
             f"order {N} is below the {CROSS_RATIO_MIN_OVERLAP} coefficients "
             f"the theta cross-ratio is compared on"
         )
-    w2, w3, w4 = theta_offsets(N)
-    cross = cross_ratio(LaurentSeries.zero(2, N), w2, w3, w4)
+    # theta2 has no integer p-expansion, but h_{f^n} = h_f for any form f,
+    # so each h_theta_j comes from the weight-2 form theta_j^4.
+    cross = tau_cross_ratio((theta_fourth(j, N), 2) for j in (2, 3, 4))
     mu = theta_fourth(2, N) / theta_fourth(3, N)
     labels = [
         label

@@ -1,9 +1,10 @@
 """Independent references for what a solve reads off the coefficient
 relation or certifies without forming: the first solution integrated
 from g, the Schwarzian residual expanded directly from R, as
-``solve_ode`` computed it before the certificate replaced it, and the
+``solve_ode`` computed it before the certificate replaced it, the
 Wronskian series, which the certificate proves constant from the ODE and
-delta parts.  Kept here only as oracles."""
+delta parts, and the Schwarzian of a callable by finite differences.
+Kept here only as oracles."""
 
 from fractions import Fraction
 
@@ -50,3 +51,13 @@ def wronskian(g, S):
     """
     a = 2 // g.m
     return S * (S - g.theta() * (2 * a)) + g * S.theta() * (2 * a)
+
+
+def schwarzian_via_differences(h, tau: complex, step: float = 5e-4) -> complex:
+    """Finite-difference Schwarzian of a callable h; independent of any
+    series reduction, used to cross-validate the exact derivation."""
+    f = [h(tau + k * step) for k in (-2, -1, 0, 1, 2)]
+    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * step)
+    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step**2)
+    d3 = (f[4] - 2 * f[3] + 2 * f[1] - f[0]) / (2 * step**3)
+    return d3 / d1 - 1.5 * (d2 / d1) ** 2

@@ -1,7 +1,7 @@
 """Hygiene of the package: no stale imports, no unread module-level
-names, a clean ``__all__``, nothing imported from outside the standard
-library, every division through the one quotient kernel, and every
-lattice layout through ``series``."""
+names, no function that only the tests call, a clean ``__all__``, nothing
+imported from outside the standard library, every division through the
+one quotient kernel, and every lattice layout through ``series``."""
 
 import ast
 import re
@@ -17,6 +17,7 @@ PACKAGE = Path(modschwarz.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 REPO = PACKAGE.parent.parent
 PYPROJECT = REPO / "pyproject.toml"
+PERFBENCH = sorted((REPO / "perfbench").rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -88,6 +89,14 @@ def read_names(tree: ast.Module) -> set[str]:
     return read
 
 
+def names_read_by(paths) -> set[str]:
+    """``read_names`` over every file in ``paths``."""
+    read = set()
+    for path in paths:
+        read |= read_names(ast.parse(path.read_text(), filename=str(path)))
+    return read
+
+
 def test_package_has_modules():
     assert {p.stem for p in MODULES} >= {"series", "modforms", "solver", "numeric", "cli"}
 
@@ -107,11 +116,7 @@ def test_every_import_is_used():
 
 def test_every_module_level_name_is_read():
     # Re-exporting from ``__init__`` does not count as a read.
-    readers = MODULES + sorted((REPO / "tests").rglob("*.py"))
-    readers += sorted((REPO / "perfbench").rglob("*.py"))
-    read = set()
-    for path in readers:
-        read |= read_names(ast.parse(path.read_text(), filename=str(path)))
+    read = names_read_by(MODULES + sorted((REPO / "tests").rglob("*.py")) + PERFBENCH)
     unread = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -121,6 +126,23 @@ def test_every_module_level_name_is_read():
             if name not in read
         ]
     assert unread == []
+
+
+def test_every_package_function_has_a_caller_outside_the_tests():
+    # ``src/`` holds the pipeline and ``tests/`` the oracles: a function
+    # that only the tests read belongs in ``tests/oracles.py``.  The
+    # benchmark counts as a caller, since its tracer names what it wraps.
+    read = names_read_by(MODULES + PERFBENCH)
+    test_only = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        test_only += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name not in read
+        ]
+    assert test_only == []
 
 
 def test_all_names_resolve_once():

@@ -383,8 +383,6 @@ CACHED = [
     (eta_power, [{"exponent": e} for e in (24, 12, -24, -12)]),
     (hauptmodul, [{"group": Group.FULL}, {"group": Group.SQUARES}]),
     (seed_t0, [{"group": Group.FULL}, {"group": Group.SQUARES}]),
-    (triangular_series, [{}]),
-    (theta_series, [{"j": 3}, {"j": 4}]),
     (theta_fourth, [{"j": 2}, {"j": 3}, {"j": 4}]),
 ]
 
@@ -404,9 +402,9 @@ def test_generators_are_memoised_transparently():
 
 
 def test_every_window_ends_exactly_at_the_order():
-    """Each generator, served from its cache or built fresh, and each
-    ``CATALOG`` builder ends its window at the order asked for, also below
-    a lead term (``delta(0)`` is 0 + O(q))."""
+    """Each generator, served from its cache or built fresh, each theta
+    core and each ``CATALOG`` builder ends its window at the order asked
+    for, also below a lead term (``delta(0)`` is 0 + O(q))."""
     cached = {f for f in vars(modforms).values() if hasattr(f, "cache_entries")}
     assert cached == {gen for gen, _ in CACHED}
     wrong = []
@@ -416,6 +414,12 @@ def test_every_window_ends_exactly_at_the_order():
                 for build in (gen, gen.__wrapped__):
                     if build(N=N, **key).N != N:
                         wrong.append((build.__qualname__, key, N))
+        cores = {
+            "triangular_series": triangular_series(N),
+            "theta_series 3": theta_series(3, N),
+            "theta_series 4": theta_series(4, N),
+        }
+        wrong += [(name, N) for name, core in cores.items() if core.N != N]
         wrong += [(name, N) for name, (_, build) in CATALOG.items() if build(N).N != N]
     assert wrong == []
 
@@ -436,7 +440,7 @@ def test_below_order_zero_the_window_is_zero_and_ends_at_the_order(N):
     entry that covers it, these give the zero window that ends at N."""
     for gen, key, m in FROM_ORDER_ZERO:
         gen(N=20, **key)
-        for build in (gen, gen.__wrapped__):
+        for build in (gen, getattr(gen, "__wrapped__", gen)):
             assert build(N=N, **key) == LaurentSeries.zero(m, N), (build, key)
 
 

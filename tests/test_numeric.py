@@ -24,11 +24,12 @@ from modschwarz.numeric import (
     _h_derivatives,
     _schwarzian_at,
     h_value,
-    schwarzian_via_differences,
 )
 from modschwarz.series import LaurentSeries
 from modschwarz.solver import solve_ode
 from modschwarz.modforms import Group
+
+from oracles import schwarzian_via_differences
 
 
 @pytest.fixture(scope="module")

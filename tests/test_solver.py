@@ -33,7 +33,6 @@ from modschwarz.solver import (
     n0_for,
     solve_eigen,
     solve_ode,
-    theta_offsets,
 )
 
 from oracles import first_solution
@@ -593,7 +592,7 @@ def test_odd_r_closed_forms_end_exactly_at_the_order(build):
 
 def test_f1_closed_form_r4_needs_both_corrections(solved):
     res = solved[4]
-    uncorrected = closed_forms.f1_body_4(res.S.N, corrected=False)
+    uncorrected = closed_forms.f1_body_4(res.S.N) - closed_forms.F1_4_CONSTANT
     assert not res.S.matches(uncorrected, min_overlap=30)
     # The uncorrected variant differs by exactly the integration constant.
     assert (res.S - closed_forms.F1_4_CONSTANT).matches(uncorrected, min_overlap=30)
@@ -657,7 +656,8 @@ def logderiv_theta_offsets(N):
 @pytest.mark.parametrize("N", [10, 40, 120])
 def test_theta_offsets_match_the_log_derivative_route(N):
     reference = logderiv_theta_offsets(N)
-    for k, (offset, ref) in enumerate(zip(theta_offsets(N), reference)):
+    offsets = [equivariant_offset(theta_fourth(j, N), 2) for j in (2, 3, 4)]
+    for k, (offset, ref) in enumerate(zip(offsets, reference)):
         assert offset.matches(ref, min_overlap=N), k
     label, cross = classify_theta_cross_ratio(N)
     assert label == "mu"
@@ -666,7 +666,7 @@ def test_theta_offsets_match_the_log_derivative_route(N):
 
 def test_cross_ratio_invariant_under_common_scaling():
     N = 16
-    w2, w3, w4 = theta_offsets(N)
+    w2, w3, w4 = (equivariant_offset(theta_fourth(j, N), 2) for j in (2, 3, 4))
     base = cross_ratio(LaurentSeries.zero(2, N), w2, w3, w4)
     scaled = cross_ratio(
         LaurentSeries.zero(2, N), w2 * 7, w3 * 7, w4 * 7
@@ -735,3 +735,20 @@ def test_anharmonic_images_are_distinct():
     for i, la in enumerate(labels):
         for lb in labels[i + 1:]:
             assert not images[la].matches(images[lb], min_overlap=6), (la, lb)
+
+
+@pytest.mark.parametrize("N", range(CROSS_RATIO_MIN_OVERLAP, 130))
+def test_anharmonic_images_are_their_defining_quotients(N):
+    # Two of the images are built from the two inverses; each must be the
+    # very series its label defines, window included (equal series store
+    # the same numerators from the same n_min, so they end at the same N).
+    mu = theta_fourth(2, N) / theta_fourth(3, N)
+    images = anharmonic_images(mu)
+    assert images == {
+        "mu": mu,
+        "1-mu": 1 - mu,
+        "1/mu": mu.inverse(),
+        "1/(1-mu)": (1 - mu).inverse(),
+        "mu/(mu-1)": mu / (mu - 1),
+        "(mu-1)/mu": (mu - 1) / mu,
+    }
