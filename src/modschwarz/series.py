@@ -150,6 +150,21 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return [sum(map(mul, a, rb[i:])) for i in range(n - 1, -1, -1)]
 
 
+def _constant_term(a: LaurentSeries, b: LaurentSeries) -> Fraction:
+    """The coefficient of ``p**0`` in ``a * b``: one integer dot product
+    over the n with a known at ``p**n`` and b at ``p**-n``.  Raises
+    ``UnknownCoefficient`` where ``a * b`` is not known at ``p**0``."""
+    a, b = _aligned(a, b)
+    known = min(a.N + b.n_min, b.N + a.n_min)
+    if known < 0:
+        raise UnknownCoefficient(f"constant term of a product known through p^{known}")
+    lo, hi = max(a.n_min, -b.N), min(a.N, -b.n_min)
+    if hi < lo:  # a * b starts above p^0
+        return Fraction(0)
+    B = b.nums[-hi - b.n_min : -lo - b.n_min + 1]  # b at p^-hi..p^-lo
+    return Fraction(sum(map(mul, a.nums[lo - a.n_min :], reversed(B))), a.den * b.den)
+
+
 def _primitive(nums: Sequence[int]) -> tuple[int, Sequence[int]]:
     """``(c, nums / c)`` with c the content ``gcd(*nums)``; 1 if all are zero."""
     c = gcd(*nums) or 1

@@ -14,8 +14,8 @@ theta = p d/dp.
    component 1.  At p^size it leaves g free.
 2. Realise the weight -2 form with principal part X as P(t)*t0, with t
    the Hauptmodul and t0 the seed form, only through
-   p^(size + CROSS_RATIO_MIN_OVERLAP): the coefficients of P come from the
-   principal parts alone, and P(t)*t0 is evaluated by Paterson-Stockmeyer.
+   p^(size + CROSS_RATIO_MIN_OVERLAP): the coefficients of P are residue
+   pairings (``build_g``), and P(t)*t0 is evaluated by Paterson-Stockmeyer.
    Its coefficient at p^size fixes the free multiple of S in g; the two
    must agree wherever both are known.
 3. The first solution is F1 = u*S with
@@ -48,14 +48,16 @@ from math import gcd, isqrt
 from operator import mul
 
 from .modforms import Group, eisenstein, hauptmodul, seed_t0, theta_fourth
-from .series import LaurentSeries, _clear_denominators, _on_lattice, format_rational
+from .series import (
+    LaurentSeries, _clear_denominators, _constant_term, _on_lattice, format_rational
+)
 
 
 class MatchFailure(RuntimeError):
     """The coefficient relation's g differs from the short modular build
-    at an exponent both know: a fault in the generators t and t0, in the
-    greedy principal-part cancellation, or in the relation's pass, its
-    principal part X included."""
+    at an exponent both know: a fault in the generators t, t0 and E4, in
+    the residue pairings, or in the relation's pass, its principal part X
+    included."""
 
 
 class ResidualNonzero(RuntimeError):
@@ -73,17 +75,16 @@ class DegenerateEntries(ValueError):
 # Largest r that solve_ode and the CLI accept.  Run time sets it, almost
 # all of it in the series products and the one division.  The slowest case
 # is even r = 200 at its minimum order 402, where R's numerators reach
-# 14660 bits: ``solve --format json`` takes 6.3-7.7 s on a 2-CPU VM (CPU,
-# best of 2 to 6), of which the division residual R*S + 2g takes 3.2 s,
-# the division R = -2g/S 1.3 s, the delta residual 0.11 s and the JSON
-# output 0.3 s.  Odd r = 199 lives on lattice 2, where half the
-# coefficients are zero and the kernels skip them: ``verify`` at its
-# minimum order 400 takes 2.0 s (CPU, best of 3).
+# 14660 bits.  On a 2-CPU VM (CPU, three runs) ``solve --format json``
+# took 5.5-7.9 s: R*S + 2g 3.0-3.3 s, R = -2g/S 1.2-2.0 s, the short
+# modular build 0.19-0.30 s and the recurrence 0.16-0.27 s.  Odd r = 199
+# lives on lattice 2, where the kernels skip the zero half: ``verify`` at
+# its minimum order 400 took 2.3-2.4 s.
 MAX_R = 200
 
 # Largest --order the CLI accepts, for every command.  The slowest input
 # it lets through is r = MAX_R at this order: ``solve --format json`` took
-# 17 s and 39 MiB peak RSS on a 2-CPU VM (one run; 6.3-7.7 s at order
+# 17 s and 39 MiB peak RSS on a 2-CPU VM (one run; 5.5-7.9 s at order
 # 402), and prints 6.4 MB; r = 2 at this order took 0.4 s.
 MAX_ORDER = 600
 
@@ -145,14 +146,15 @@ def solve_eigen(B: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
 
 
 def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
-    """The weight -2 form with principal part sum X[i] * p^(-(i+1)).
+    """The weight -2 form with principal part x = sum X[i] * p^(-(i+1)).
 
-    Built as P(t)*t0 where t is the Hauptmodul and t0 the seed form.  The
-    coefficients of P come from the principal parts alone: a greedy pass
-    over the basis t^j * t0, with t and t0 cut to order len(X), cancels
-    the most negative surviving exponent first.  Each basis element has
-    leading coefficient exactly 1 at p^(-(j+1)), so for correct
-    generators the result has principal part X.
+    Built as G = P(t)*t0 where t is the Hauptmodul and t0 the seed form.
+    The coefficients c_j of P are residue pairings.  On both groups
+    t0 = -theta(t)/E4, so G*E4 = -P(t)*theta(t), and t^n*theta(t) has
+    constant term 0 for n != -1 (it is theta(t^(n+1))/(n+1)) and -1 for
+    n = -1 (theta(log t)).  So c_j = CT(G*E4*t^(-(j+1))), and as
+    t^(-(j+1)) = O(p^(j+1)) and E4 = 1 + O(p), only x*E4 through p^-1
+    reaches it: c_j = CT(x*E4 * s^(j+1)), s = 1/t through p^len(X).
 
     P(t) is then evaluated through p^N by Paterson-Stockmeyer: with the
     coefficients over one integer denominator D and k = isqrt(deg P + 1),
@@ -160,14 +162,19 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     Horner's rule in t^k joins them.  That is about 2*sqrt(deg P) products
     at the budget N + len(X) - 1 instead of deg P, then one product with
     t0 and one division by D.  t0 and t are asked for once each, at that
-    budget; the greedy pass cuts them to order len(X).  A solve asks for g
-    only through p^(len(X) + CROSS_RATIO_MIN_OVERLAP).
+    budget; the pairings cut t to order len(X).  A solve asks for g only
+    through p^(len(X) + CROSS_RATIO_MIN_OVERLAP).
     """
     size = len(X)
     budget = N + size - 1
     t0 = seed_t0(group, budget)
     t = hauptmodul(group, budget)
-    c = _principal_coefficients(X, t0, t)
+    h = LaurentSeries(t.m, -size, X[::-1]) * eisenstein(4, size - 1, t.m)
+    s = t.truncate(size).inverse().truncate(size)  # p + ..., through p^size
+    c, sj = [_constant_term(h, s)], s
+    for j in range(1, size):  # s^(j+1) through p^size from s^j = O(p^j)
+        sj = sj.truncate(size - 1) * s.truncate(size - j)
+        c.append(_constant_term(h, sj))
     C, D = _clear_denominators(c)
     deg = max((j for j, cj in enumerate(C) if cj), default=0)
     k = isqrt(deg + 1)
@@ -184,29 +191,6 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     for i in range(deg // k - 1, -1, -1):
         P = P * tp[k] + block(i)
     return P * t0 / D
-
-
-def _principal_coefficients(
-    X: tuple[Fraction, ...], t0: LaurentSeries, t: LaurentSeries
-) -> list[Fraction]:
-    """Coefficients c_j of P with P(t)*t0 = sum X[i] * p^(-(i+1)) + O(1).
-
-    Only the exponents -len(X)..-1 are read, so t0 and t are cut to order
-    len(X).
-    """
-    size = len(X)
-    t = t.truncate(size)
-    basis = [t0.truncate(size)]
-    for _ in range(size - 1):
-        basis.append(basis[-1] * t)
-    c = [Fraction(0)] * size
-    acc = LaurentSeries.zero(t0.m, -1)
-    for j in range(size - 1, -1, -1):
-        need = X[j] - acc.coeff(-(j + 1))
-        if need:
-            acc = acc + basis[j] * need
-            c[j] = need
-    return c
 
 
 def relation_series(
@@ -401,17 +385,17 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     the delta part below (delta starts at p^n0).  A changed g at p^(-n0)
     passes both (g + c*S gives the same S).
 
-    R = g/S * (-2) is the one division of a solve.  ``g / S`` runs the
-    quotient kernel of ``LaurentSeries.inverse``: it divides the
-    numerators of g and of S by their contents (at r = 96 those of S
-    share 795 of their 1964 bits), then finds the quotient one
-    coefficient at a time by forward substitution.  Each coefficient
-    stays over the denominator of its own step, which grows only by the
-    part of S's leading numerator that does not cancel, and all of them
-    go over the last denominator once, at the end: at r = 96 that
-    denominator grows at each of its 199 steps, to 2489 bits, and no
-    earlier coefficient is rescaled on the way.  There is no inverse of
-    S and no product after the division.
+    R = g/S * (-2) is the one division of a solution series; the short build
+    inverts only t.  ``g / S`` runs the quotient kernel of
+    ``LaurentSeries.inverse``: it divides the numerators of g and of S by
+    their contents (at r = 96 those of S share 795 of their 1964 bits), then
+    finds the quotient one coefficient at a time by forward substitution.
+    Each coefficient stays over the denominator of its own step, which grows
+    only by the part of S's leading numerator that does not cancel, and all
+    of them go over the last denominator once, at the end: at r = 96 that
+    denominator grows at each of its 199 steps, to 2489 bits, and no earlier
+    coefficient is rescaled on the way.  There is no inverse of S and no
+    product after the division.
 
     The Schwarzian equation is certified, not expanded.  Write k = -n0,
     E = a^2*theta^2(S) - r^2*E4*S (the ODE residual),

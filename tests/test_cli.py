@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import modschwarz
 from modschwarz import cli
 from modschwarz.cli import build_parser, run
 from modschwarz.series import LaurentSeries
@@ -300,11 +303,14 @@ def test_solve_json_is_byte_identical_across_runs():
 
 
 def test_cli_entry_point_runs_in_subprocess():
+    # The child imports the package this process imported, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(modschwarz.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "modschwarz.cli", "series", "delta",
          "--order", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "delta" in proc.stdout

@@ -1,0 +1,85 @@
+"""Every argument guard of the package that no other test reaches: one row
+per guard, each naming the exception it raises and a fragment of its
+message."""
+
+from fractions import Fraction
+
+import pytest
+
+from modschwarz.closed_forms import r_from_h_denominator
+from modschwarz.modforms import sigma, theta_series
+from modschwarz.series import LaurentSeries, ZeroLeadingCoefficient
+from modschwarz.solver import build_B
+
+A = LaurentSeries(1, 0, (Fraction(1), Fraction(2)))
+
+GUARDS = {
+    "series-without-coefficients": (
+        lambda: LaurentSeries(1, 0, ()),
+        ValueError, "at least one stored coefficient",
+    ),
+    "lattice-3": (
+        lambda: LaurentSeries(3, 0, (1,)),
+        ValueError, "lattice must be 1 or 2, got 3",
+    ),
+    "numerators-without-coefficients": (
+        lambda: LaurentSeries.from_numerators(1, 0, []),
+        ValueError, "at least one stored coefficient",
+    ),
+    "zero-denominator": (
+        lambda: LaurentSeries.from_numerators(1, 0, [1], 0),
+        ZeroDivisionError, "nonzero denominator",
+    ),
+    "term-outside-window": (
+        lambda: LaurentSeries.from_terms(1, {5: 1}, 3),
+        ValueError, "outside the requested window",
+    ),
+    "leading-coefficient-of-zero": (
+        lambda: LaurentSeries.zero(1, 3).leading_coefficient,
+        ZeroLeadingCoefficient, "zero on its known window",
+    ),
+    # No check may pass on an overlap shorter than it asks for.
+    "matches-short-overlap": (
+        lambda: A.matches(A, min_overlap=3),
+        ValueError, r"common window \[0, 1\] is shorter than min_overlap=3",
+    ),
+    "subtract-a-string": (
+        lambda: A - "1",
+        TypeError, "unsupported operand type",
+    ),
+    "divide-a-string-by-a-series": (
+        lambda: A.inverse("1"),
+        TypeError, "cannot divide '1' by a series",
+    ),
+    "divide-by-a-string": (
+        lambda: A / "1",
+        TypeError, "unsupported operand type",
+    ),
+    "fractional-power": (
+        lambda: A ** Fraction(1, 2),
+        TypeError, "unsupported operand type",
+    ),
+    "sigma-of-zero": (
+        lambda: sigma(3, 0),
+        ValueError, "sigma is defined for n >= 1",
+    ),
+    "theta2-series": (
+        lambda: theta_series(2, 4),
+        ValueError, "theta3 and theta4 only",
+    ),
+    "h-denominator-r5": (
+        lambda: r_from_h_denominator(5, 10),
+        ValueError, "r = 2, 3, 4",
+    ),
+    "B-for-r0": (
+        lambda: build_B(0),
+        ValueError, "r must be a positive integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_raises_and_names_its_cause(name):
+    call, error, fragment = GUARDS[name]
+    with pytest.raises(error, match=fragment):
+        call()

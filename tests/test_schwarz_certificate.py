@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from modschwarz import cli, modforms, solver
-from modschwarz.modforms import eisenstein
+from modschwarz.modforms import eisenstein, hauptmodul
 from modschwarz.series import LaurentSeries, format_rational
 from modschwarz.solver import minimum_order, solve_ode
 
@@ -149,17 +149,19 @@ def test_a_zero_wronskian_is_reported(monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 12])
 def test_a_solve_inverts_only_s(r, monkeypatch):
-    # Outside the short modular build, the only products of two series are
-    # S*E4 (ODE), g*E4 (delta) and R*S (division): no Wronskian series.
+    # Outside the short modular build, the only division is g/S and the
+    # only products of two series are S*E4 (ODE), g*E4 (delta) and R*S
+    # (division): no Wronskian series.  The short build divides once, by
+    # the Hauptmodul cut to p^size, for its residue pairings.
     for gen in vars(modforms).values():
         if hasattr(gen, "cache_clear"):
             gen.cache_clear()
-    divided, multiplied, building = [], [], []
+    divided, divided_in_build, multiplied, building = [], [], [], []
     real_inverse, real_mul = LaurentSeries.inverse, LaurentSeries.__mul__
     real_build_g = solver.build_g
 
     def inverse_spy(self, numerator=1):
-        divided.append((self, numerator))
+        (divided_in_build if building else divided).append((self, numerator))
         return real_inverse(self, numerator)
 
     def mul_spy(self, other):
@@ -178,6 +180,9 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
     monkeypatch.setattr(LaurentSeries, "__mul__", mul_spy)
     monkeypatch.setattr(solver, "build_g", build_g_spy)
     res = solve_ode(r, minimum_order(r))
+    size = -res.n0
+    assert [(d.n_min, d.N, n) for d, n in divided_in_build] == [(-1, size, 1)]
+    assert divided_in_build[0][0] == hauptmodul(res.group, size)
     assert len(divided) == 1
     divisor, numerator = divided[0]
     assert divisor is res.S

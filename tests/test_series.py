@@ -15,6 +15,7 @@ from modschwarz.series import (
     UnknownCoefficient,
     ZeroLeadingCoefficient,
     _aligned,
+    _constant_term,
     _convolve,
     _even_halves,
     _on_lattice,
@@ -257,6 +258,40 @@ def test_convolve_window_is_slice_of_product(a, b, data):
     out = _convolve(a, b, n)
     assert out == full[:n]
     assert all(type(c) is int for c in out)
+
+
+@st.composite
+def pairing_st(draw):
+    """A series on either lattice with a window of up to 8 terms from
+    p^-4 on; zeros are drawn often, whole zero series included."""
+    m = draw(st.sampled_from((1, 2)))
+    n_min = draw(st.integers(min_value=-4, max_value=3))
+    coeffs = st.one_of(st.just(Fraction(0)), small_fractions)
+    return LaurentSeries(m, n_min, tuple(draw(st.lists(coeffs, min_size=1, max_size=8))))
+
+
+@given(pairing_st(), pairing_st())
+@example(L(1, -3, 1, 2, 3), L(1, 0, 1, 1))  # a*b known through p^-2
+@example(L(1, 1, 2), L(2, 0, 5, 0, 7))  # a*b starts at p^1
+@example(L(2, -3, 1, 0, 4, 0, 2), L(1, 1, 3, 5))  # mixed lattices
+@settings(max_examples=150, deadline=None)
+def test_constant_term_is_the_products_coefficient_at_zero(a, b):
+    ab = a * b
+    if ab.N < 0:
+        with pytest.raises(UnknownCoefficient, match=f"through p\\^{ab.N}$"):
+            _constant_term(a, b)
+    else:
+        assert _constant_term(a, b) == ab.coeff(0)
+        assert _constant_term(b, a) == ab.coeff(0)
+
+
+def test_constant_term_reads_only_the_known_window():
+    # a = p^-3 + 2p^-2 + 3p^-1 + O(1) and b = 1 + p + O(p^2): a*b is known
+    # through p^-2 only, though pairing the stored numerators would give 3.
+    with pytest.raises(UnknownCoefficient, match="through p\\^-2$"):
+        _constant_term(L(1, -3, 1, 2, 3), L(1, 0, 1, 1))
+    # Known through p^0 and p^3, the two pair into the constant term 3.
+    assert _constant_term(L(1, -3, 1, 2, 3, 0), L(1, 0, 1, 1, 0, 0)) == 3
 
 
 # Integer contents above 1 for the divisor, a negative one included.

@@ -142,7 +142,8 @@ def test_build_g_hits_prescribed_principal_part():
 
 def reference_build_g(X, group, N):
     """Greedy cancellation on every power t^j * t0 at the full budget: the
-    definition the Paterson-Stockmeyer build_g must reproduce exactly."""
+    definition that build_g, by residue pairings and Paterson-Stockmeyer,
+    must reproduce exactly."""
     size = len(X)
     budget = N + size - 1
     t = hauptmodul(group, budget)
@@ -156,6 +157,15 @@ def reference_build_g(X, group, N):
         if need:
             acc = acc + powers[j] * need
     return acc
+
+
+@pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
+def test_the_seed_form_is_minus_theta_of_t_over_e4(group):
+    # t0 = -theta(t)/E4 on both groups, windows included: the identity that
+    # makes the coefficients of P in build_g residue pairings.
+    for N in range(61):
+        t = hauptmodul(group, N)
+        assert seed_t0(group, N) == -(t.theta() / eisenstein(4, N + 1, group.lattice)), N
 
 
 def assert_same_g(X, group, N):
@@ -226,7 +236,7 @@ def test_build_g_asks_for_t_once_at_its_budget(r, monkeypatch):
     X = solve_eigen(build_B(r))
     build_g(X, Group.for_r(r), 40)
     # t once, at the budget, also where P is a constant (len(X) == 1); the
-    # greedy pass cuts it to order len(X).
+    # residue pairings cut it to order len(X).
     assert orders == [len(X) + 39]
 
 
