@@ -4,6 +4,7 @@ reference examples and the exact identity suite."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first use, then shared,
+    since parsing leaves it as it was."""
     parser = _Parser(
         prog="modschwarz",
         description=(

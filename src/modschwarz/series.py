@@ -38,6 +38,7 @@ immutable, so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -104,9 +105,9 @@ def _decimal(n: int) -> str:
 def _parse_decimal(text: str) -> int:
     """``int(text)`` for a decimal of any size, read as ``_decimal`` prints.
 
-    Past the digit limit only an optional minus and ASCII digits are read:
-    ``Decimal`` alone would also take exponents, underscores, whitespace
-    and ``Infinity``.
+    Past the digit limit only an optional minus and ASCII digits are read
+    (no exponent, underscore, whitespace or ``Infinity``), by
+    ``_parse_digits``.
     """
     try:
         return int(text)
@@ -114,7 +115,19 @@ def _parse_decimal(text: str) -> int:
         digits = text.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise
-    return int(Decimal(text))
+    value = _parse_digits(digits, sys.get_int_max_str_digits())
+    return -value if text.startswith("-") else value
+
+
+def _parse_digits(digits: str, limit: int) -> int:
+    """The int of a string of ASCII digits longer than ``limit``: split at
+    a power of ten, ``high * 10**k + low``, until each part is within the
+    limit ``int`` reads.  Reading a decimal string is quadratic in its
+    length and the product is not, so reading halves costs less."""
+    if len(digits) <= limit:
+        return int(digits)
+    k = len(digits) // 2
+    return _parse_digits(digits[:-k], limit) * 10**k + _parse_digits(digits[-k:], limit)
 
 
 def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:

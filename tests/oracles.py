@@ -3,12 +3,22 @@ relation or certifies without forming: the first solution integrated
 from g, the Schwarzian residual expanded directly from R, as
 ``solve_ode`` computed it before the certificate replaced it, the
 Wronskian series, which the certificate proves constant from the ODE and
-delta parts, and the Schwarzian of a callable by finite differences.
-Kept here only as oracles."""
+delta parts, the Schwarzian of a callable by finite differences, and the
+numeric evaluator as it ran before its factors were cached.  Kept here
+only as oracles."""
 
+import cmath
+import math
 from fractions import Fraction
 
 from modschwarz.modforms import eisenstein
+from modschwarz.numeric import (
+    TAIL_FACTOR,
+    U,
+    PointOutsideDomain,
+    TailTooLarge,
+    _scaled_term,
+)
 from modschwarz.series import LaurentSeries
 
 
@@ -61,3 +71,44 @@ def schwarzian_via_differences(h, tau: complex, step: float = 5e-4) -> complex:
     d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step**2)
     d3 = (f[4] - 2 * f[3] + 2 * f[1] - f[0]) / (2 * step**3)
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
+
+
+def reference_eval_series(
+    series: LaurentSeries, tau: complex, e: int = 0, *, tolerance: float | None = None
+) -> tuple[complex, float]:
+    """``numeric.eval_series`` term by term, with no cached factor: each
+    term is ``x / den * p**n``, formed afresh, added left to right, and
+    the tail is extrapolated from the last five nonzero terms of the list
+    of all of them."""
+    if tau.imag <= 0:
+        raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
+    p = cmath.exp(2j * math.pi * tau / series.m)
+    value = 0j
+    terms = []
+    for n, x in enumerate(series.nums, series.n_min):
+        if x:
+            try:
+                t = x / series.den * p**n
+            except OverflowError:
+                t = _scaled_term(x, series.den, p, n)
+            value += t
+            terms.append((n, abs(t)))
+    tail = _reference_tail(terms, series.N, abs(p))
+    if tolerance is not None and tail > tolerance:
+        raise TailTooLarge(f"tail estimate {tail:.3e} exceeds {tolerance:.3e}")
+    return U**e * value, tail
+
+
+def _reference_tail(terms: list[tuple[int, float]], N: int, ap: float) -> float:
+    if not terms:
+        return 0.0
+    window = [t for t in terms[-5:] if t[1] > 0.0]
+    if len(window) >= 2:
+        (n0, m0), (n1, m1) = window[0], window[-1]
+        ratio = (m1 / m0) ** (1.0 / (n1 - n0))
+    else:
+        n1, m1 = terms[-1] if not window else window[-1]
+        ratio = ap
+    if ratio >= 1.0:
+        raise TailTooLarge(f"terms are not decaying (ratio {ratio:.3f})")
+    return TAIL_FACTOR * m1 * ratio ** (N + 1 - n1) / (1.0 - ratio)

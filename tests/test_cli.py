@@ -157,6 +157,36 @@ def test_parse_errors_are_reported_as_json():
     assert_usage_error(["series", "e8"], "invalid choice")
 
 
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["series", "e8"],                     # the subparser rejects a choice
+        ["solve", "--r", "2", "--bogus"],     # an unknown option
+        ["verify", "--order", "50"],          # a missing required option
+        ["solve", "--r", "x"],                # a failed type conversion
+        ["examples", "--r", "99"],            # a choice out of range
+        [],                                   # no command at all
+    ],
+)
+def test_a_usage_error_leaves_the_next_run_unchanged(bad):
+    # The shared parser must not carry state from a failed parse into the
+    # next one: every command prints what it printed before the failure.
+    argvs = [
+        ["series", "e4", "--order", "6"],
+        ["solve", "--r", "2", "--order", "10", "--format", "json"],
+        ["verify", "--r", "3", "--order", "20"],
+    ]
+    before = [capture(argv) for argv in argvs]
+    code, out, err = capture(bad)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
+    assert [capture(argv) for argv in argvs] == before
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

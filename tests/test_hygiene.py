@@ -1,7 +1,8 @@
 """Hygiene of the package: no stale imports, no unread module-level
 names, no function that only the tests call, a clean ``__all__``, nothing
 imported from outside the standard library, every division through the
-one quotient kernel, and every lattice layout through ``series``."""
+one quotient kernel, every lattice layout through ``series``, and no
+cache without a bound."""
 
 import ast
 import re
@@ -232,5 +233,54 @@ def test_only_series_lays_out_steps():
             and isinstance(node.ctx, ast.Store)
             and isinstance(node.slice, ast.Slice)
             and node.slice.step is not None
+        ]
+    assert found == []
+
+
+def unbounded_cache(node: ast.AST) -> bool:
+    """``functools.cache`` (bare or called) or ``lru_cache`` with
+    ``maxsize=None``, by keyword or by position."""
+    func = node.func if isinstance(node, ast.Call) else node
+    if isinstance(func, ast.Attribute):
+        owner = getattr(func.value, "id", None)
+        name = func.attr if owner == "functools" else None
+    else:
+        name = getattr(func, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(node, ast.Call):
+        return False
+    sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+    return any(isinstance(size, ast.Constant) and size.value is None for size in sizes)
+
+
+@pytest.mark.parametrize(
+    "source, unbounded",
+    [
+        ("@functools.cache\ndef f(): pass", True),
+        ("@cache\ndef f(): pass", True),
+        ("g = functools.cache(f)", True),
+        ("@functools.lru_cache(maxsize=None)\ndef f(): pass", True),
+        ("@lru_cache(None)\ndef f(): pass", True),
+        ("@functools.lru_cache(maxsize=1)\ndef f(): pass", False),
+        ("@functools.lru_cache\ndef f(): pass", False),
+        ("x = self.cache", False),
+    ],
+)
+def test_the_cache_check_sees_each_form(source, unbounded):
+    tree = ast.parse(source)
+    assert any(unbounded_cache(node) for node in ast.walk(tree)) == unbounded
+
+
+def test_no_cache_is_unbounded():
+    # A long-lived process must keep bounded memory: every cache in the
+    # package has a fixed size.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name, ast.Call)) and unbounded_cache(node)
         ]
     assert found == []

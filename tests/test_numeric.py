@@ -1,7 +1,12 @@
 """Floating-point evaluation and the numeric equivariance/Schwarzian checks."""
 
+import ast
 import dataclasses
+import inspect
 import math
+import os
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +27,7 @@ from modschwarz.numeric import (
     eval_series,
     generators_for,
     _h_derivatives,
+    _scaled_term,
     _schwarzian_at,
     h_value,
 )
@@ -29,7 +35,7 @@ from modschwarz.series import LaurentSeries
 from modschwarz.solver import solve_ode
 from modschwarz.modforms import Group
 
-from oracles import schwarzian_via_differences
+from oracles import reference_eval_series, schwarzian_via_differences
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +286,152 @@ def test_schwarz_numeric_equals_the_per_point_path(r, solved):
         assert _schwarzian_at(_h_derivatives(res), tau) == want
         worst = max(worst, abs(want - scale * eval_series(e4, tau)[0]))
     assert check_schwarz_numeric(res)["max_residual"].hex() == worst.hex()
+
+
+# ---------------------------------------------------------------------------
+# the cached evaluator against the term-by-term reference
+# ---------------------------------------------------------------------------
+
+
+def outcome(evaluate, series, tau, e=0, tolerance=None):
+    """The bits of (value, tail), or the exception's type and message."""
+    try:
+        value, tail = evaluate(series, tau, e, tolerance=tolerance)
+    except (TailTooLarge, OverflowError, ZeroDivisionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return value.real.hex(), value.imag.hex(), tail.hex()
+
+
+def assert_bit_identical(series, points, e=0, tolerance=None):
+    for tau in points:
+        want = outcome(reference_eval_series, series, tau, e, tolerance)
+        # The first call may build the tables, the second reads them.
+        assert outcome(eval_series, series, tau, e, tolerance) == want, tau
+        assert outcome(eval_series, series, tau, e, tolerance) == want, tau
+
+
+SAMPLE_AND_IMAGES = DEFAULT_POINTS + tuple(
+    gamma.apply(tau) for gamma in (S_GEN, T_GEN, P_GEN, Q_GEN) for tau in DEFAULT_POINTS
+)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_eval_series_is_bit_identical_to_the_reference(r):
+    # R, its three theta images and E4 of one solve, at the sample points
+    # and their images under every generator, with and without a tail
+    # guard: values, tails and refusals (r >= 5 refuses) all agree.
+    res = solve_ode(r, 60)
+    R1 = res.R.theta()
+    R2 = R1.theta()
+    family = (res.R, R1, R2, R2.theta(), eisenstein(4, max(res.R.N, 4), res.m))
+    for series in family:
+        assert_bit_identical(series, SAMPLE_AND_IMAGES)
+        assert_bit_identical(series, DEFAULT_POINTS, e=-1, tolerance=1e-8)
+    for e, series in enumerate(family[1:4]):
+        assert_bit_identical(series, DEFAULT_POINTS, e=e)
+
+
+def test_eval_series_is_bit_identical_where_a_factor_exceeds_a_double(monkeypatch):
+    # Each case of _scaled_term next to plain terms: x/den alone past a
+    # double (10**400 at p^200) and p**n alone past one (p^-200 at tau =
+    # i), both in one series, and a term past a double, which must still
+    # raise OverflowError.
+    scaled = []
+
+    def counted(x, den, p, n):
+        scaled.append(n)
+        return _scaled_term(x, den, p, n)
+
+    monkeypatch.setattr(numeric, "_scaled_term", counted)
+    points = (1j, 0.25 + 1.5j, -0.5 + 0.9j)
+    big_numerator = LaurentSeries.from_numerators(1, 198, [3, 0, 10**400, 5, 1], 7)
+    deep_pole = LaurentSeries.from_numerators(1, -200, [1] + [0] * 199 + [2, 1], 10**400)
+    both = LaurentSeries.from_numerators(2, -300, [1] + [0] * 599 + [10**800], 10**400)
+    past_a_double = LaurentSeries.from_numerators(1, -400, [1, 0, 1], 1)
+    for series in (big_numerator, deep_pole, both):
+        assert_bit_identical(series, points)
+    assert_bit_identical(past_a_double, points[:1])
+    assert {200, -200, -300, 300, -400} <= set(scaled)
+    assert outcome(eval_series, past_a_double, 1j)[0] == "OverflowError"
+    value, _ = eval_series(deep_pole, 1j)
+    assert value.real == pytest.approx(math.exp(400 * math.pi - 400 * math.log(10)), rel=1e-12)
+
+
+def test_eval_series_is_bit_identical_where_p_underflows():
+    # At Im tau = 200, p is 0.0: a negative power divides by zero, as it
+    # did term by term, and a power series keeps only its constant term.
+    top = 0.1 + 200j
+    assert_bit_identical(LaurentSeries.from_numerators(1, -1, [1, 2, 3], 1), [top])
+    assert_bit_identical(eisenstein(4, 20), [top])
+    assert outcome(eval_series, LaurentSeries.from_numerators(1, -1, [1], 1), top)[0] == (
+        "ZeroDivisionError"
+    )
+
+
+def test_the_evaluator_caches_stay_at_their_bound():
+    # A long-lived process evaluates many series at many points; each
+    # cache keeps only its fixed number of tables.
+    for cache in (numeric._DOUBLES, numeric._POWERS):
+        assert 0 < cache.size <= 16
+    for k in range(100):
+        nums = list(range(1, 30 + k % 11))
+        series = LaurentSeries.from_numerators(1, k % 7 - 3, nums, k + 1)
+        for j in range(50):
+            eval_series(series, complex(-0.5 + j / 100, 0.9 + (k + j) % 13 / 10))
+        assert len(numeric._DOUBLES) <= numeric._DOUBLES.size
+        assert len(numeric._POWERS) <= numeric._POWERS.size
+    assert len(numeric._DOUBLES) == numeric._DOUBLES.size
+    assert len(numeric._POWERS) == numeric._POWERS.size
+
+
+def test_threads_sharing_the_caches_get_the_reference_values():
+    # More threads than cores, switching often, each evaluating series
+    # at points that overflow both caches: every value is still the
+    # reference's, and neither cache grows past its bound.
+    family = [
+        LaurentSeries.from_numerators(m, k - 2, [(7 * k + 3 * i) % 11 - 5 for i in range(40)], 9)
+        for k in range(9)
+        for m in (1, 2)
+    ]
+    points = [complex(-0.5 + j / 20, 0.9 + j / 10) for j in range(16)]
+    want = {
+        (k, j): outcome(reference_eval_series, s, tau)
+        for k, s in enumerate(family)
+        for j, tau in enumerate(points)
+    }
+    wrong = []
+
+    def work(offset):
+        for step in range(300):
+            k = (offset + 5 * step) % len(family)
+            j = (offset + 3 * step) % len(points)
+            if outcome(eval_series, family[k], points[j]) != want[k, j]:
+                wrong.append((k, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        count = 2 * min(os.cpu_count() or 1, 8)
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(numeric._DOUBLES) <= numeric._DOUBLES.size
+    assert len(numeric._POWERS) <= numeric._POWERS.size
+
+
+def test_the_evaluator_adds_term_by_term():
+    # sum() adds floats with compensated summation from Python 3.12 and
+    # math.fsum always does: either would change the doubles.
+    tree = ast.parse(inspect.getsource(numeric))
+    calls = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not calls & {"sum", "fsum"}

@@ -1,6 +1,7 @@
 """Exact Laurent series arithmetic: examples, windows and ring axioms."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -514,16 +515,39 @@ def test_json_round_trips_a_coefficient_of_5000_digits():
     assert str(s) == f"-{text}/3*p^-1 + -3/{text}*p + O(p^2)"
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("length", [4300, 4301, 8601, 20011])
+def test_parse_rational_reads_every_length_of_digits(length, sign):
+    # 4300 digits is the default limit of int(str); past it the digits
+    # are read in parts split at powers of ten.  A leading zero and a
+    # zero run across a split point must survive.
+    digits = "".join(str((7 * i * i + 3) % 10) for i in range(length - 1)) + "9"
+    digits = digits[: length // 2 - 3] + "000000" + digits[length // 2 + 3 :]
+    want = int(Decimal(sign + digits))
+    assert parse_rational(sign + digits) == want
+    assert parse_rational(f"{sign}{digits}/{digits}") == Fraction(want, abs(want))
+    assert parse_rational(sign + "0" + digits[1:]) == int(Decimal(sign + "0" + digits[1:]))
+    assert parse_rational(format_rational(Fraction(want, 7))) == Fraction(want, 7)
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "1" * 5000 + "e3",
         "_".join(["1" * 100] * 50),
         " " + "1" * 5000,
+        "1" * 5000 + "\n",
         "-" + "1" * 5000 + ".0",
         "3/" + "1" * 5000 + "e3",
+        "Infinity",
+        "-Infinity",
+        "+" + "1" * 5000,
+        "--" + "1" * 5000,
     ],
-    ids=["exponent", "underscores", "whitespace", "point", "denominator"],
+    ids=[
+        "exponent", "underscores", "whitespace", "newline", "point",
+        "denominator", "infinity", "minus-infinity", "plus", "two-minuses",
+    ],
 )
 def test_parse_rational_past_the_digit_limit_reads_only_digits(text):
     # Decimal would read each of these; a printed coefficient has none.
