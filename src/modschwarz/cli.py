@@ -15,7 +15,6 @@ from .modforms import (
     delta,
     delta_from_eisenstein,
     eisenstein,
-    j1728,
     jacobi_residual,
     ramanujan_residuals,
 )
@@ -28,9 +27,9 @@ from .solver import (
     MatchFailure,
     ResidualNonzero,
     classify_theta_cross_ratio,
+    j_cross_ratio_matches,
     minimum_order,
     solve_ode,
-    tau_cross_ratio,
 )
 
 _JSON_KW = {"sort_keys": True, "indent": 2}
@@ -226,14 +225,9 @@ def _cmd_identities(args, out) -> int:
     _check(out, failures, "eta product Delta == (E4^3-E6^2)/1728",
            delta(N).matches(delta_from_eisenstein(N), min_overlap=N))
 
-    # cross-ratio [tau, h_E4, h_Delta, h_E6] == E4^3/(1728*Delta)
     pad = N + 6
-    cross = tau_cross_ratio(
-        [(eisenstein(4, pad), 4), (delta(pad), 12), (eisenstein(6, pad), 6)]
-    )
-    j = j1728(pad) / 1728
     _check(out, failures, "cross-ratio [tau,h_E4,h_Delta,h_E6] == E4^3/(1728*Delta)",
-           cross.matches(j, min_overlap=N))
+           j_cross_ratio_matches(eisenstein(4, pad), delta(pad), eisenstein(6, pad), N))
 
     label, _ = classify_theta_cross_ratio(N)
     _check(out, failures,

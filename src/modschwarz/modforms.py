@@ -118,7 +118,9 @@ def _prefix_cached(build):
 @_prefix_cached
 def eisenstein(k: int, N: int, m: int = 1) -> LaurentSeries:
     """E2, E4 or E6: 1 + c_k * sum sigma_{k-1}(n) q^n on lattice m."""
-    factor = {2: -24, 4: 240, 6: -504}[k]
+    factor = {2: -24, 4: 240, 6: -504}.get(k)
+    if factor is None:
+        raise ValueError(f"Eisenstein series have weight k = 2, 4 or 6, got k={k!r}")
     steps = [1] + [factor * sigma(k - 1, n) for n in range(1, N // m + 1)]
     return _on_lattice(steps, 1, m, 0, N)
 
@@ -167,10 +169,17 @@ def j1728(N: int) -> LaurentSeries:
     return eisenstein(4, N + 1) ** 3 * eta_power(-24, N)
 
 
+def _is_full(group: Group) -> bool:
+    """Whether ``group`` is FULL rather than SQUARES; refuses anything else."""
+    if not isinstance(group, Group):
+        raise TypeError(f"group must be Group.FULL or Group.SQUARES, got {group!r}")
+    return group is Group.FULL
+
+
 @_prefix_cached
 def hauptmodul(group: Group, N: int) -> LaurentSeries:
     """The normalised Hauptmodul t = 1/p + O(p) (constant term zero)."""
-    if group is Group.FULL:
+    if _is_full(group):
         t = j1728(N)
         return t - t.coeff(0)
     return eisenstein(6, N + 1, 2) * eta_power(-12, N)
@@ -179,7 +188,7 @@ def hauptmodul(group: Group, N: int) -> LaurentSeries:
 @_prefix_cached
 def seed_t0(group: Group, N: int) -> LaurentSeries:
     """The weight -2 seed with a simple pole: E4*E6/Delta or E4/Delta^(1/2)."""
-    if group is Group.FULL:
+    if _is_full(group):
         return eisenstein(4, N + 1) * eisenstein(6, N + 1) * eta_power(-24, N)
     return eisenstein(4, N + 1, 2) * eta_power(-12, N)
 

@@ -9,23 +9,22 @@ upper half-plane.  Double precision suffices: at the default points
 the 1e-6 tolerance; tails are estimated by geometric extrapolation of the
 last kept terms with a conservative safety factor.
 
-The checks evaluate few series at few points many times over: one
-solve's checks make 40 evaluations of 5 series (R, h', h'', h''', E4) at
-15 points.  So ``eval_series`` reads the doubles ``x / den`` of a
-series' numerators, and the powers ``p**n`` of a point on a window, from
-two small caches of the tables used last (``_DOUBLES`` and ``_POWERS``,
-sized to one solve's checks).  A cached factor is the very double the
-term would compute, and every term is still the product
-``x / den * p**n`` of those two factors, added left to right in the same
-order, so no value, tail estimate or message changes by a bit.
+The checks evaluate few series many times over: one solve's checks make
+40 evaluations of 5 series (R, h', h'', h''', E4) at 15 points.  So
+``eval_series`` reads the doubles ``x / den`` of a series' numerators
+from one cache, ``_doubles``, which keeps the tables of the last six
+series by value, enough for one solve's checks.  It forms ``p`` once per
+call and ``p**n`` per term.  A cached double is the very double the term would
+compute, and every term is still ``x / den * p**n``, added left to right
+in the same order, so no value, tail estimate or message changes by a
+bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .modforms import Group, eisenstein
@@ -114,63 +113,36 @@ def eval_series(
     if tau.imag <= 0:
         raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
 
-    n_min, N = series.n_min, series.N
-    _, doubles, last = _DOUBLES.get(id(series), _doubles, series)
-    p, powers = _POWERS.get((tau, series.m, n_min, N), _powers, tau, series.m, n_min, N)
+    n_min = series.n_min
+    doubles, last = _doubles(series)
+    p = cmath.exp(2j * math.pi * tau / series.m)
     value = 0j
     terms: list[tuple[int, float]] = []  # the last _TAIL_TERMS nonzero terms
     for i, f in doubles:
-        w = powers[i]
-        if f is None or w is None:
-            t = _term(series.nums[i], series.den, p, n_min + i)
+        n = n_min + i
+        if f is None:
+            t = _scaled_term(series.nums[i], series.den, p, n)
         else:
-            t = f * w
+            try:
+                t = f * p**n
+            except OverflowError:
+                t = _scaled_term(series.nums[i], series.den, p, n)
         value += t
         if i >= last:
-            terms.append((n_min + i, abs(t)))
+            terms.append((n, abs(t)))
 
-    tail = _tail_estimate(terms, N, abs(p))
+    tail = _tail_estimate(terms, series.N, abs(p))
     if tolerance is not None and tail > tolerance:
         raise TailTooLarge(f"tail estimate {tail:.3e} exceeds {tolerance:.3e}")
     return U**e * value, tail
 
 
-class _Recent:
-    """The ``size`` tables used last, by key: a bounded LRU cache.
-
-    A miss builds outside the lock, so two threads that miss together
-    both build; the later store wins, with an equal table.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._tables: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-    def get(self, key, build, *args):
-        """The table under ``key``, or ``build(*args)`` stored there."""
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                self._tables.move_to_end(key)
-                return table
-        table = build(*args)
-        with self._lock:
-            self._tables[key] = table
-            if len(self._tables) > self.size:
-                self._tables.popitem(last=False)
-        return table
-
-
-def _doubles(series: LaurentSeries) -> tuple[LaurentSeries, list, int]:
-    """The series itself, which pins its ``id`` (the key) while cached;
-    ``(i, x / den)`` for each nonzero numerator ``x = nums[i]``, with None
-    where that quotient exceeds a double (int / int is correctly rounded:
-    the double of Fraction(x, den)); and the index ``i`` of the first of
-    the last _TAIL_TERMS of them, which the tail estimate reads."""
+@functools.lru_cache(maxsize=6)
+def _doubles(series: LaurentSeries) -> tuple[list, int]:
+    """``(i, x / den)`` for each nonzero numerator ``x = nums[i]``, with
+    None where that quotient exceeds a double (int / int is correctly
+    rounded: the double of Fraction(x, den)); and the index ``i`` of the
+    first of the last _TAIL_TERMS of them, which the tail estimate reads."""
     den = series.den
     doubles = []
     for i, x in enumerate(series.nums):
@@ -180,38 +152,7 @@ def _doubles(series: LaurentSeries) -> tuple[LaurentSeries, list, int]:
             except OverflowError:
                 doubles.append((i, None))
     last = doubles[-_TAIL_TERMS][0] if len(doubles) >= _TAIL_TERMS else 0
-    return series, doubles, last
-
-
-def _powers(tau: complex, m: int, n_min: int, N: int) -> tuple[complex, list]:
-    """p = exp(2*pi*i*tau/m) and ``p**n`` for n = n_min..N, with None
-    where that power raises (it exceeds a double, or p is 0)."""
-    p = cmath.exp(2j * math.pi * tau / m)
-    powers = []
-    for n in range(n_min, N + 1):
-        try:
-            powers.append(p**n)
-        except ArithmeticError:
-            powers.append(None)
-    return p, powers
-
-
-# Sized to one solve's checks.  Its Schwarzian check evaluates h', h'',
-# h''' and E4 at each point in turn, after the equivariance checks
-# evaluated R at each point and at its images; the ten power tables of the
-# five points (on R's window and on that of h' and E4) stay cached while
-# those of the images, used once each, pass through.
-_DOUBLES = _Recent(6)
-_POWERS = _Recent(12)
-
-
-def _term(x: int, den: int, p: complex, n: int) -> complex:
-    """x/den * p**n where a cached factor is missing: as the uncached
-    term, in scaled form if either factor alone exceeds a double."""
-    try:
-        return x / den * p**n
-    except OverflowError:
-        return _scaled_term(x, den, p, n)
+    return doubles, last
 
 
 def _scaled_term(x: int, den: int, p: complex, n: int) -> complex:

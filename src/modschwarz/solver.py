@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 
-from .modforms import Group, eisenstein, hauptmodul, seed_t0, theta_fourth
+from .modforms import Group, eisenstein, hauptmodul, j1728, seed_t0, theta_fourth
 from .series import (
     LaurentSeries, _clear_denominators, _constant_term, _on_lattice, format_rational
 )
@@ -578,6 +578,16 @@ def tau_cross_ratio(forms) -> LaurentSeries:
     f = forms[0][0]
     offsets = (equivariant_offset(form, weight) for form, weight in forms)
     return cross_ratio(LaurentSeries.zero(f.m, f.N), *offsets)
+
+
+def j_cross_ratio_matches(
+    e4: LaurentSeries, dl: LaurentSeries, e6: LaurentSeries, overlap: int
+) -> bool:
+    """Whether [tau, h_E4, h_Delta, h_E6] == E4^3/(1728*Delta) = j/1728
+    on at least ``overlap`` coefficients (``matches`` refuses a shorter
+    common window), for E4, Delta and E6 known through one order."""
+    cross = tau_cross_ratio([(e4, 4), (dl, 12), (e6, 6)])
+    return cross.matches(j1728(e4.N) / 1728, min_overlap=overlap)
 
 
 def anharmonic_images(mu: LaurentSeries) -> dict[str, LaurentSeries]:

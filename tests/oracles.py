@@ -76,10 +76,11 @@ def schwarzian_via_differences(h, tau: complex, step: float = 5e-4) -> complex:
 def reference_eval_series(
     series: LaurentSeries, tau: complex, e: int = 0, *, tolerance: float | None = None
 ) -> tuple[complex, float]:
-    """``numeric.eval_series`` term by term, with no cached factor: each
-    term is ``x / den * p**n``, formed afresh, added left to right, and
-    the tail is extrapolated from the last five nonzero terms of the list
-    of all of them."""
+    """``numeric.eval_series`` term by term, with no cache: each term is
+    ``x / den * p**n`` with both factors formed afresh (the evaluator
+    reads ``x / den`` from its doubles cache and forms ``p**n`` in its
+    loop), added left to right, and the tail is extrapolated from the last
+    five nonzero terms of the list of all of them."""
     if tau.imag <= 0:
         raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
     p = cmath.exp(2j * math.pi * tau / series.m)

@@ -15,12 +15,10 @@ from modschwarz.modforms import (
     ramanujan_residuals,
 )
 from modschwarz.numeric import check_equivariance, generators_for
-from modschwarz.series import LaurentSeries
 from modschwarz.solver import (
     build_B,
-    cross_ratio,
-    equivariant_offset,
     frobenius_oracle,
+    j_cross_ratio_matches,
     solve_eigen,
 )
 
@@ -131,12 +129,7 @@ def test_criterion_7_identity_suite():
     jacobi_ok = jacobi_residual(N).is_zero()
 
     pad = N + 6
-    w2 = equivariant_offset(eisenstein(4, pad), 4)
-    w3 = equivariant_offset(delta(pad), 12)
-    w4 = equivariant_offset(eisenstein(6, pad), 6)
-    cross = cross_ratio(LaurentSeries.zero(1, pad), w2, w3, w4)
-    j_inv = eisenstein(4, pad) ** 3 * delta(pad + 2).inverse() * Fraction(1, 1728)
-    cross_ok = cross.matches(j_inv, min_overlap=N)
+    cross_ok = j_cross_ratio_matches(eisenstein(4, pad), delta(pad), eisenstein(6, pad), N)
 
     ok = ramanujan_ok and jacobi_ok and cross_ok
     report(

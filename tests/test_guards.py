@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from modschwarz.closed_forms import r_from_h_denominator
-from modschwarz.modforms import sigma, theta_series
+from modschwarz.modforms import eisenstein, hauptmodul, seed_t0, sigma, theta_series
 from modschwarz.series import LaurentSeries, ZeroLeadingCoefficient
 from modschwarz.solver import build_B
 
@@ -62,6 +62,19 @@ GUARDS = {
     "sigma-of-zero": (
         lambda: sigma(3, 0),
         ValueError, "sigma is defined for n >= 1",
+    ),
+    "eisenstein-weight-8": (
+        lambda: eisenstein(8, 3),
+        ValueError, "k = 2, 4 or 6, got k=8",
+    ),
+    # A group given by its name is not a Group: no lattice is guessed.
+    "hauptmodul-of-a-name": (
+        lambda: hauptmodul("full", 3),
+        TypeError, "group must be Group.FULL or Group.SQUARES, got 'full'",
+    ),
+    "seed-of-a-name": (
+        lambda: seed_t0("squares", 3),
+        TypeError, "group must be Group.FULL or Group.SQUARES, got 'squares'",
     ),
     "theta2-series": (
         lambda: theta_series(2, 4),

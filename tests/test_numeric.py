@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -369,25 +370,50 @@ def test_eval_series_is_bit_identical_where_p_underflows():
 
 
 def test_the_evaluator_caches_stay_at_their_bound():
-    # A long-lived process evaluates many series at many points; each
-    # cache keeps only its fixed number of tables.
-    for cache in (numeric._DOUBLES, numeric._POWERS):
-        assert 0 < cache.size <= 16
+    # A long-lived process evaluates many series at many points; the
+    # doubles cache keeps only its fixed number of tables.
+    assert 0 < numeric._doubles.cache_info().maxsize <= 16
     for k in range(100):
         nums = list(range(1, 30 + k % 11))
         series = LaurentSeries.from_numerators(1, k % 7 - 3, nums, k + 1)
         for j in range(50):
             eval_series(series, complex(-0.5 + j / 100, 0.9 + (k + j) % 13 / 10))
-        assert len(numeric._DOUBLES) <= numeric._DOUBLES.size
-        assert len(numeric._POWERS) <= numeric._POWERS.size
-    assert len(numeric._DOUBLES) == numeric._DOUBLES.size
-    assert len(numeric._POWERS) == numeric._POWERS.size
+        info = numeric._doubles.cache_info()
+        assert info.currsize <= info.maxsize
+    info = numeric._doubles.cache_info()
+    assert info.currsize == info.maxsize
+
+
+@pytest.mark.parametrize("r", (1, 2, 3, 4))
+def test_one_solve_checks_build_each_table_once(r):
+    # Both equivariance checks evaluate R and the Schwarzian check h',
+    # h'', h''' and E4: 40 evaluations of 5 series, whose doubles are
+    # each built once, so the cache holds one solve's checks.
+    res = solve_ode(r, 60)
+    numeric._doubles.cache_clear()
+    for _, gamma in generators_for(res.group):
+        assert check_equivariance(res, gamma)["pass"]
+    assert check_schwarz_numeric(res)["pass"]
+    info = numeric._doubles.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 35, 5)
+
+
+def test_equal_series_share_one_table():
+    # The cache is keyed by value: a series built afresh reads the table
+    # of an equal one.
+    a = LaurentSeries.from_numerators(1, -1, [2, 0, 6, 4], 4)
+    b = LaurentSeries(1, -1, (Fraction(1, 2), 0, Fraction(3, 2), 1))
+    assert a == b and a is not b
+    numeric._doubles.cache_clear()
+    assert eval_series(a, DEFAULT_POINTS[0]) == eval_series(b, DEFAULT_POINTS[0])
+    info = numeric._doubles.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_threads_sharing_the_caches_get_the_reference_values():
-    # More threads than cores, switching often, each evaluating series
-    # at points that overflow both caches: every value is still the
-    # reference's, and neither cache grows past its bound.
+    # More threads than cores, switching often, each evaluating more
+    # series than the cache holds: every value is still the reference's,
+    # and the cache does not grow past its bound.
     family = [
         LaurentSeries.from_numerators(m, k - 2, [(7 * k + 3 * i) % 11 - 5 for i in range(40)], 9)
         for k in range(9)
@@ -421,8 +447,8 @@ def test_threads_sharing_the_caches_get_the_reference_values():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(numeric._DOUBLES) <= numeric._DOUBLES.size
-    assert len(numeric._POWERS) <= numeric._POWERS.size
+    info = numeric._doubles.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_the_evaluator_adds_term_by_term():

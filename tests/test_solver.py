@@ -29,6 +29,7 @@ from modschwarz.solver import (
     cross_ratio,
     equivariant_offset,
     frobenius_oracle,
+    j_cross_ratio_matches,
     minimum_order,
     n0_for,
     solve_eigen,
@@ -650,6 +651,18 @@ def test_cross_ratio_j_identity():
     cross = cross_ratio(LaurentSeries.zero(1, pad), w2, w3, w4)
     j_inv = eisenstein(4, pad) ** 3 * delta(pad + 2).inverse() * Fraction(1, 1728)
     assert cross.matches(j_inv, min_overlap=N)
+
+
+def test_j_cross_ratio_checker_sees_a_wrong_form():
+    # The checker ``identities`` and criterion 7 share: true on the
+    # classical forms, false once E6 is off at p^15, and refused on a
+    # window shorter than the overlap asked for.
+    pad = 26
+    e4, dl, e6 = eisenstein(4, pad), delta(pad), eisenstein(6, pad)
+    assert j_cross_ratio_matches(e4, dl, e6, 20)
+    assert not j_cross_ratio_matches(e4, dl, e6 + LaurentSeries.from_terms(1, {15: 1}, pad), 20)
+    with pytest.raises(ValueError, match="shorter than min_overlap=40"):
+        j_cross_ratio_matches(e4, dl, e6, 40)
 
 
 def logderiv_theta_offsets(N):
