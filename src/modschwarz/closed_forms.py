@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .modforms import Group, delta, eisenstein, eta_power, seed_t0
+from .modforms import delta, eisenstein, eta_power
 from .series import LaurentSeries
 
 G3_COEFFICIENT = 1266
@@ -33,12 +33,12 @@ G4_COEFFICIENT = 824
 
 def g1(N: int) -> LaurentSeries:
     """E4 / Delta^(1/2) on lattice 2."""
-    return seed_t0(Group.SQUARES, N)
+    return eisenstein(4, N + 1, 2) * eta_power(-12, N)
 
 
 def g2(N: int) -> LaurentSeries:
     """E4*E6 / Delta on lattice 1."""
-    return seed_t0(Group.FULL, N)
+    return eisenstein(4, N + 1) * eisenstein(6, N + 1) * eta_power(-24, N)
 
 
 def g3(N: int, coefficient: int = G3_COEFFICIENT) -> LaurentSeries:

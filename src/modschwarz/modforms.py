@@ -15,7 +15,9 @@ is transparent.
 
 Delta, Delta^(1/2) and their inverses all come from one integer
 recurrence for the coefficients of prod (1 - x^n)^k (``eta_power``), so
-no generator inverts a series to divide by Delta.
+no generator divides by Delta.  Each generator is one formula: the seed is
+-theta(t)/E4 on both groups, theta2^4 is Legendre's divisor sum, and the
+theta log-derivatives are read off theta_j^4.
 """
 
 from __future__ import annotations
@@ -169,17 +171,12 @@ def j1728(N: int) -> LaurentSeries:
     return eisenstein(4, N + 1) ** 3 * eta_power(-24, N)
 
 
-def _is_full(group: Group) -> bool:
-    """Whether ``group`` is FULL rather than SQUARES; refuses anything else."""
-    if not isinstance(group, Group):
-        raise TypeError(f"group must be Group.FULL or Group.SQUARES, got {group!r}")
-    return group is Group.FULL
-
-
 @_prefix_cached
 def hauptmodul(group: Group, N: int) -> LaurentSeries:
     """The normalised Hauptmodul t = 1/p + O(p) (constant term zero)."""
-    if _is_full(group):
+    if not isinstance(group, Group):
+        raise TypeError(f"group must be Group.FULL or Group.SQUARES, got {group!r}")
+    if group is Group.FULL:
         t = j1728(N)
         return t - t.coeff(0)
     return eisenstein(6, N + 1, 2) * eta_power(-12, N)
@@ -187,22 +184,9 @@ def hauptmodul(group: Group, N: int) -> LaurentSeries:
 
 @_prefix_cached
 def seed_t0(group: Group, N: int) -> LaurentSeries:
-    """The weight -2 seed with a simple pole: E4*E6/Delta or E4/Delta^(1/2)."""
-    if _is_full(group):
-        return eisenstein(4, N + 1) * eisenstein(6, N + 1) * eta_power(-24, N)
-    return eisenstein(4, N + 1, 2) * eta_power(-12, N)
-
-
-def triangular_series(N: int) -> LaurentSeries:
-    """sum q^(n(n+1)/2), the odd-theta core: theta2 = 2 q^(1/8) * this."""
-    if N < 0:
-        return LaurentSeries.zero(1, N)
-    terms = {}
-    n = 0
-    while n * (n + 1) // 2 <= N:
-        terms[n * (n + 1) // 2] = 1
-        n += 1
-    return LaurentSeries.from_terms(1, terms, N, n_min=0)
+    """The weight -2 seed -theta(t)/E4: E4*E6/Delta or E4/Delta^(1/2)."""
+    t = hauptmodul(group, N)
+    return -t.theta() / eisenstein(4, N + 1, t.m)
 
 
 def theta_series(j: int, N: int) -> LaurentSeries:
@@ -221,28 +205,23 @@ def theta_series(j: int, N: int) -> LaurentSeries:
 
 @_prefix_cached
 def theta_fourth(j: int, N: int) -> LaurentSeries:
-    """theta_j^4 on lattice 2; integer p-exponents for all three j."""
+    """theta_j^4 on lattice 2.  theta2^4 = 16 p psi(p^2)^4 with Legendre's
+    psi(q)^4 = sum sigma_1(2n+1) q^n, psi = sum q^(n(n+1)/2)."""
+    if j not in (2, 3, 4):
+        raise ValueError(f"theta_fourth is defined for j = 2, 3 or 4, got j={j!r}")
     if j == 2:
-        K = max((N - 1) // 2, 0)
-        psi4 = triangular_series(K).align(2) ** 4
-        return (psi4.shift(1) * 16).truncate(N)
+        steps = [16 * sigma(1, 2 * k + 1) for k in range((N + 1) // 2)]
+        return _on_lattice(steps, 1, 2, 1, N)
     return theta_series(j, N) ** 4
 
 
 def theta_logderiv(j: int, N: int) -> tuple[Fraction, LaurentSeries]:
-    """q d/dq log theta_j split as (offset, body) with body(0) = 0.
-
-    The offset is 1/8 for j=2 (from the q^(1/8) prefactor) and 0 otherwise.
-    The body lives on lattice 2.
-    """
-    if j == 2:
-        K = max((N + 1) // 2, 1)
-        psi = triangular_series(K)
-        body = (psi.theta() / psi).align(2).truncate(N)
-        return Fraction(1, 8), body
-    t = theta_series(j, N)
-    body = t.theta() / t * Fraction(1, 2)
-    return Fraction(0), body
+    """q d/dq log theta_j = theta(F)/(8F), F = theta_j^4, split as (offset,
+    body) with body(0) = 0 on lattice 2: the offset is 1/8 for j=2 (the
+    q^(1/8) prefactor; F starts at p^1) and 0 otherwise."""
+    offset = Fraction(1, 8) if j == 2 else Fraction(0)
+    F = theta_fourth(j, N + 1 if j == 2 else N)
+    return offset, F.theta() / F / 8 - offset
 
 
 def ramanujan_residuals(N: int) -> dict[str, LaurentSeries]:

@@ -5,9 +5,11 @@ Equivariance h(g.tau) = g.h(tau) is the one property the exact layer
 cannot check coefficient-wise (apart from translations), so it is checked
 here numerically on a fixed deterministic set of sample points in the
 upper half-plane.  Double precision suffices: at the default points
-|p| <= exp(-0.8*pi), so sixty exact coefficients leave tails far below
-the 1e-6 tolerance; tails are estimated by geometric extrapolation of the
-last kept terms with a conservative safety factor.
+|p| <= exp(-0.8*pi), so for r <= 4 sixty exact coefficients leave tails
+far below the 1e-6 tolerance.  For r >= 5 the poles of R in H push the
+tails at the generator images past the guard, and the equivariance check
+refuses with ``TailTooLarge``.  Tails are estimated by geometric
+extrapolation of the last kept terms with a conservative safety factor.
 
 The checks evaluate few series many times over: one solve's checks make
 40 evaluations of 5 series (R, h', h'', h''', E4) at 15 points.  So

@@ -573,10 +573,6 @@ class LaurentSeries:
         # known-zero, so the trust bound tightens to 2*(N+1) - 1.
         return _on_lattice(self.nums, self.den, 2, 2 * self.n_min, 2 * self.N + 1)
 
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by the exact monomial ``p**k``."""
-        return LaurentSeries.from_numerators(self.m, self.n_min + k, self.nums, self.den)
-
     def truncate(self, N: int) -> "LaurentSeries":
         """Restrict the window to end at N (a no-op if already tighter)."""
         if N >= self.N:

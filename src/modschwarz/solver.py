@@ -150,7 +150,8 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
 
     Built as G = P(t)*t0 where t is the Hauptmodul and t0 the seed form.
     The coefficients c_j of P are residue pairings.  On both groups
-    t0 = -theta(t)/E4, so G*E4 = -P(t)*theta(t), and t^n*theta(t) has
+    ``seed_t0`` builds t0 as -theta(t)/E4, the paper's E4*E6/Delta or
+    E4/Delta^(1/2), so G*E4 = -P(t)*theta(t), and t^n*theta(t) has
     constant term 0 for n != -1 (it is theta(t^(n+1))/(n+1)) and -1 for
     n = -1 (theta(log t)).  So c_j = CT(G*E4*t^(-(j+1))), and as
     t^(-(j+1)) = O(p^(j+1)) and E4 = 1 + O(p), only x*E4 through p^-1

@@ -4,14 +4,17 @@ from g, the Schwarzian residual expanded directly from R, as
 ``solve_ode`` computed it before the certificate replaced it, the
 Wronskian series, which the certificate proves constant from the ODE and
 delta parts, the Schwarzian of a callable by finite differences, and the
-numeric evaluator as it ran before its factors were cached.  Kept here
-only as oracles."""
+numeric evaluator as it ran before its factors were cached, and the
+product routes to the generators that ``modforms`` builds by one formula
+each: the seed as the paper's eta quotient, theta2^4 from the triangular
+series, and the theta log-derivatives from theta_3, theta_4 and psi
+themselves.  Kept here only as oracles."""
 
 import cmath
 import math
 from fractions import Fraction
 
-from modschwarz.modforms import eisenstein
+from modschwarz.modforms import Group, eisenstein, eta_power, theta_series
 from modschwarz.numeric import (
     TAIL_FACTOR,
     U,
@@ -113,3 +116,44 @@ def _reference_tail(terms: list[tuple[int, float]], N: int, ap: float) -> float:
     if ratio >= 1.0:
         raise TailTooLarge(f"terms are not decaying (ratio {ratio:.3f})")
     return TAIL_FACTOR * m1 * ratio ** (N + 1 - n1) / (1.0 - ratio)
+
+
+def reference_seed_t0(group, N: int) -> LaurentSeries:
+    """The seed as the paper's product: E4*E6*eta^-24 on the full group,
+    E4*eta^-12 on the squares; built at order 0 or above, then cut to N."""
+    M = max(N, 0)
+    if group is Group.FULL:
+        seed = eisenstein(4, M + 1) * eisenstein(6, M + 1) * eta_power(-24, M)
+    else:
+        seed = eisenstein(4, M + 1, 2) * eta_power(-12, M)
+    return seed.truncate(N)
+
+
+def triangular_series(N: int) -> LaurentSeries:
+    """psi = sum q^(n(n+1)/2) through q^N, with theta2 = 2 q^(1/8) psi."""
+    if N < 0:
+        return LaurentSeries.zero(1, N)
+    terms = {}
+    n = 0
+    while n * (n + 1) // 2 <= N:
+        terms[n * (n + 1) // 2] = 1
+        n += 1
+    return LaurentSeries.from_terms(1, terms, N, n_min=0)
+
+
+def reference_theta2_fourth(N: int) -> LaurentSeries:
+    """theta2^4 = 16*p*psi(p^2)^4, with psi raised to the fourth power."""
+    psi4 = triangular_series(max((N - 1) // 2, 0)).align(2) ** 4
+    times_p = LaurentSeries.from_numerators(2, psi4.n_min + 1, psi4.nums, psi4.den)
+    return (times_p * 16).truncate(N)
+
+
+def reference_theta_logderiv(j: int, N: int) -> tuple[Fraction, LaurentSeries]:
+    """q d/dq log theta_j as (offset, body) from theta_j itself: half of
+    p d/dp log theta_j for j = 3, 4, and for theta2 = 2 q^(1/8) psi the
+    offset 1/8 and q d/dq log psi, taken on lattice 1 and aligned."""
+    if j == 2:
+        psi = triangular_series(max((N + 1) // 2, 1))
+        return Fraction(1, 8), (psi.theta() / psi).align(2).truncate(N)
+    t = theta_series(j, N)
+    return Fraction(0), t.theta() / t * Fraction(1, 2)

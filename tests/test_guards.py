@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from modschwarz.closed_forms import r_from_h_denominator
-from modschwarz.modforms import eisenstein, hauptmodul, seed_t0, sigma, theta_series
+from modschwarz.modforms import (
+    eisenstein, hauptmodul, seed_t0, sigma, theta_fourth, theta_series
+)
 from modschwarz.series import LaurentSeries, ZeroLeadingCoefficient
 from modschwarz.solver import build_B
 
@@ -79,6 +81,14 @@ GUARDS = {
     "theta2-series": (
         lambda: theta_series(2, 4),
         ValueError, "theta3 and theta4 only",
+    ),
+    "theta1-fourth": (
+        lambda: theta_fourth(1, 5),
+        ValueError, "theta_fourth is defined for j = 2, 3 or 4, got j=1",
+    ),
+    "theta5-fourth": (
+        lambda: theta_fourth(5, 5),
+        ValueError, "theta_fourth is defined for j = 2, 3 or 4, got j=5",
     ),
     "h-denominator-r5": (
         lambda: r_from_h_denominator(5, 10),

@@ -129,19 +129,33 @@ def test_every_module_level_name_is_read():
     assert unread == []
 
 
+def package_functions(tree: ast.Module):
+    """Module-level functions and the non-dunder methods of module-level
+    classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (
+                f for f in node.body
+                if isinstance(f, functions)
+                and not (f.name.startswith("__") and f.name.endswith("__"))
+            )
+
+
 def test_every_package_function_has_a_caller_outside_the_tests():
     # ``src/`` holds the pipeline and ``tests/`` the oracles: a function
-    # that only the tests read belongs in ``tests/oracles.py``.  The
-    # benchmark counts as a caller, since its tracer names what it wraps.
+    # or method that only the tests read belongs in ``tests/oracles.py``.
+    # The benchmark counts as a caller, since its tracer names what it wraps.
     read = names_read_by(MODULES + PERFBENCH)
     test_only = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         test_only += [
             f"{path.name}:{node.lineno} {node.name}"
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name not in read
+            for node in package_functions(tree)
+            if node.name not in read
         ]
     assert test_only == []
 

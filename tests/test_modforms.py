@@ -26,9 +26,10 @@ from modschwarz.modforms import (
     theta_fourth,
     theta_logderiv,
     theta_series,
-    triangular_series,
 )
 from modschwarz.series import LaurentSeries
+
+from oracles import reference_seed_t0, reference_theta2_fourth, reference_theta_logderiv
 
 
 def brute_sigma(k, n):
@@ -150,11 +151,15 @@ def reference_eta_power(exponent, N):
     powers invert the positive ones at order N + 2, as j1728 and seed_t0
     used to."""
     if exponent == 24:
-        return (reference_euler_product(N - 1) ** 24).shift(1).truncate(N)
-    if exponent == 12:
-        K = max((N - 1) // 2, 0)
-        return ((reference_euler_product(K).align(2) ** 12).shift(1)).truncate(N)
-    return reference_eta_power(-exponent, N + 2).inverse()
+        product = reference_euler_product(N - 1) ** 24
+    elif exponent == 12:
+        product = reference_euler_product(max((N - 1) // 2, 0)).align(2) ** 12
+    else:
+        return reference_eta_power(-exponent, N + 2).inverse()
+    times_p = LaurentSeries.from_numerators(
+        product.m, product.n_min + 1, product.nums, product.den
+    )
+    return times_p.truncate(N)
 
 
 @pytest.mark.parametrize("exponent", [24, 12, -24, -12])
@@ -286,6 +291,35 @@ def test_theta_logderiv_offsets():
     assert [body3.coeff(n) for n in range(1, 5)] == [1, -2, 4, -4]
 
 
+# Each generator built by one formula, with the product route it replaced
+# (``tests/oracles.py``) and the calls at which the two must be equal,
+# window included.
+ONE_FORMULA = {
+    "seed_t0": (
+        seed_t0,
+        reference_seed_t0,
+        [(g, N) for g in Group for N in [*range(-3, 41), 600]],
+    ),
+    "theta2^4": (
+        lambda N: theta_fourth(2, N),
+        reference_theta2_fourth,
+        [(N,) for N in [*range(131), 600]],
+    ),
+    "theta_logderiv": (
+        theta_logderiv,
+        reference_theta_logderiv,
+        [(j, N) for j in (2, 3, 4) for N in [*range(131), 600]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_FORMULA)
+def test_each_formula_equals_its_product_reference(name):
+    formula, reference, calls = ONE_FORMULA[name]
+    for args in calls:
+        assert formula(*args) == reference(*args), args
+
+
 def test_theta_logderiv_parity_flip():
     _, body3 = theta_logderiv(3, 10)
     _, body4 = theta_logderiv(4, 10)
@@ -415,7 +449,6 @@ def test_every_window_ends_exactly_at_the_order():
                     if build(N=N, **key).N != N:
                         wrong.append((build.__qualname__, key, N))
         cores = {
-            "triangular_series": triangular_series(N),
             "theta_series 3": theta_series(3, N),
             "theta_series 4": theta_series(4, N),
         }
@@ -428,7 +461,6 @@ def test_every_window_ends_exactly_at_the_order():
 FROM_ORDER_ZERO = [
     (eisenstein, {"k": 4}, 1),
     (eisenstein, {"k": 6, "m": 2}, 2),
-    (triangular_series, {}, 1),
     (theta_series, {"j": 3}, 2),
     (theta_series, {"j": 4}, 2),
 ]

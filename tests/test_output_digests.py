@@ -18,6 +18,11 @@ still rescaled every earlier coefficient at each step of the division
 arithmetic kernels or to the commands must leave every byte of this output
 as it is.
 
+The two ``series`` digests pin the seed t0 on both groups through
+p^600; they were recorded while each group built t0 as its own eta
+quotient, E4*E6/Delta or E4/Delta^(1/2), before both read it off the
+Hauptmodul as -theta(t)/E4.
+
 The ``verify --numeric`` digests pin the floats of the numeric checks:
 they were recorded while coefficients were still evaluated through
 ``complex(Fraction)``, so they also show that evaluating from integer
@@ -70,6 +75,10 @@ TEXT_DIGESTS = {
     ("examples", "--r", "3"): "736f0ddc4119ae2c8071290e205d8f8f3ce4d5988d6c67acc77df87ad312fa85",
     ("examples", "--r", "4"): "c752838fd2534385795b1f422aaf230d73a33b50f21165d8452cc4c0d7c47d1b",
     ("identities", "--order", "40"): "8bfb8e5461fd8ba92ce2d64f23aba2eb4ae83e7869d586aad09bfdb4f8d30c4d",
+    ("series", "t0-full", "--order", "600", "--format", "json"):
+        "c6690e4dd0215f07b8f036e9fae70174da9a3712efc9a3c6597e03630caf7a3a",
+    ("series", "t0-squares", "--order", "600", "--format", "json"):
+        "9e42b4cd059f39363de4271f2d479c761a321d38830df4ffc921fe646d0db130",
     ("verify", "--r", "2", "--order", "60", "--numeric"):
         "777df5df7ff158187b2956e247072d7e55cced2b5a4d81dffb2e215fa2495912",
     ("verify", "--r", "3", "--order", "60", "--numeric"):

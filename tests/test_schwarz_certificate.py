@@ -151,8 +151,9 @@ def test_a_zero_wronskian_is_reported(monkeypatch):
 def test_a_solve_inverts_only_s(r, monkeypatch):
     # Outside the short modular build, the only division is g/S and the
     # only products of two series are S*E4 (ODE), g*E4 (delta) and R*S
-    # (division): no Wronskian series.  The short build divides once, by
-    # the Hauptmodul cut to p^size, for its residue pairings.
+    # (division): no Wronskian series.  The short build divides twice:
+    # -theta(t) by E4 for the seed t0, then 1 by the Hauptmodul cut to
+    # p^size for its residue pairings.
     for gen in vars(modforms).values():
         if hasattr(gen, "cache_clear"):
             gen.cache_clear()
@@ -181,8 +182,11 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
     monkeypatch.setattr(solver, "build_g", build_g_spy)
     res = solve_ode(r, minimum_order(r))
     size = -res.n0
-    assert [(d.n_min, d.N, n) for d, n in divided_in_build] == [(-1, size, 1)]
-    assert divided_in_build[0][0] == hauptmodul(res.group, size)
+    (e4, seed_numerator), (t, one) = divided_in_build
+    assert e4 == eisenstein(4, e4.N, res.m)
+    assert seed_numerator == -hauptmodul(res.group, e4.N - 1).theta()
+    assert (t.n_min, t.N, one) == (-1, size, 1)
+    assert t == hauptmodul(res.group, size)
     assert len(divided) == 1
     divisor, numerator = divided[0]
     assert divisor is res.S

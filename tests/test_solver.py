@@ -36,7 +36,7 @@ from modschwarz.solver import (
     solve_ode,
 )
 
-from oracles import first_solution
+from oracles import first_solution, reference_seed_t0, reference_theta_logderiv
 
 
 @pytest.fixture(scope="module")
@@ -162,11 +162,13 @@ def reference_build_g(X, group, N):
 
 @pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
 def test_the_seed_form_is_minus_theta_of_t_over_e4(group):
-    # t0 = -theta(t)/E4 on both groups, windows included: the identity that
-    # makes the coefficients of P in build_g residue pairings.
+    # The paper's seed E4*E6/Delta or E4/Delta^(1/2) is -theta(t)/E4 on
+    # both groups, windows included: the identity that makes seed_t0 one
+    # formula and the coefficients of P in build_g residue pairings.
     for N in range(61):
         t = hauptmodul(group, N)
-        assert seed_t0(group, N) == -(t.theta() / eisenstein(4, N + 1, group.lattice)), N
+        want = -(t.theta() / eisenstein(4, N + 1, group.lattice))
+        assert reference_seed_t0(group, N) == want, N
 
 
 def assert_same_g(X, group, N):
@@ -667,11 +669,11 @@ def test_j_cross_ratio_checker_sees_a_wrong_form():
 
 def logderiv_theta_offsets(N):
     """The theta offsets k*f/f' = (k/2) / (q d/dq log f) with k = 1/2,
-    from the log-derivatives of theta_j itself: a route independent of
-    theta_j^4 and ``equivariant_offset``."""
+    from the log-derivatives of theta_j itself (``tests/oracles.py``): a
+    route independent of theta_j^4 and ``equivariant_offset``."""
     out = []
     for j in (2, 3, 4):
-        offset, body = modforms.theta_logderiv(j, N)
+        offset, body = reference_theta_logderiv(j, N)
         out.append((body + offset).inverse(Fraction(1, 4)))
     return out
 
