@@ -19,9 +19,8 @@ prints its rows, and the acceptance and golden tests check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .modforms import delta, eisenstein, eta_power
 from .series import LaurentSeries
@@ -166,8 +165,7 @@ def f1_body_4(N: int) -> LaurentSeries:
     return (body + F1_4_CONSTANT).truncate(N)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One closed-form claim, printed by ``examples`` as a PASS/FAIL line.
 
     ``output`` names the solve output the claim reads: ``"X"``, ``"g"``,

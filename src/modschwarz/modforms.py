@@ -23,7 +23,6 @@ theta log-derivatives are read off theta_j^4.
 from __future__ import annotations
 
 import functools
-import inspect
 import threading
 from enum import Enum
 from fractions import Fraction
@@ -80,23 +79,42 @@ def _prefix_cached(build):
     and their products end below N or ask for an unknown constant term.
     A build runs outside the lock; its result replaces the entry only if
     it is longer, so a reader never sees a partial series.
+
+    The parameters, ``N`` among them, are read off ``build``'s code object
+    and defaults, not ``inspect.signature``, to keep ``inspect`` out of
+    the package's import; so ``build`` takes positional-or-keyword
+    parameters only, no ``*args``, ``**kwargs`` or keyword-only ones.
     """
-    signature = inspect.signature(build)
+    code = build.__code__
+    names = code.co_varnames[: code.co_argcount]
+    at = names.index("N")
+    defaults = dict(zip(names[::-1], (build.__defaults__ or ())[::-1]))
     store: dict[tuple, LaurentSeries] = {}
     lock = threading.Lock()
 
+    def bind(args, kwargs) -> list:
+        """The arguments in parameter order, defaults filled in; raises
+        ``TypeError`` where calling ``build`` itself would."""
+        given = dict(zip(names, args))
+        if len(args) > len(names) or not kwargs.keys() <= set(names) - given.keys():
+            raise TypeError(f"{build.__name__}() got unexpected arguments {args!r}, {kwargs!r}")
+        bound = {**defaults, **given, **kwargs}
+        try:
+            return [bound[name] for name in names]
+        except KeyError as missing:
+            raise TypeError(f"{build.__name__}() missing required argument {missing}") from None
+
     @functools.wraps(build)
     def cached(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        N = bound.arguments["N"]
-        key = tuple(v for name, v in bound.arguments.items() if name != "N")
+        values = bind(args, kwargs)
+        N = values[at]
+        key = (*values[:at], *values[at + 1 :])
         with lock:
             entry = store.get(key)
         if entry is not None and N <= entry.N:
             return entry.truncate(N)
-        bound.arguments["N"] = max(N, 0)
-        fresh = build(*bound.args, **bound.kwargs)
+        values[at] = max(N, 0)
+        fresh = build(*values)
         with lock:
             entry = store.get(key)
             if entry is None or fresh.N > entry.N:

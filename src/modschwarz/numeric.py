@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .modforms import Group, eisenstein
 from .series import LaurentSeries
@@ -50,18 +50,20 @@ class DerivativeVanishes(ArithmeticError):
     """h' vanishes at a sample point; the Schwarzian is undefined there."""
 
 
-@dataclass(frozen=True)
-class Moebius:
+class Moebius(namedtuple("Moebius", "a b c d")):
     """An integer matrix of determinant one acting by (a*z+b)/(c*z+d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Moebius":
+        if not all(isinstance(x, int) for x in (a, b, c, d)):
+            raise TypeError(f"entries must be integers, got {(a, b, c, d)!r}")
+        if a * d - b * c != 1:
             raise ValueError("determinant must be 1")
+        return super().__new__(cls, a, b, c, d)
+
+    # ``_replace`` builds through ``_make``, which would skip the checks.
+    _make = classmethod(lambda cls, entries: cls(*entries))
 
     def apply(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)

@@ -39,7 +39,6 @@ immutable, so they can be shared freely across threads.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -239,7 +238,6 @@ def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], in
     return q, D
 
 
-@dataclass(frozen=True, init=False, slots=True)
 class LaurentSeries:
     """A truncated Laurent series in ``p = q**(1/m)`` over the rationals.
 
@@ -248,8 +246,13 @@ class LaurentSeries:
     takes integer numerators over one denominator.  Both canonicalise
     (see the module docstring), dropping leading zeros, which the window
     semantics already imply.
+
+    ``==``, ``hash``, ``repr``, the frozen fields and pickling are written
+    out, not generated by ``dataclass``: its ``exec``'d methods and its
+    ``inspect`` import would lengthen the import that every CLI process pays.
     """
 
+    __slots__ = ("m", "n_min", "nums", "den")
     m: int
     n_min: int
     nums: tuple[int, ...]
@@ -281,6 +284,31 @@ class LaurentSeries:
         object.__setattr__(self, "n_min", n_min)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LaurentSeries is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LaurentSeries is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return LaurentSeries.from_numerators, (self.m, self.n_min, self.nums, self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not LaurentSeries:
+            return NotImplemented
+        return (self.m, self.n_min, self.nums, self.den) == (
+            other.m, other.n_min, other.nums, other.den
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n_min, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return (
+            f"LaurentSeries(m={self.m!r}, n_min={self.n_min!r}, "
+            f"nums={self.nums!r}, den={self.den!r})"
+        )
 
     # ------------------------------------------------------------------
     # constructors

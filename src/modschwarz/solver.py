@@ -42,10 +42,10 @@ checks the bookkeeping of the pass of step 1; the ODE residual is the proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .modforms import Group, eisenstein, hauptmodul, j1728, seed_t0, theta_fourth
 from .series import (
@@ -287,8 +287,7 @@ def relation_series(
     return _on_lattice(A, D, m, -size, M), _on_lattice(T, D, m, size, M)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Everything one run produces, plus the residuals that prove it."""
 
     r: int

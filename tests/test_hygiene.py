@@ -1,11 +1,13 @@
 """Hygiene of the package: no stale imports, no unread module-level
 names, no function that only the tests call, a clean ``__all__``, nothing
 imported from outside the standard library, every division through the
-one quotient kernel, every lattice layout through ``series``, and no
-cache without a bound."""
+one quotient kernel, every lattice layout through ``series``, no cache
+without a bound, and no ``inspect`` or ``dataclasses`` in the import."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -183,6 +185,40 @@ def test_every_import_is_relative_or_from_the_standard_library():
                 if top not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+SLOW_IMPORTS = ("inspect", "dataclasses")
+IMPORT = "import sys, modschwarz, modschwarz.cli; print(*sorted(sys.modules))"
+
+
+def fresh_import(*flags: str) -> subprocess.CompletedProcess:
+    """Import the package and its CLI in a new interpreter without ``site``,
+    so only the package's own imports load modules."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    cmd = [sys.executable, "-S", *flags, "-c", IMPORT]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+
+
+def importers(report: str, module: str) -> list[str]:
+    """The ``-X importtime`` line of ``module`` and those of the modules
+    that imported it: each parent follows its children, one level up."""
+    chain, depth = [], None
+    for line in report.splitlines():
+        name = line.rpartition("|")[2]
+        level = len(name) - len(name.lstrip())
+        if (name.strip() == module) if depth is None else (level < depth):
+            chain.append(line)
+            depth = level
+    return chain
+
+
+def test_the_import_loads_neither_inspect_nor_dataclasses():
+    # Every CLI call pays the import (the benchmark's ``setup_s``), and
+    # these two cost a quarter of it while serving no step of a solve.
+    loaded = [m for m in SLOW_IMPORTS if m in fresh_import().stdout.split()]
+    if loaded:
+        report = fresh_import("-X", "importtime").stderr
+        pytest.fail("\n".join(line for m in loaded for line in importers(report, m)))
 
 
 def test_no_runtime_dependencies():

@@ -508,6 +508,11 @@ def test_prefix_cache_answers_shorter_orders_without_building():
         assert cached(4, N) == eisenstein.__wrapped__(4, N)
     assert cached(4, 20, m=2) == eisenstein.__wrapped__(4, 20, 2)
     assert cached(4, 5, 2) == eisenstein.__wrapped__(4, 5, 2)
+    assert cached(4, N=30) == cached(k=4, N=30, m=1) == eisenstein.__wrapped__(4, 30)
+    for args, kwargs in [((4,), {}), ((), {"k": 4, "m": 2}), ((4, 30), {"x": 1}),
+                         ((4, 30), {"k": 4}), ((4, 30, 1, 0), {})]:
+        with pytest.raises(TypeError):
+            cached(*args, **kwargs)
     assert builds == [(4, 50, 1), (4, 20, 2)]
     assert cached(4, 51).N == 51
     assert builds[-1] == (4, 51, 1)

@@ -1,17 +1,18 @@
 """Floating-point evaluation and the numeric equivariance/Schwarzian checks."""
 
 import ast
-import dataclasses
+import copy
 import inspect
 import math
 import os
+import pickle
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from modschwarz import numeric
+from modschwarz import closed_forms, numeric
 from modschwarz.modforms import eisenstein
 from modschwarz.numeric import (
     DEFAULT_POINTS,
@@ -52,6 +53,46 @@ def solved():
 def test_moebius_requires_unit_determinant():
     with pytest.raises(ValueError):
         Moebius(1, 1, 1, 1)
+
+
+def test_moebius_requires_integer_entries():
+    with pytest.raises(TypeError):
+        Moebius(0.5, 0, 0, 2)
+    with pytest.raises(TypeError):
+        Moebius(Fraction(1), 0, 0, 1)
+    with pytest.raises(ValueError):
+        S_GEN._replace(b=1)
+
+
+# Each record built twice: as the package builds it, and afresh (by keyword,
+# or for SolveResult by a second solve).
+RECORDS = {
+    "SolveResult": (lambda: solve_ode(3, 20), lambda: solve_ode(3, 20), "g"),
+    "Moebius": (lambda: S_GEN, lambda: Moebius(a=0, b=-1, c=1, d=0), "a"),
+    "Claim": (
+        lambda: next(c for c in closed_forms.CLAIMS if c.r == 3 and c.output == "X"),
+        lambda: closed_forms.Claim(
+            r=3, label="X == (-270, 0, 1)", output="X", reference=(-270, 0, 1), holds=True
+        ),
+        "holds",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_values_that_survive_pickle_and_copy(name):
+    first, second, field = RECORDS[name]
+    a, b = first(), second()
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert copied == a
+        assert hash(copied) == hash(a)
 
 
 def test_generator_orders():
@@ -139,7 +180,7 @@ def test_refusals_name_check_r_and_order(solved):
         check_equivariance(solve_ode(5, 80), P_GEN)
     growing = LaurentSeries.from_numerators(2, 0, [100**n for n in range(41)], 1)
     with pytest.raises(TailTooLarge, match=r"^schwarzian for r=3 at order 60: terms"):
-        check_schwarz_numeric(dataclasses.replace(solved[3], R=growing))
+        check_schwarz_numeric(solved[3]._replace(R=growing))
 
 
 def test_eval_scales_a_term_whose_factor_exceeds_a_double():
@@ -159,7 +200,7 @@ def test_a_term_past_a_double_names_check_r_and_order(solved):
     with pytest.raises(
         OverflowError, match=r"^equivariance under \[0, -1, 1, 1\] for r=3 at order 60: "
     ):
-        check_equivariance(dataclasses.replace(solved[3], R=deep_pole), P_GEN)
+        check_equivariance(solved[3]._replace(R=deep_pole), P_GEN)
 
 
 def test_eval_is_monotone_improving(solved):
@@ -243,7 +284,7 @@ def test_schwarzian_of_moebius_map_is_zero(solved):
     # Forcing R to a constant makes h a translation; the same code path
     # must then produce a vanishing Schwarzian at every sample point.
     res = solved[1]
-    forced = dataclasses.replace(res, R=LaurentSeries.one(2, 40) * 3)
+    forced = res._replace(R=LaurentSeries.one(2, 40) * 3)
     for tau in DEFAULT_POINTS:
         assert abs(_schwarzian_at(_h_derivatives(forced), tau)) < 1e-12
 

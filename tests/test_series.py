@@ -1,6 +1,8 @@
 """Exact Laurent series arithmetic: examples, windows and ring axioms."""
 
+import copy
 import json
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -958,11 +960,25 @@ def test_equal_values_built_by_different_routes_are_equal(spec, k, c):
         (a + c) - c,
         -(-a),
         a * LaurentSeries.one(m, a.N - a.n_min),
+        pickle.loads(pickle.dumps(a)),
+        copy.copy(a),
+        copy.deepcopy(a),
     ]
     for b in routes:
         assert_canonical(b)
         assert b == a
         assert hash(b) == hash(a)
+
+
+def test_a_series_is_frozen_and_keeps_its_repr():
+    a = L(1, -1, 3, 0, Fraction(1, 2))
+    for field in ("m", "n_min", "nums", "den"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 2)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == L(1, -1, 3, 0, Fraction(1, 2))
+    assert repr(a) == "LaurentSeries(m=1, n_min=-1, nums=(6, 0, 1), den=2)"
 
 
 # ---------------------------------------------------------------------------

@@ -39,5 +39,7 @@ def test_every_traced_series_method_resolves():
 
 
 def test_every_generator_takes_the_order_n():
+    cached = {n for n, f in vars(modforms).items() if hasattr(f, "cache_entries")}
+    assert cached <= set(tracing.GENERATORS)
     for name in tracing.GENERATORS:
         assert "N" in inspect.signature(getattr(modforms, name)).parameters, name
