@@ -32,6 +32,23 @@ cancelling; all of them go over the last denominator once, at the end.
 Both kernels run at half length on numerators that are zero at every odd
 index, as every lattice-2 series of an odd-r solve is.
 
+The quotient's early numerators are padded: over the last denominator
+they carry the factors that only the later steps brought in.  For
+R = -2g/S at r = 96, den has 3310 bits, its first 24 numerators share
+2176 of them, and 37% of R's numerator bits are such padding.  So a
+product whose factor with the larger den is padded runs block by block
+(``_convolve_blocks``).  With G_k the gcd of den and the numerators up
+to the end of block k, each G_k divides the one before; each block is
+divided by its G_k before its dot products, so it is multiplied at its
+own size, and Horner over the blocks puts the G_k back.  That costs one
+more ``_convolve`` call per block and output coefficient, so
+``_padded`` takes the path only when the first block shares more than
+512 bits with den, and a den of 1 (S, E4, t and t0) costs one
+bit-length test.  Blocks took 0.8 of the plain kernel's time for R*S at
+(12, 240) and (64, 66), 0.6 at (96, 98) and 0.4-0.55 at (199, 400) and
+(200, 402); below 320 shared bits (every R*S of r <= 12 up to order 90)
+they took 1.02-1.22 of it.
+
 All coefficient arithmetic is exact; floats are rejected.  Values are
 immutable, so they can be shared freely across threads.
 """
@@ -63,6 +80,13 @@ class UnknownCoefficient(LookupError):
 
 
 _SCALARS = (int, Fraction)
+
+# The block length of ``_convolve_blocks`` (lengths 16 to 32 ran within
+# a few percent of each other from (12, 240) to (200, 402)) and the share
+# of the denominator its first block must carry before a product takes
+# that path (``_padded``).
+_BLOCK = 24
+_PADDING_BITS = 512
 
 
 def format_rational(c: Fraction) -> str:
@@ -181,6 +205,65 @@ def _primitive(nums: Sequence[int]) -> tuple[int, Sequence[int]]:
     """``(c, nums / c)`` with c the content ``gcd(*nums)``; 1 if all are zero."""
     c = gcd(*nums) or 1
     return c, (nums if c == 1 else [x // c for x in nums])
+
+
+def _padded(x: Sequence[int], den: int) -> bool:
+    """Do the first ``_BLOCK`` numerators of x, over den, share more than
+    ``_PADDING_BITS`` bits with den?  Then ``_convolve_blocks`` pays for
+    its extra calls.
+
+    The padding a block removes saves in every product it takes part in,
+    and the extra calls cost the same per block and output coefficient,
+    so both grow with the square of the length and the share of the first
+    block decides.  Kernel time of R*S, blocks over plain (min of 9, one
+    process, 2-CPU VM), by the bits the first 24 numerators share with
+    den: 29-308 bits (r = 6..12 at orders 60 and 90) 1.02-1.22; 419-496
+    bits ((12, 120), (30, 62), (47, 96), (24, 100)) 0.89-0.96; 526-863
+    bits ((20, 120), (36, 74), (64, 66), (12, 240)) 0.79-0.88; 2176 bits
+    (96, 98) 0.61; 3582 bits (120, 122) 0.52.  The threshold sits above
+    the band where the gain is within the noise of a solve.
+    """
+    return (
+        den.bit_length() > _PADDING_BITS
+        and gcd(den, *x[:_BLOCK]).bit_length() > _PADDING_BITS
+    )
+
+
+def _convolve_blocks(
+    x: Sequence[int], y: Sequence[int], n: int, den: int
+) -> tuple[list[int], int]:
+    """``(nums, G)`` with ``nums * G`` the first n coefficients of the
+    product of x and y, the same as ``_convolve(x, y, n)``, for x whose
+    numerators over den carry a factor of den that shrinks along x.
+
+    Cut x into blocks of ``_BLOCK``; block k ends at e_k, and
+    ``G_k = gcd(den, x_0..x_(e_k - 1))``, so each G_k divides the one
+    before.  Coefficient j is ``sum_k G_k*dot_k``, with dot_k the dot
+    product of block k divided by G_k against y reversed, one
+    ``_convolve`` per block.  Horner over the blocks,
+    ``acc = acc*(G_(k-1)/G_k) + dot_k``, keeps coefficient j over the G
+    of the block that holds j; each goes over the last G once, at the
+    end, and that G is returned for the caller's rational factor.
+    """
+    halves = _even_halves(n, x, y)
+    if halves:
+        nums, G = _convolve_blocks(*halves, (n + 1) // 2, den)
+        return _spread(nums, n), G
+    x = x[:n]
+    out = [0] * n
+    G = den
+    chain = []
+    for s in range(0, len(x), _BLOCK):
+        block = x[s:s + _BLOCK]
+        g = gcd(G, *block)
+        step, G = G // g, g
+        chain.append(G)
+        dots = _convolve(block if G == 1 else [v // G for v in block], y, n - s)
+        out[s:] = [v * step + d for v, d in zip(out[s:], dots)]
+    for s, Gk in zip(range(0, len(x), _BLOCK), chain):
+        if Gk != G:
+            out[s:s + _BLOCK] = [v * (Gk // G) for v in out[s:s + _BLOCK]]
+    return out, G
 
 
 def _scaled(nums: Sequence[int], c: int) -> Sequence[int]:
@@ -488,8 +571,13 @@ class LaurentSeries:
         N = min(a.N + b.n_min, b.N + a.n_min)
         ca, A = _primitive(a.nums)
         cb, B = _primitive(b.nums)
-        nums = _convolve(A, B, N - n_min + 1)
-        c = Fraction(ca * cb, a.den * b.den)
+        n = N - n_min + 1
+        x, y, den = (A, B, a.den) if a.den >= b.den else (B, A, b.den)
+        if _padded(x, den):
+            nums, G = _convolve_blocks(x, y, n, den)
+        else:
+            nums, G = _convolve(A, B, n), 1
+        c = Fraction(ca * cb * G, a.den * b.den)
         return LaurentSeries.from_numerators(
             a.m, n_min, _scaled(nums, c.numerator), c.denominator
         )

@@ -76,16 +76,16 @@ class DegenerateEntries(ValueError):
 # all of it in the series products and the one division.  The slowest case
 # is even r = 200 at its minimum order 402, where R's numerators reach
 # 14660 bits.  On a 2-CPU VM (CPU, three runs) ``solve --format json``
-# took 5.5-7.9 s: R*S + 2g 3.0-3.3 s, R = -2g/S 1.2-2.0 s, the short
-# modular build 0.19-0.30 s and the recurrence 0.16-0.27 s.  Odd r = 199
+# took 3.2-4.1 s: R = -2g/S 1.2-1.3 s, R*S + 2g 1.2-1.4 s, the short
+# modular build 0.17-0.23 s and the recurrence 0.15-0.23 s.  Odd r = 199
 # lives on lattice 2, where the kernels skip the zero half: ``verify`` at
-# its minimum order 400 took 2.3-2.4 s.
+# its minimum order 400 took 0.96-1.18 s.
 MAX_R = 200
 
 # Largest --order the CLI accepts, for every command.  The slowest input
 # it lets through is r = MAX_R at this order: ``solve --format json`` took
-# 17 s and 39 MiB peak RSS on a 2-CPU VM (one run; 5.5-7.9 s at order
-# 402), and prints 6.4 MB; r = 2 at this order took 0.4 s.
+# 8.1-8.5 s CPU and 44 MiB peak RSS on a 2-CPU VM (two runs; 3.2-4.1 s at
+# order 402), and prints 6.4 MB; r = 2 at this order took 0.4 s.
 MAX_ORDER = 600
 
 # Fewest coefficients an identity comparison may rest on; also how far past
@@ -395,7 +395,12 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     of them go over the last denominator once, at the end: at r = 96 that
     denominator grows at each of its 199 steps, to 2489 bits, and no earlier
     coefficient is rescaled on the way.  There is no inverse of S and no
-    product after the division.
+    product after the division.  The price is paid in R*S: over R's last
+    denominator its early numerators carry the factors only later steps
+    brought in (37% of R's numerator bits at r = 96), so the division
+    residual multiplies each block of R over its own share of that
+    denominator (``series._convolve_blocks``), in 0.6 of the plain
+    kernel's time at r = 96 and about half at r = 199 and 200.
 
     The Schwarzian equation is certified, not expanded.  Write k = -n0,
     E = a^2*theta^2(S) - r^2*E4*S (the ODE residual),

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from modschwarz import cli, modforms, solver
+from modschwarz import cli, modforms, series, solver
 from modschwarz.modforms import eisenstein, hauptmodul
 from modschwarz.series import LaurentSeries, format_rational
 from modschwarz.solver import minimum_order, solve_ode
@@ -42,10 +42,11 @@ def test_direct_residual_is_zero_on_the_certificate_window(r, N):
 R, ORDER = 3, 40
 
 
-def verify_broken(monkeypatch, **override):
-    """Run ``verify`` for r=3 at order 40; return its exit code, the error
-    message and the SolveResult that solve_ode built before checking it,
-    with the fields in ``override`` put in place of the solved ones."""
+def verify_broken(monkeypatch, case=(R, ORDER), **override):
+    """Run ``verify`` for ``case = (r, order)``, r=3 at order 40 unless
+    given; return its exit code, the error message and the SolveResult
+    that solve_ode built before checking it, with the fields in
+    ``override`` put in place of the solved ones."""
     built = []
     real = solver.SolveResult
 
@@ -54,8 +55,9 @@ def verify_broken(monkeypatch, **override):
         return built[-1]
 
     monkeypatch.setattr(solver, "SolveResult", record)
+    r, order = case
     out, err = io.StringIO(), io.StringIO()
-    code = cli.run(["verify", "--r", str(R), "--order", str(ORDER)], out=out, err=err)
+    code = cli.run(["verify", "--r", str(r), "--order", str(order)], out=out, err=err)
     assert out.getvalue() == ""
     error = json.loads(err.getvalue())["error"]
     assert error["type"] == "ResidualNonzero"
@@ -115,23 +117,51 @@ def test_rescaled_s_breaks_only_the_delta_part(monkeypatch):
     assert (wronskian(res.g, res.S) - res.wronskian).order == 6
 
 
-def test_r_off_at_its_last_coefficient_breaks_only_the_division_part(monkeypatch):
+def block_calls(monkeypatch) -> list[int]:
+    """The denominators of the products that take the block path of
+    ``LaurentSeries.__mul__`` from now on, one per call of its helper."""
+    calls = []
+    real = series._convolve_blocks
+
+    def spy(x, y, n, den):
+        calls.append(den)
+        return real(x, y, n, den)
+
+    monkeypatch.setattr(series, "_convolve_blocks", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "r, order, where",
+    [(3, 40, "last"), (64, 66, "first"), (64, 66, "block boundary"), (64, 66, "last")],
+)
+def test_r_off_at_one_coefficient_breaks_only_the_division_part(r, order, where, monkeypatch):
     # R = g/S * (-2) comes out of one division kernel, so the break is put
-    # on the quotient g/S at its last coefficient.
+    # on the quotient g/S, the one division whose divisor has a positive
+    # order (the short build divides by E4 and by the Hauptmodul).  At
+    # r = 64 the residual R*S takes the block path: its first coefficient
+    # carries the most of the denominator, and the block boundary is where
+    # the second block starts.
     real = LaurentSeries.inverse
 
-    def off_at_the_end(self, numerator=1):
+    def off_at_one(self, numerator=1):
         q = real(self, numerator)
-        return q + LaurentSeries.from_terms(q.m, {q.N: 1}, q.N)
+        if self.order <= 0:
+            return q
+        e = {"first": q.n_min, "block boundary": q.n_min + series._BLOCK, "last": q.N}[where]
+        return q + LaurentSeries.from_terms(q.m, {e: 1}, q.N)
 
-    monkeypatch.setattr(LaurentSeries, "inverse", off_at_the_end)
-    code, message, res = verify_broken(monkeypatch)
+    monkeypatch.setattr(LaurentSeries, "inverse", off_at_one)
+    calls = block_calls(monkeypatch)
+    code, message, res = verify_broken(monkeypatch, (r, order))
     assert code == 1
     assert nonzero_parts(res) == ["division"]
-    # R is off by -2 at p^N_R, so R*S + 2g is off by -2*s0 at p^(N_R+3).
+    assert calls == ([res.R.den] if r == 64 else [])
+    # R is off by -2 at p^e, so R*S + 2g is off by -2*s0 at p^(e + order of S).
+    e = {"first": res.R.n_min, "block boundary": res.R.n_min + series._BLOCK, "last": res.R.N}[where]
     assert message == (
-        f"division residual nonzero for r=3 at order 40: "
-        f"coefficient {-2 * res.S.leading_coefficient} at p^{res.R.N + 3}"
+        f"division residual nonzero for r={r} at order {order}: coefficient "
+        f"{format_rational(-2 * res.S.leading_coefficient)} at p^{e + res.S.order}"
     )
 
 
@@ -200,3 +230,21 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
 
     products = sorted((name(x), name(y)) for x, y in multiplied)
     assert products == [("R", "S"), ("S", "E4"), ("g", "E4")]
+
+
+@pytest.mark.parametrize("r, N", [(64, 66), (96, 98)])
+def test_the_division_residual_takes_the_block_path(r, N, monkeypatch):
+    # R's numerators carry much of its denominator at their start: R*S
+    # multiplies each block of R over its own share of it.
+    calls = block_calls(monkeypatch)
+    res = solve_ode(r, N)
+    assert calls == [res.R.den]
+
+
+def test_no_small_solve_takes_the_block_path(monkeypatch):
+    # r = 1..12 at orders 60 and 90, and (2, 360): the blocks' extra calls
+    # would cost more than the padding they take out, or there is none.
+    calls = block_calls(monkeypatch)
+    for r, N in [(r, N) for N in (60, 90) for r in range(1, 13)] + [(2, 360)]:
+        solve_ode(r, N)
+    assert calls == []

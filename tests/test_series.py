@@ -11,7 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modschwarz import series
 from modschwarz.series import (
+    _BLOCK,
+    _PADDING_BITS,
     IncompatibleLattice,
     LaurentSeries,
     NonzeroConstantTerm,
@@ -20,8 +23,10 @@ from modschwarz.series import (
     _aligned,
     _constant_term,
     _convolve,
+    _convolve_blocks,
     _even_halves,
     _on_lattice,
+    _padded,
     _primitive,
     _quotient,
     format_rational,
@@ -110,6 +115,11 @@ def reference_product(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def one_parity(xs: list, offset: int) -> list:
+    """xs with 0 at every index that is not ``offset`` mod 2."""
+    return [x if i % 2 == offset else 0 for i, x in enumerate(xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +273,120 @@ def test_convolve_window_is_slice_of_product(a, b, data):
     assert all(type(c) is int for c in out)
 
 
+# A denominator of several small prime powers, and the part of it that
+# each block of a padded list carries, one share per block of _BLOCK.
+PADDED_DEN = 2**5 * 3**4 * 5**3 * 7**2
+CHAIN = (2**5 * 3**4 * 5**3, 3**4 * 5**3, 5**3, 1)
+
+
+def padded_list(shares, length, block=_BLOCK):
+    """``length`` numerators, ``shares[i // block]`` times a multiplier of
+    alternating sign that is 1 at the start of the list."""
+    return [shares[i // block] * (-1) ** i * (7 * i + 1) for i in range(length)]
+
+
+def chain_links(x, n, den, block=_BLOCK):
+    """The distinct ``gcd(den, x_0..x_(e_k - 1))`` over the blocks of x[:n]."""
+    x = x[:n]
+    return {gcd(den, *x[:e]) for e in range(block, len(x) + block, block)}
+
+
+def with_zero_block(x, k):
+    return x[: k * _BLOCK] + [0] * _BLOCK + x[(k + 1) * _BLOCK :]
+
+
+def with_entry(x, i, v):
+    return x[:i] + [v] + x[i + 1 :]
+
+
+B = _BLOCK
+Y = [(-1) ** j * (3 * j + 2) for j in range(30)]
+BLOCK_CASES = {
+    # x, y, n: every case is over PADDED_DEN.
+    "chain of four links": (padded_list(CHAIN, 4 * B), Y, 4 * B + 5),
+    # One entry of block 1 prime to the denominator: G is 1 from there on,
+    # though the later blocks are multiples of PADDED_DEN.
+    "G reaches 1 mid-chain": (
+        with_entry(padded_list((CHAIN[0], CHAIN[1], PADDED_DEN, PADDED_DEN), 4 * B), B + 3, 11),
+        Y,
+        4 * B,
+    ),
+    "all-zero block, negatives": (
+        with_zero_block(padded_list(CHAIN, 4 * B), 1),
+        [-v for v in Y],
+        5 * B,
+    ),
+    "len(a) > n": (padded_list(CHAIN, 4 * B), Y, B + 5),
+    "len(b) < n": (padded_list(CHAIN, 3 * B), [5, -1, 2], 3 * B),
+    "n = 1": (padded_list(CHAIN, 2 * B), Y, 1),
+    "odd-index-zero halves": (
+        one_parity(padded_list(CHAIN, 8 * B, 2 * B), 0),  # blocks of the halves
+        one_parity(Y, 0),
+        8 * B + 9,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_convolve_blocks_is_convolve_over_the_last_link(case):
+    x, y, n = BLOCK_CASES[case]
+    if case in ("chain of four links", "all-zero block, negatives"):
+        assert len(chain_links(x, n, PADDED_DEN)) >= 3
+    if case == "odd-index-zero halves":
+        assert len(chain_links(x, n, PADDED_DEN, 2 * _BLOCK)) >= 3
+    nums, G = _convolve_blocks(x, y, n, PADDED_DEN)
+    assert G == gcd(PADDED_DEN, *x[:n])
+    assert [v * G for v in nums] == _convolve(x, y, n)
+    assert all(type(v) is int for v in nums)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_both_product_paths_give_the_same_series(case, monkeypatch):
+    x, y, n = BLOCK_CASES[case]
+    a = LaurentSeries.from_numerators(1, -2, x, PADDED_DEN)
+    b = LaurentSeries.from_numerators(1, 1, y[:n], 3)
+    blocks = []
+    real = series._convolve_blocks
+
+    def spy(*args):
+        blocks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_convolve_blocks", spy)
+    products = []
+    for padded in (False, True):
+        monkeypatch.setattr(series, "_padded", lambda x, den, padded=padded: padded)
+        products += [a * b, b * a]
+    # One call per product; the halves recurse through the helper once more.
+    assert len(blocks) == (4 if case == "odd-index-zero halves" else 2)
+    assert {args[3] for args in blocks} == {a.den}  # a has the larger den
+    assert products[1:] == products[:1] * 3
+    product = products[0]
+    assert (product.n_min, product.N) == (-1, -1 + min(len(a.nums), len(b.nums)) - 1)
+    assert product.coeffs == tuple(
+        Fraction(c, a.den * b.den)
+        for c in _convolve(a.nums, b.nums, product.N - product.n_min + 1)
+    )
+
+
+def test_only_a_padded_first_block_takes_the_block_path():
+    # The first _BLOCK numerators must share more than _PADDING_BITS bits
+    # with den.
+    def padded(share):
+        return [share * (-1) ** i * (i + 1) for i in range(_BLOCK)] + [1, 2, 3]
+
+    big = 3**400  # 634 bits
+    assert _padded(padded(big), big)
+    assert _padded(padded(big), big * 5)
+    assert not _padded(with_entry(padded(big), _BLOCK - 1, 2), big)
+    assert _padded(with_entry(padded(big), _BLOCK, 2), big)  # past the first block
+    assert _padded(padded(big)[:5], big)  # a list shorter than one block
+    edge = 2 ** (_PADDING_BITS - 1)  # exactly _PADDING_BITS bits
+    assert not _padded(padded(edge), edge)
+    assert _padded(padded(2 * edge), 2 * edge)
+    assert not _padded(padded(1), 1)
+
+
 @st.composite
 def pairing_st(draw):
     """A series on either lattice with a window of up to 8 terms from
@@ -352,11 +476,6 @@ def test_truediv_matches_inverse(ab):
 # ---------------------------------------------------------------------------
 # the half path: inputs that vanish at every odd index
 # ---------------------------------------------------------------------------
-
-
-def one_parity(xs: list, offset: int) -> list:
-    """xs with 0 at every index that is not ``offset`` mod 2."""
-    return [x if i % 2 == offset else 0 for i, x in enumerate(xs)]
 
 
 def reference_substitution(A: list[int], U: list[int], n: int) -> tuple[list[int], int]:
