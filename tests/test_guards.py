@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from modschwarz.closed_forms import r_from_h_denominator
+from modschwarz.closed_forms import expand
 from modschwarz.modforms import (
     eisenstein, hauptmodul, seed_t0, sigma, theta_fourth, theta_series
 )
@@ -90,9 +90,9 @@ GUARDS = {
         lambda: theta_fourth(5, 5),
         ValueError, "theta_fourth is defined for j = 2, 3 or 4, got j=5",
     ),
-    "h-denominator-r5": (
-        lambda: r_from_h_denominator(5, 10),
-        ValueError, "r = 2, 3, 4",
+    "half-power-of-delta-on-lattice-1": (
+        lambda: expand(("1 E4 Delta^-1/2",), 10, 1),
+        ValueError, "half-integral power of Delta on lattice 1",
     ),
     "B-for-r0": (
         lambda: build_B(0),

@@ -1,6 +1,8 @@
 """The construction pipeline: B system, eigenvectors, g realisation,
 solutions, residuals, the Frobenius oracle and the equivariant machinery."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -264,7 +266,8 @@ def test_a_cold_solve_builds_the_hauptmodul_once(monkeypatch):
 def test_g3_misprinted_coefficient_is_rejected():
     # The 1226 variant yields principal part p^-3 - 230 p^-1, which the
     # eigenvector (-270) rules out; recorded here rather than patched.
-    wrong = closed_forms.g3(12, closed_forms.G3_MISPRINT)
+    wrong = closed_forms.expand(("1 E4^4 Delta^-3/2", "-1226 E4 Delta^-1/2"), 12, 2)
+    assert wrong == closed_forms.g3(12, closed_forms.G3_MISPRINT)
     assert wrong.coeff(-1) == 996 - 1226 == -230
     res = solve_ode(3, 20)
     assert res.g.coeff(-1) == -270
@@ -573,42 +576,130 @@ def test_s_closed_form_r1(solved):
     assert solved[1].S.leading_coefficient == -240
 
 
-# The odd-r closed forms build lattice-1 forms at about N/2 and lattice-2
-# factors at about N, and the h-denominator forms for r = 2, 3, 4 pad
-# their lattice-1 forms by 2*r.  A claim passes on any overlap of 30, so
-# only the window shows a pad that is too small.
-@pytest.mark.parametrize(
-    "build",
-    [
-        closed_forms.s1,
-        closed_forms.antider_identity_1,
-        closed_forms.r1,
-        lambda N: closed_forms.r_from_h_denominator(2, N),
-        lambda N: closed_forms.r_from_h_denominator(3, N),
-        lambda N: closed_forms.r_from_h_denominator(4, N),
-        closed_forms.f1_body_3,
-    ],
-    ids=[
-        "s1",
-        "antider_identity_1",
-        "r1",
-        "r_from_h_denominator-2",
-        "r_from_h_denominator-3",
-        "r_from_h_denominator-4",
-        "f1_body_3",
-    ],
-)
-def test_odd_r_closed_forms_end_exactly_at_the_order(build):
+# Every series row of the claims table, by the name of the closed form it
+# expands: the literal, g3 with its coefficient, or the h table at depth r.
+CLOSED_FORMS = {
+    "g1": "r1-g",
+    "s1": "r1-S",
+    "antider_identity_1": "r1-antider",
+    "r1": "r1-R",
+    "g2": "r2-g",
+    "s2": "r2-S",
+    "r_from_h_denominator-2": "r2-R",
+    "g3": "r3-g",
+    "g3-1226": "r3-g-variant",
+    "f1_body_3": "r3-S",
+    "r_from_h_denominator-3": "r3-R",
+    "g4": "r4-g",
+    "f1_body_4": "r4-S",
+    "r_from_h_denominator-4": "r4-R",
+}
+ROWS = {_claim_id(claim): claim for claim in closed_forms.CLAIMS}
+
+# SHA-256 of ``json.dumps(reference(N).to_json_dict(), sort_keys=True)`` at
+# N = 40 and 97, recorded from the series builders that each row called
+# before the closed forms became literals.
+REFERENCE_SHA256 = {
+    "g1": (
+        "3fae4d5a3a9f9a48b77c99703f1bd31f881445b20d653ae173e8d8ebdc53753a",
+        "e303c224b12bf51957a511b7788d514d35c36d7153cc935fdf958a4066f87792",
+    ),
+    "s1": (
+        "3acbf09207809feb0ac0966205d44da1f597bcde5e60f74e10c857fd824c0cb6",
+        "b11574f4b81b8799723f31b84a377e35d548acb8c76ae8e1117074ce966fc0a3",
+    ),
+    "antider_identity_1": (
+        "a69e7e71fee164b9f42ca6a45ef841fa0fed90ee873128d50cc99819fee685a5",
+        "f5e866b3fcdeb78bdfcd5a9f0509bc5b22f833dda2cc52b0aec70da53b3138c6",
+    ),
+    "r1": (
+        "17fd1d54e9d73a5a5cc8ced6157fd86dd0108444165679770519b420c7764b93",
+        "47ee4a588de910427e0019ffebfaf214877d47b88e993ed9ff17973a14849b3a",
+    ),
+    "g2": (
+        "8ef2d85fd2f574391a4ca143f119856548ec74c8d209e20b56eeea021bbd8043",
+        "95fc6e5a3f6c69174fcd9f933cfbf10d53213527e7b093816a431fe7e616afe9",
+    ),
+    "s2": (
+        "28701a4b50038986bbaeb198fa54e73d64f5973333e3ecda5bfcb23986fa8878",
+        "651f849baa5b2f23669d14bf60c6717c3dcb5c6bfbfc7ef8122972d749b2703b",
+    ),
+    "r_from_h_denominator-2": (
+        "c89de2c9b0fe8e36cea406bd8277400e33f2528b075de8a6fcf5ca2013998b6a",
+        "6c1c69c579b187288d719ac9d83eda4e41e8ff3b7d3d7b8896034c7f862371bd",
+    ),
+    "g3": (
+        "2ad40d9158030d2b2790497a4d9d3dad997cfef02d9968edf356deb084c6a448",
+        "1c60548ac7a3c81546c65cf0680b214a03927f3444909569f801dd669d32f453",
+    ),
+    "g3-1226": (
+        "2998d6f7b4df9c5c0dc1969bad67464b40f969b829fa3c56814683d1799d0dcc",
+        "dae6f1b863f80c2440e4418166ec91df2e9b76da7eba45ee12ec17976dc40fde",
+    ),
+    "f1_body_3": (
+        "41ed29273e4f1d51d4d1ed7f8177a88076606d7df1aec9699be01bfc3409aa49",
+        "8b62c868884fb5d7c28bf54c2d18ac24cd0c87793ecdc6a05d3d8838f7299e3a",
+    ),
+    "r_from_h_denominator-3": (
+        "6d00966484c51caea275df6fc4c5ffc48bb04396123eecd65ca5602dab3057ab",
+        "866ed3475a57eb6205e62f8921f0b1a797e5c9a313ccf33b0ba8ce3ba9ffb2d1",
+    ),
+    "g4": (
+        "41ba46cd2823560858fc7fd1245ca5c68100eb2c368eee2588f308044981de92",
+        "bf251cf52e632f57c68b9ef299a68c443d2979425c16d55616c24cda1a82f9cd",
+    ),
+    "f1_body_4": (
+        "11c1e2c7d2dcef43995d14ba653aece63fbfd2728dcc521509d8fd84d7b3658f",
+        "340f8df6fada5b12ab80f7adf176a8800c90983556f3b4e2bc4c2ed6853a134e",
+    ),
+    "r_from_h_denominator-4": (
+        "4f71080407ff2dba3c206b0796c9223eaa8e442eb78b1d643d414f001b3048b4",
+        "9f711c8ef49f7e91934c89cfe8983a46e6fa2660e77eb3bd37a3d2dedce0a4f0",
+    ),
+}
+
+
+def test_every_series_row_has_a_closed_form_name_and_a_pinned_reference():
+    series_rows = {row for row, claim in ROWS.items() if claim.output != "X"}
+    assert sorted(CLOSED_FORMS.values()) == sorted(series_rows)
+    assert REFERENCE_SHA256.keys() == CLOSED_FORMS.keys()
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_form_references_keep_their_bytes(name):
+    reference = ROWS[CLOSED_FORMS[name]].reference
+    digests = tuple(
+        hashlib.sha256(
+            json.dumps(reference(N).to_json_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        for N in (40, 97)
+    )
+    assert digests == REFERENCE_SHA256[name]
+
+
+# A claim passes on any overlap of 30, so only the window shows an
+# expansion sized too small; a quotient's window also depends on the order
+# of its divisor, which cancellation raises in the h rows.
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_odd_r_closed_forms_end_exactly_at_the_order(name):
+    reference = ROWS[CLOSED_FORMS[name]].reference
     for N in [*range(1, 42), 64, 97, 123]:
-        assert build(N).N == N, N
+        assert reference(N).N == N, N
 
 
 def test_f1_closed_form_r4_needs_both_corrections(solved):
+    # As sometimes quoted, the r = 4 form lacks the constant and is over
+    # Delta: the first misses by exactly the constant, the second is off.
     res = solved[4]
-    uncorrected = closed_forms.f1_body_4(res.S.N) - closed_forms.F1_4_CONSTANT
+    body, constant = closed_forms.F1_BODY_4
+    assert constant == str(closed_forms.F1_4_CONSTANT)
+    uncorrected = closed_forms.expand((body,), res.S.N, 1)
     assert not res.S.matches(uncorrected, min_overlap=30)
-    # The uncorrected variant differs by exactly the integration constant.
     assert (res.S - closed_forms.F1_4_CONSTANT).matches(uncorrected, min_overlap=30)
+    numerator, divisor = body
+    assert divisor == ("-648 Delta^2",)
+    over_delta = closed_forms.expand(((numerator, ("-648 Delta",)), constant), res.S.N, 1)
+    assert not res.S.matches(over_delta, min_overlap=30)
 
 
 # ---------------------------------------------------------------------------
