@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import modschwarz
-from modschwarz import cli
+from modschwarz import cli, closed_forms
 from modschwarz.cli import build_parser, run
 from modschwarz.series import LaurentSeries
 from modschwarz.solver import MAX_ORDER, MAX_R
@@ -159,6 +159,11 @@ def test_parse_errors_are_reported_as_json():
 
 def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_examples_accepts_exactly_the_r_of_the_claims():
+    # The parser names them without importing ``closed_forms``.
+    assert set(cli.EXAMPLE_RS) == {claim.r for claim in closed_forms.CLAIMS}
 
 
 @pytest.mark.parametrize(

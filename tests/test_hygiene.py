@@ -2,7 +2,8 @@
 names, no function that only the tests call, a clean ``__all__``, nothing
 imported from outside the standard library, every division through the
 one quotient kernel, every lattice layout through ``series``, no cache
-without a bound, and no ``inspect`` or ``dataclasses`` in the import."""
+without a bound, and no ``inspect``, ``dataclasses`` or ``closed_forms``
+in the import."""
 
 import ast
 import os
@@ -212,13 +213,25 @@ def importers(report: str, module: str) -> list[str]:
     return chain
 
 
-def test_the_import_loads_neither_inspect_nor_dataclasses():
-    # Every CLI call pays the import (the benchmark's ``setup_s``), and
-    # these two cost a quarter of it while serving no step of a solve.
-    loaded = [m for m in SLOW_IMPORTS if m in fresh_import().stdout.split()]
+def assert_not_imported(modules) -> None:
+    """Fail with the importer chain of each of ``modules`` that a fresh
+    ``import modschwarz, modschwarz.cli`` loads."""
+    loaded = [m for m in modules if m in fresh_import().stdout.split()]
     if loaded:
         report = fresh_import("-X", "importtime").stderr
         pytest.fail("\n".join(line for m in loaded for line in importers(report, m)))
+
+
+def test_the_import_loads_neither_inspect_nor_dataclasses():
+    # Every CLI call pays the import (the benchmark's ``setup_s``), and
+    # these two cost a quarter of it while serving no step of a solve.
+    assert_not_imported(SLOW_IMPORTS)
+
+
+def test_the_import_leaves_the_closed_forms_to_examples():
+    # Parsing and running the r = 1..4 literals, ``expand`` and ``CLAIMS``
+    # is about a tenth of the import, and only ``examples`` reads them.
+    assert_not_imported(["modschwarz.closed_forms"])
 
 
 def test_no_runtime_dependencies():

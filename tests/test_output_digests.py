@@ -23,6 +23,10 @@ p^600; they were recorded while each group built t0 as its own eta
 quotient, E4*E6/Delta or E4/Delta^(1/2), before both read it off the
 Hauptmodul as -theta(t)/E4.
 
+The ``examples`` digests are also checked in a new interpreter, since
+``cli`` imports ``closed_forms`` only when ``examples`` runs, and by the
+time the in-process checks run, other test modules have imported it.
+
 The ``verify --numeric`` digests pin the floats of the numeric checks:
 they were recorded while coefficients were still evaluated through
 ``complex(Fraction)``, so they also show that evaluating from integer
@@ -32,9 +36,14 @@ numerators over one denominator gives the same doubles.
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modschwarz
 from modschwarz.cli import run
 
 ORDER = 60  # the order of the shared ``solved`` fixture (conftest.py)
@@ -138,3 +147,17 @@ def test_cli_text_digest(argv):
     out = io.StringIO()
     assert run(list(argv), out=out) == 0
     assert sha256(out.getvalue()) == TEXT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("r", ["3", "4"])
+def test_examples_digest_in_a_fresh_interpreter(r):
+    # Without ``site``, the child imports only this package and its own imports.
+    env = dict(os.environ, PYTHONPATH=str(Path(modschwarz.__file__).parent.parent))
+    argv = ("examples", "--r", r)
+    code = "from modschwarz.cli import main; main()"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sha256(proc.stdout) == TEXT_DIGESTS[argv]
