@@ -34,7 +34,15 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .modforms import eisenstein, eta_power
-from .series import LaurentSeries
+from .series import LaurentSeries, ZeroLeadingCoefficient
+
+# The deepest p^n a divisor's order is probed at.  The divisors in the
+# tables start at p^0..p^8 (the h table cut at depth 3 starts at q^4 on
+# lattice 2), and a divisor of order v makes its numerator expand through
+# p^(N + v).  So the fourth probe, through p^62, leaves a margin of seven
+# times the deepest order in use; a divisor still zero there is refused
+# as zero, which a zero divisor would otherwise never be.
+_PROBE_LIMIT = 62
 
 G3_COEFFICIENT = 1266
 G3_MISPRINT = 1226
@@ -72,9 +80,11 @@ def expand(literal: tuple, N: int, m: int) -> LaurentSeries:
     """The q-expansion of ``literal`` on lattice m, exactly through p^N.
 
     The windows are those of the module docstring.  A divisor's order is
-    read off its expansion through p^6, or p^14, p^30, ... until one shows
-    a coefficient: one small probe for every divisor in the tables.  A
-    term that starts above p^N is left out.
+    read off its expansion through p^6, or p^14, p^30, p^62 until one
+    shows a coefficient: one small probe for every divisor in the tables.
+    A divisor that is zero through p^62 (``_PROBE_LIMIT``) is refused with
+    ZeroLeadingCoefficient, as a zero divisor is.  A term that starts
+    above p^N is left out.
     """
     total = 0  # a sum of scalars until the first series term
     for term in literal:
@@ -82,6 +92,10 @@ def expand(literal: tuple, N: int, m: int) -> LaurentSeries:
             numerator, divisor = term
             probe = expand(divisor, 6, m)
             while probe.order is None:
+                if probe.N >= _PROBE_LIMIT:
+                    raise ZeroLeadingCoefficient(
+                        f"divisor {divisor!r} is zero through p^{probe.N} on lattice {m}"
+                    )
                 probe = expand(divisor, 2 * probe.N + 2, m)
             v = probe.order
             num = expand(numerator, N + v, m)

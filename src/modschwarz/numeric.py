@@ -11,15 +11,19 @@ tails at the generator images past the guard, and the equivariance check
 refuses with ``TailTooLarge``.  Tails are estimated by geometric
 extrapolation of the last kept terms with a conservative safety factor.
 
-The checks evaluate few series many times over: one solve's checks make
-40 evaluations of 5 series (R, h', h'', h''', E4) at 15 points.  So
+The checks evaluate few series many times over: one solve's checks
+evaluate R 20 times, E4 5 times, and h', h'', h''' 5 times each.
 ``eval_series`` reads the doubles ``x / den`` of a series' numerators
 from one cache, ``_doubles``, which keeps the tables of the last six
-series by value, enough for one solve's checks.  It forms ``p`` once per
-call and ``p**n`` per term.  A cached double is the very double the term would
-compute, and every term is still ``x / den * p**n``, added left to right
-in the same order, so no value, tail estimate or message changes by a
-bit.
+series by value.  The Schwarzian check builds no series for h', h'' and
+h''': ``_h_derivatives`` reads their tables off R's numerators once per
+check, ``((a*n)**k * x) / den`` at p^n of the k-th, and 1.0 at p^0 of h'.
+Integer true division is correctly rounded, so each double is that of
+the canonical coefficient, whatever factor the unreduced numerator
+shares with den.  Both sum their tables with one loop, ``_sum``, which
+forms ``p**n`` per term and adds the terms left to right, in the same
+order as term by term, so no value, tail estimate or message changes by
+a bit.
 """
 
 from __future__ import annotations
@@ -114,49 +118,62 @@ def eval_series(
     conservative TAIL_FACTOR; if a tolerance is given and the estimate
     exceeds it, TailTooLarge is raised.
     """
-    if tau.imag <= 0:
-        raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
-
-    n_min = series.n_min
-    doubles, last = _doubles(series)
-    p = cmath.exp(2j * math.pi * tau / series.m)
-    value = 0j
-    terms: list[tuple[int, float]] = []  # the last _TAIL_TERMS nonzero terms
-    for i, f in doubles:
-        n = n_min + i
-        if f is None:
-            t = _scaled_term(series.nums[i], series.den, p, n)
-        else:
-            try:
-                t = f * p**n
-            except OverflowError:
-                t = _scaled_term(series.nums[i], series.den, p, n)
-        value += t
-        if i >= last:
-            terms.append((n, abs(t)))
-
-    tail = _tail_estimate(terms, series.N, abs(p))
+    p = _p(tau, series.m)
+    value, tail = _sum(_doubles(series), p)
     if tolerance is not None and tail > tolerance:
         raise TailTooLarge(f"tail estimate {tail:.3e} exceeds {tolerance:.3e}")
     return U**e * value, tail
 
 
+def _double(x: int, den: int) -> float | None:
+    """``x / den``, or None past a double.  int / int is correctly
+    rounded, so this is the double of Fraction(x, den), whatever factor
+    x and den share."""
+    try:
+        return x / den
+    except OverflowError:
+        return None
+
+
 @functools.lru_cache(maxsize=6)
-def _doubles(series: LaurentSeries) -> tuple[list, int]:
-    """``(i, x / den)`` for each nonzero numerator ``x = nums[i]``, with
-    None where that quotient exceeds a double (int / int is correctly
-    rounded: the double of Fraction(x, den)); and the index ``i`` of the
-    first of the last _TAIL_TERMS of them, which the tail estimate reads."""
+def _doubles(series: LaurentSeries) -> tuple:
+    """The table of a series: its lattice m, its order N, ``(n, x /
+    den)`` for each nonzero coefficient ``x / den`` of ``p**n`` (None past
+    a double), and ``exact()``, which gives the series in canonical form."""
     den = series.den
-    doubles = []
-    for i, x in enumerate(series.nums):
-        if x:
+    doubles = [(n, _double(x, den)) for n, x in enumerate(series.nums, series.n_min) if x]
+    return series.m, series.N, doubles, lambda: series
+
+
+def _p(tau: complex, m: int) -> complex:
+    """p = exp(2*pi*i*tau/m), for tau in the upper half-plane."""
+    if tau.imag <= 0:
+        raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
+    return cmath.exp(2j * math.pi * tau / m)
+
+
+def _sum(table: tuple, p: complex) -> tuple[complex, float]:
+    """The terms ``f * p**n`` of a table, added left to right, and the
+    tail estimate from the last _TAIL_TERMS of them.  A term that
+    ``f * p**n`` cannot form comes from ``_scaled_term`` on the numerator
+    and denominator of ``exact()``."""
+    _, N, doubles, exact = table
+    last = doubles[-_TAIL_TERMS][0] if len(doubles) >= _TAIL_TERMS else -math.inf
+    value = 0j
+    terms: list[tuple[int, float]] = []
+    for n, f in doubles:
+        if f is not None:
             try:
-                doubles.append((i, x / den))
+                t = f * p**n
             except OverflowError:
-                doubles.append((i, None))
-    last = doubles[-_TAIL_TERMS][0] if len(doubles) >= _TAIL_TERMS else 0
-    return doubles, last
+                f = None
+        if f is None:
+            series = exact()
+            t = _scaled_term(series.nums[n - series.n_min], series.den, p, n)
+        value += t
+        if n >= last:
+            terms.append((n, abs(t)))
+    return value, _tail_estimate(terms, N, abs(p))
 
 
 def _scaled_term(x: int, den: int, p: complex, n: int) -> complex:
@@ -251,30 +268,58 @@ def check_equivariance(
 
 
 def _h_derivatives(result: SolveResult) -> tuple:
-    """The rational series of h', h'', h''' (theta images of R); the k-th
-    derivative is u^(k-1) times its series."""
+    """The tables of h', h'' and h'''.  The k-th derivative is u^(k-1)
+    times the series a^k*theta^k(R), plus 1 for h'.  Its term at p^n is
+    read off R's numerator x as ``(a*n)**k * x / den``, which rounds to the
+    double of the canonical coefficient, and h' has 1.0 at p^0.  So no
+    series is built, unless a term needs ``_scaled_term``: that reads the
+    canonical numerators of the theta image, built once per table."""
+    R = result.R
     a = 2 // result.m
-    R1 = result.R.theta()
-    R2 = R1.theta()
-    return R1 * a + 1, R2 * (a * a), R2.theta() * (a**3)
+    den = R.den
+    rows: tuple[list, list, list] = ([], [], [])
+    if R.n_min > 0:
+        rows[0].append((0, 1.0))
+    for n, x in enumerate(R.nums, R.n_min):
+        if not n:
+            rows[0].append((0, 1.0))
+        elif x:
+            for row in rows:
+                x *= a * n
+                row.append((n, _double(x, den)))
+    return tuple(
+        (R.m, R.N, row, functools.lru_cache(1)(functools.partial(_theta_image, R, a, k)))
+        for k, row in enumerate(rows, 1)
+    )
+
+
+def _theta_image(R: LaurentSeries, a: int, k: int) -> LaurentSeries:
+    """a^k*theta^k(R), plus 1 for k = 1: the series of h^(k)/u^(k-1)."""
+    image = R
+    for _ in range(k):
+        image = image.theta()
+    image = image * a**k
+    return image + 1 if k == 1 else image
 
 
 def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:
-    """{h, tau} at one point, from the series ``_h_derivatives`` returns."""
+    """{h, tau} at one point, from the tables ``_h_derivatives`` returns."""
     h1, h2, h3 = derivatives
-    v1, _ = eval_series(h1, tau)
+    p = _p(tau, h1[0])
+    v1, _ = _sum(h1, p)
     if abs(v1) < 1e-12:
         raise DerivativeVanishes(f"h' vanishes at {tau}")
-    v2, _ = eval_series(h2, tau, 1)
-    v3, _ = eval_series(h3, tau, 2)
+    v2 = U * _sum(h2, p)[0]
+    v3 = U**2 * _sum(h3, p)[0]
     return v3 / v1 - 1.5 * (v2 / v1) ** 2
 
 
 def check_schwarz_numeric(result: SolveResult, tolerance: float = 1e-6) -> dict:
     """Evaluate {h, tau} - 2 pi^2 r^2 E4(tau) at the sample points.
 
-    h', h'' and h''' are exact series (theta images of R with the right
-    u-powers), built once per check and evaluated at every point.  This is
+    h', h'' and h''' are theta images of R with the right u-powers; their
+    tables of doubles are read off R once per check (``_h_derivatives``)
+    and summed at every point.  This is
     the only check in the package that evaluates {h, tau} from R itself:
     the exact layer certifies it through the ODE and delta residuals and
     R*S = -2g instead (see ``solver.solve_ode``).

@@ -47,7 +47,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .modforms import Group, eisenstein, hauptmodul, j1728, seed_t0, theta_fourth
+from .modforms import Group, eisenstein, hauptmodul, seed_t0, theta_fourth
 from .series import (
     LaurentSeries, _clear_denominators, _constant_term, _on_lattice, format_rational
 )
@@ -553,13 +553,32 @@ def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:
     On lattice m the derivative is f' = (2/m)*u*theta(f), so
     o = (k*m/2) * f / theta(f).
     """
+    return form / _theta_of(form, weight) * _offset_scale(form, weight)
+
+
+def _theta_of(form: LaurentSeries, weight) -> LaurentSeries:
+    """theta(form), refused when it is zero on its known window."""
     tf = form.theta()
     if tf.is_zero():
         raise ZeroDerivative(
             f"the weight {weight} form has zero derivative on its known window, "
             f"through order {form.N}"
         )
-    return form / tf * (Fraction(weight) * Fraction(form.m, 2))
+    return tf
+
+
+def _offset_scale(form: LaurentSeries, weight) -> Fraction:
+    """c = k*m/2, the factor of f/theta(f) in the offset of h_f."""
+    return Fraction(weight) * Fraction(form.m, 2)
+
+
+def _difference(name: str, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """a - b, refused when it is zero on its known window: then two of
+    the four points of a cross-ratio coincide."""
+    d = a - b
+    if d.is_zero():
+        raise DegenerateEntries(f"difference {name} vanishes through order {d.N}")
+    return d
 
 
 def cross_ratio(
@@ -574,13 +593,10 @@ def cross_ratio(
     is again a rational Laurent series:
     ((o1-o2)(o4-o3)) / ((o1-o3)(o4-o2)).
     """
-    d12 = o1 - o2
-    d43 = o4 - o3
-    d13 = o1 - o3
-    d42 = o4 - o2
-    for name, d in (("z1-z2", d12), ("z4-z3", d43), ("z1-z3", d13), ("z4-z2", d42)):
-        if d.is_zero():
-            raise DegenerateEntries(f"difference {name} vanishes through order {d.N}")
+    d12 = _difference("z1-z2", o1, o2)
+    d43 = _difference("z4-z3", o4, o3)
+    d13 = _difference("z1-z3", o1, o3)
+    d42 = _difference("z4-z2", o4, o2)
     return (d12 * d43) / (d13 * d42)
 
 
@@ -602,9 +618,36 @@ def j_cross_ratio_matches(
 ) -> bool:
     """Whether [tau, h_E4, h_Delta, h_E6] == E4^3/(1728*Delta) = j/1728
     on at least ``overlap`` coefficients (``matches`` refuses a shorter
-    common window), for E4, Delta and E6 known through one order."""
-    cross = tau_cross_ratio([(e4, 4), (dl, 12), (e6, 6)])
-    return cross.matches(j1728(e4.N) / 1728, min_overlap=overlap)
+    common window), for E4, Delta and E6 known through one order.
+
+    With the offsets o_i = c_i*f_i/theta(f_i) of ``equivariant_offset``
+    (c = k*m/2) and tau's offset 0, the cross-ratio is num/den with
+
+        num = c2*f2*(c4*f4*theta(f3) - c3*f3*theta(f4)) = c2*f2*d43,
+        den = c3*f3*(c4*f4*theta(f2) - c2*f2*theta(f4)) = c3*f3*d42,
+
+    for (f2, f3, f4) = (E4, Delta, E6): the factors theta(f_i) of the
+    offsets' denominators cancel.  So the identity is
+    1728*Delta*num == E4^3*den, with j/1728 read off the same E4 and
+    Delta.  As f2*f3 = E4*Delta is a factor of both sides, the check
+    compares 1728*c2*d43 with c3*E4^2*d42: six
+    products of series with integer numerators, and no division.  Both
+    sides start at p^1 where num/den starts at p^-1 (E4*Delta*den starts
+    at p^3), so they agree through p^K exactly when the cross-ratio
+    agrees with j/1728 through p^(K - 2), and for the catalog forms the
+    common window has the length of the quotient route's, the
+    cross-ratio compared with ``j1728(N)/1728``.  A zero theta(f) is
+    refused as in ``equivariant_offset``; a vanishing d43 or d42 is the
+    difference of offsets z4-z3 or z4-z2 times theta(f_i)*theta(f4), and
+    is refused as in ``cross_ratio``.
+    """
+    (f2, t2, c2), (f3, t3, c3), (f4, t4, c4) = (
+        (form, _theta_of(form, weight), _offset_scale(form, weight))
+        for form, weight in ((e4, 4), (dl, 12), (e6, 6))
+    )
+    d43 = _difference("z4-z3 times theta(Delta)*theta(E6)", f4 * t3 * c4, f3 * t4 * c3)
+    d42 = _difference("z4-z2 times theta(E4)*theta(E6)", f4 * t2 * c4, f2 * t4 * c2)
+    return (d43 * (1728 * c2)).matches(e4 * e4 * d42 * c3, min_overlap=overlap)
 
 
 def anharmonic_images(mu: LaurentSeries) -> dict[str, LaurentSeries]:

@@ -259,7 +259,9 @@ def test_equivariance_rejects_points_sent_too_low(solved):
 
 
 def test_vanishing_derivative_names_check_r_and_order(solved, monkeypatch):
-    zero = LaurentSeries.zero(solved[3].m, solved[3].R.N)
+    # Tables of the zero series in place of those of h', h'' and h'''
+    # make h' vanish at every point.
+    zero = numeric._doubles(LaurentSeries.zero(solved[3].m, solved[3].R.N))
     monkeypatch.setattr(numeric, "_h_derivatives", lambda result: (zero, zero, zero))
     with pytest.raises(
         DerivativeVanishes,
@@ -307,26 +309,57 @@ def test_exact_and_numeric_residuals_agree(solved):
         assert rep["max_residual"] < 1e-9, r
 
 
-def reference_schwarzian(result, tau):
-    """The per-point path: h', h'', h''' rebuilt at every sample point."""
+def h_series(result):
+    """The series of h', h'' and h''' by series operations: a^k*theta^k(R),
+    plus 1 for h'."""
     a = 2 // result.m
-    R = result.R
-    v1, _ = eval_series(R.theta() * a + 1, tau)
-    v2, _ = eval_series(R.theta().theta() * (a * a), tau, 1)
-    v3, _ = eval_series(R.theta().theta().theta() * a**3, tau, 2)
+    R1 = result.R.theta()
+    R2 = R1.theta()
+    return R1 * a + 1, R2 * (a * a), R2.theta() * a**3
+
+
+def reference_schwarzian(result, tau):
+    """The series route: h', h'', h''' built as series at every sample
+    point and evaluated term by term by the reference evaluator."""
+    h1, h2, h3 = h_series(result)
+    v1, _ = reference_eval_series(h1, tau)
+    v2, _ = reference_eval_series(h2, tau, 1)
+    v3, _ = reference_eval_series(h3, tau, 2)
     return v3 / v1 - 1.5 * (v2 / v1) ** 2
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_schwarz_numeric_equals_the_per_point_path(r, solved):
-    res = solved[r]
+@pytest.mark.parametrize(
+    "r, N, scaled",
+    [(1, 60, 0), (2, 60, 0), (3, 60, 0), (4, 60, 0), (2, 200, 60), (8, 200, 775)],
+    ids=["1", "2", "3", "4", "2-200", "8-200"],
+)
+def test_schwarz_numeric_equals_the_per_point_path(r, N, scaled, monkeypatch):
+    # The tables read off R's numerators give the series route's value
+    # and tail, table by table and point by point, and so the same
+    # Schwarzian and the same max_residual bits.  At order 200, ``scaled`` terms over the five
+    # points need _scaled_term, which reads the canonical numerators of
+    # each theta image, built once per table.
+    res = solve_ode(r, N)
     e4 = eisenstein(4, max(res.R.N, 4), res.m)
     scale = 2 * math.pi**2 * r**2
-    worst = 0.0
-    for tau in DEFAULT_POINTS:
-        want = reference_schwarzian(res, tau)
-        assert _schwarzian_at(_h_derivatives(res), tau) == want
-        worst = max(worst, abs(want - scale * eval_series(e4, tau)[0]))
+    want = [reference_schwarzian(res, tau) for tau in DEFAULT_POINTS]
+    worst = max(abs(w - scale * eval_series(e4, tau)[0]) for w, tau in zip(want, DEFAULT_POINTS))
+    series = h_series(res)
+    sums = [[reference_eval_series(s, tau) for s in series] for tau in DEFAULT_POINTS]
+    calls = []
+    for name in ("_scaled_term", "_theta_image"):
+        real = getattr(numeric, name)
+        monkeypatch.setattr(
+            numeric, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    derivatives = _h_derivatives(res)
+    for tau, at_tau in zip(DEFAULT_POINTS, sums):
+        p = numeric._p(tau, res.m)
+        assert [numeric._sum(table, p) for table in derivatives] == at_tau, tau
+    assert calls.count("_scaled_term") == scaled
+    assert calls.count("_theta_image") == (3 if scaled else 0)
+    assert [_schwarzian_at(derivatives, tau) for tau in DEFAULT_POINTS] == want
+    monkeypatch.undo()
     assert check_schwarz_numeric(res)["max_residual"].hex() == worst.hex()
 
 
@@ -426,17 +459,22 @@ def test_the_evaluator_caches_stay_at_their_bound():
 
 
 @pytest.mark.parametrize("r", (1, 2, 3, 4))
-def test_one_solve_checks_build_each_table_once(r):
-    # Both equivariance checks evaluate R and the Schwarzian check h',
-    # h'', h''' and E4: 40 evaluations of 5 series, whose doubles are
-    # each built once, so the cache holds one solve's checks.
+def test_one_solve_checks_build_each_table_once(r, monkeypatch):
+    # Both equivariance checks evaluate R, 20 times, and the Schwarzian
+    # check E4, 5 times, so the cache builds two tables and reads them 23
+    # times.  The Schwarzian check reads the tables of h', h'' and h'''
+    # off R in one call of _h_derivatives and sums each at the 5 points.
     res = solve_ode(r, 60)
     numeric._doubles.cache_clear()
+    built = []
+    real = numeric._h_derivatives
+    monkeypatch.setattr(numeric, "_h_derivatives", lambda res: built.append(res) or real(res))
     for _, gamma in generators_for(res.group):
         assert check_equivariance(res, gamma)["pass"]
     assert check_schwarz_numeric(res)["pass"]
     info = numeric._doubles.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (5, 35, 5)
+    assert (info.misses, info.hits, info.currsize) == (2, 23, 2)
+    assert built == [res]
 
 
 def test_equal_series_share_one_table():

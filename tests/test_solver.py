@@ -3,7 +3,11 @@ solutions, residuals, the Frobenius oracle and the equivariant machinery."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,7 @@ from modschwarz.solver import (
     n0_for,
     solve_eigen,
     solve_ode,
+    tau_cross_ratio,
 )
 
 from oracles import first_solution, reference_seed_t0, reference_theta_logderiv
@@ -702,6 +707,28 @@ def test_f1_closed_form_r4_needs_both_corrections(solved):
     assert not res.S.matches(over_delta, min_overlap=30)
 
 
+def test_expand_refuses_a_zero_divisor_in_bounded_time():
+    # The divisor E4 - E4 is zero at every order: its probe stops at
+    # p^_PROBE_LIMIT and refuses it by name.  A child process with a
+    # timeout turns a probe that never ends into a failure, not a hang.
+    code = (
+        "from modschwarz import closed_forms\n"
+        "try:\n"
+        "    closed_forms.expand(((('1',), ('1 E4', '-1 E4')),), 10, 1)\n"
+        "except ArithmeticError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(closed_forms.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "ZeroLeadingCoefficient divisor ('1 E4', '-1 E4') is zero through "
+        f"p^{closed_forms._PROBE_LIMIT} on lattice 1\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # equivariant offsets and cross-ratios
 # ---------------------------------------------------------------------------
@@ -756,6 +783,80 @@ def test_j_cross_ratio_checker_sees_a_wrong_form():
     assert not j_cross_ratio_matches(e4, dl, e6 + LaurentSeries.from_terms(1, {15: 1}, pad), 20)
     with pytest.raises(ValueError, match="shorter than min_overlap=40"):
         j_cross_ratio_matches(e4, dl, e6, 40)
+
+
+def quotient_route(e4, dl, e6, overlap):
+    """The j check through the offsets' quotient: the cross-ratio series,
+    compared with j/1728."""
+    cross = tau_cross_ratio([(e4, 4), (dl, 12), (e6, 6)])
+    return cross.matches(modforms.j1728(e4.N) / 1728, min_overlap=overlap)
+
+
+def j_outcome(check, forms, overlap):
+    try:
+        return check(*forms, overlap)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("pad", range(12, 127))
+def test_j_cross_ratio_has_the_quotient_routes_boundary(pad):
+    # On the catalog forms both routes accept every overlap up to pad and
+    # refuse one more: the products' common window has the quotient's
+    # length.
+    forms = eisenstein(4, pad), delta(pad), eisenstein(6, pad)
+    for check in (quotient_route, j_cross_ratio_matches):
+        assert check(*forms, CROSS_RATIO_MIN_OVERLAP) is True
+        assert check(*forms, pad) is True
+        with pytest.raises(ValueError, match=f"shorter than min_overlap={pad + 1}$"):
+            check(*forms, pad + 1)
+
+
+def one_coefficient_changes(pad, exponents):
+    """The catalog forms with one coefficient of one of them moved by +1
+    or -1 (-1 clears a leading coefficient 1)."""
+    forms = eisenstein(4, pad), delta(pad), eisenstein(6, pad)
+    for which, form in enumerate(forms):
+        for n in exponents:
+            for step in (1, -1):
+                if n >= form.n_min:
+                    changed = list(forms)
+                    changed[which] = form + LaurentSeries.from_terms(1, {n: step}, pad)
+                    yield (which, n, step), changed
+
+
+@pytest.mark.parametrize(
+    "pad, exponents",
+    [(12, range(13)), (40, range(41)), (126, [*range(4), 63, 125, 126])],
+)
+def test_j_cross_ratio_rejects_what_the_quotient_route_rejects(pad, exponents):
+    # A changed coefficient of E4, Delta or E6 gives the quotient route's
+    # answer.  The one difference: where clearing Delta's leading 1 makes
+    # the quotient route refuse overlap pad (its window loses a
+    # coefficient), the products still know pad coefficients and reject.
+    for case, forms in one_coefficient_changes(pad, exponents):
+        for overlap in (CROSS_RATIO_MIN_OVERLAP, pad):
+            want = j_outcome(quotient_route, forms, overlap)
+            got = j_outcome(j_cross_ratio_matches, forms, overlap)
+            assert got == want or (want == "ValueError" and got is False), (case, overlap)
+
+
+def test_j_cross_ratio_refuses_degenerate_forms():
+    # A constant form has no derivative, and with E4 = f^2, E6 = f^3 (or
+    # Delta = f^2, E6 = f) two of the points coincide: each is refused by
+    # name, as on the quotient route, instead of comparing 0 with 0.
+    pad = 26
+    e4, dl, e6 = eisenstein(4, pad), delta(pad), eisenstein(6, pad)
+    one, f = LaurentSeries.one(1, pad), eisenstein(4, pad)
+    for forms, weight in (((one, dl, e6), 4), ((e4, one, e6), 12), ((e4, dl, one), 6)):
+        match = f"^the weight {weight} form has zero derivative on its known window"
+        for check in (quotient_route, j_cross_ratio_matches):
+            with pytest.raises(ZeroDerivative, match=match):
+                check(*forms, 20)
+    for forms, name in (((f * f, dl, f * f * f), "z4-z2"), ((e4, f * f, f), "z4-z3")):
+        for check in (quotient_route, j_cross_ratio_matches):
+            with pytest.raises(DegenerateEntries, match=f"^difference {name} .*vanishes"):
+                check(*forms, 20)
 
 
 def logderiv_theta_offsets(N):
