@@ -32,8 +32,6 @@ from .solver import (
     SolveResult,
     build_g,
     classify_theta_cross_ratio,
-    cross_ratio,
-    equivariant_offset,
     frobenius_oracle,
     solve_ode,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "SolveResult",
     "build_g",
     "classify_theta_cross_ratio",
-    "cross_ratio",
-    "equivariant_offset",
     "frobenius_oracle",
     "solve_ode",
 ]

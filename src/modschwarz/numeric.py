@@ -191,16 +191,16 @@ def _scaled_term(x: int, den: int, p: complex, n: int) -> complex:
 def _tail_estimate(terms: list[tuple[int, float]], N: int, ap: float) -> float:
     """The tail from the ``(n, |term|)`` of the last _TAIL_TERMS nonzero
     terms (all of them, if fewer)."""
-    if not terms:
-        return 0.0
     window = [t for t in terms if t[1] > 0.0]
+    if not window:
+        return 0.0
+    n1, m1 = window[-1]
     if len(window) >= 2:
-        (n0, m0), (n1, m1) = window[0], window[-1]
+        n0, m0 = window[0]
         ratio = (m1 / m0) ** (1.0 / (n1 - n0))
     else:
         # Single observable term: assume coefficients keep the observed
         # scale and only |p| provides decay (mildly conservative).
-        n1, m1 = terms[-1] if not window else window[-1]
         ratio = ap
     if ratio >= 1.0:
         raise TailTooLarge(f"terms are not decaying (ratio {ratio:.3f})")

@@ -480,7 +480,7 @@ class LaurentSeries:
             if x:
                 yield self.n_min + i, Fraction(x, self.den)
 
-    def _numerators(self, lo: int, hi: int, scale: int = 1) -> list[int]:
+    def _numerators(self, lo: int, hi: int, scale: int) -> list[int]:
         """Numerators of ``p**lo..p**hi`` times scale; needs lo <= n_min, hi <= N."""
         top = hi - self.n_min + 1
         pad = [0] * (min(self.n_min, hi + 1) - lo)

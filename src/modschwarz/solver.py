@@ -546,16 +546,6 @@ def frobenius_oracle(r: int, N: int) -> LaurentSeries:
     return _on_lattice(A, D, m, lead, N)
 
 
-def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:
-    """The rational series o with h_f - tau = u^(-1) * o, where
-    h_f = tau + k*f/f' is the equivariant map built from a weight-k form.
-
-    On lattice m the derivative is f' = (2/m)*u*theta(f), so
-    o = (k*m/2) * f / theta(f).
-    """
-    return form / _theta_of(form, weight) * _offset_scale(form, weight)
-
-
 def _theta_of(form: LaurentSeries, weight) -> LaurentSeries:
     """theta(form), refused when it is zero on its known window."""
     tf = form.theta()
@@ -567,11 +557,6 @@ def _theta_of(form: LaurentSeries, weight) -> LaurentSeries:
     return tf
 
 
-def _offset_scale(form: LaurentSeries, weight) -> Fraction:
-    """c = k*m/2, the factor of f/theta(f) in the offset of h_f."""
-    return Fraction(weight) * Fraction(form.m, 2)
-
-
 def _difference(name: str, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """a - b, refused when it is zero on its known window: then two of
     the four points of a cross-ratio coincide."""
@@ -581,36 +566,30 @@ def _difference(name: str, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return d
 
 
-def cross_ratio(
-    o1: LaurentSeries,
-    o2: LaurentSeries,
-    o3: LaurentSeries,
-    o4: LaurentSeries,
-) -> LaurentSeries:
-    """Cross-ratio [z1,z2,z3,z4] of four points z_i = tau + u^(-1)*o_i.
+def _cross_ratio_parts(forms) -> tuple[Fraction, LaurentSeries, Fraction, LaurentSeries]:
+    """(c2, d43, c3, d42) for three (name, form, weight) triples
+    (f2, f3, f4), with the cross-ratio [tau, h_f2, h_f3, h_f4] equal to
+    num/den, num = c2*f2*d43 and den = c3*f3*d42.
 
-    The u-powers cancel between numerator and denominator, so the result
-    is again a rational Laurent series:
-    ((o1-o2)(o4-o3)) / ((o1-o3)(o4-o2)).
+    h_f = tau + k*f/f' is the equivariant map built from a weight-k form;
+    on lattice m, f' = (2/m)*u*theta(f), so h_f - tau = u^(-1)*o with
+    o = c*f/theta(f), c = k*m/2.  With tau's offset 0 the cross-ratio is
+    (o2*(o4 - o3)) / (o3*(o4 - o2)): the u-powers cancel, and so do the
+    factors theta(f_i) of the offsets' denominators, leaving
+
+        d43 = c4*f4*theta(f3) - c3*f3*theta(f4),
+        d42 = c4*f4*theta(f2) - c2*f2*theta(f4),
+
+    which are z4-z3 and z4-z2 times theta(f_i)*theta(f4).  A zero
+    theta(f) and a vanishing d43 or d42 are refused by name.
     """
-    d12 = _difference("z1-z2", o1, o2)
-    d43 = _difference("z4-z3", o4, o3)
-    d13 = _difference("z1-z3", o1, o3)
-    d42 = _difference("z4-z2", o4, o2)
-    return (d12 * d43) / (d13 * d42)
-
-
-def tau_cross_ratio(forms) -> LaurentSeries:
-    """The cross-ratio [tau, h_f1, h_f2, h_f3] of three (form, weight)
-    pairs, as a rational series (see ``cross_ratio``).
-
-    tau is the point with offset 0, the zero series on the first form's
-    window; each h_f - tau is ``equivariant_offset`` of its form.
-    """
-    forms = list(forms)
-    f = forms[0][0]
-    offsets = (equivariant_offset(form, weight) for form, weight in forms)
-    return cross_ratio(LaurentSeries.zero(f.m, f.N), *offsets)
+    (n2, f2, t2, c2), (n3, f3, t3, c3), (n4, f4, t4, c4) = (
+        (name, form, _theta_of(form, weight), Fraction(weight * form.m, 2))
+        for name, form, weight in forms
+    )
+    d43 = _difference(f"z4-z3 times theta({n3})*theta({n4})", f4 * t3 * c4, f3 * t4 * c3)
+    d42 = _difference(f"z4-z2 times theta({n2})*theta({n4})", f4 * t2 * c4, f2 * t4 * c2)
+    return c2, d43, c3, d42
 
 
 def j_cross_ratio_matches(
@@ -620,33 +599,20 @@ def j_cross_ratio_matches(
     on at least ``overlap`` coefficients (``matches`` refuses a shorter
     common window), for E4, Delta and E6 known through one order.
 
-    With the offsets o_i = c_i*f_i/theta(f_i) of ``equivariant_offset``
-    (c = k*m/2) and tau's offset 0, the cross-ratio is num/den with
-
-        num = c2*f2*(c4*f4*theta(f3) - c3*f3*theta(f4)) = c2*f2*d43,
-        den = c3*f3*(c4*f4*theta(f2) - c2*f2*theta(f4)) = c3*f3*d42,
-
-    for (f2, f3, f4) = (E4, Delta, E6): the factors theta(f_i) of the
-    offsets' denominators cancel.  So the identity is
-    1728*Delta*num == E4^3*den, with j/1728 read off the same E4 and
-    Delta.  As f2*f3 = E4*Delta is a factor of both sides, the check
-    compares 1728*c2*d43 with c3*E4^2*d42: six
-    products of series with integer numerators, and no division.  Both
-    sides start at p^1 where num/den starts at p^-1 (E4*Delta*den starts
-    at p^3), so they agree through p^K exactly when the cross-ratio
-    agrees with j/1728 through p^(K - 2), and for the catalog forms the
-    common window has the length of the quotient route's, the
-    cross-ratio compared with ``j1728(N)/1728``.  A zero theta(f) is
-    refused as in ``equivariant_offset``; a vanishing d43 or d42 is the
-    difference of offsets z4-z3 or z4-z2 times theta(f_i)*theta(f4), and
-    is refused as in ``cross_ratio``.
+    The cross-ratio is num/den of ``_cross_ratio_parts``, so the identity
+    is 1728*Delta*num == E4^3*den, with j/1728 read off the same E4 and
+    Delta.  As E4*Delta is a factor of both sides, the check compares
+    1728*c2*d43 with c3*E4^2*d42: six products of series with integer
+    numerators, and no division.  Both sides start at p^1 where num/den
+    starts at p^-1 (E4*Delta*den starts at p^3), so they agree through
+    p^K exactly when the cross-ratio agrees with j/1728 through
+    p^(K - 2), and for the catalog forms the common window has the
+    length of the cross-ratio's quotient compared with
+    ``j1728(N)/1728``.
     """
-    (f2, t2, c2), (f3, t3, c3), (f4, t4, c4) = (
-        (form, _theta_of(form, weight), _offset_scale(form, weight))
-        for form, weight in ((e4, 4), (dl, 12), (e6, 6))
+    c2, d43, c3, d42 = _cross_ratio_parts(
+        (("E4", e4, 4), ("Delta", dl, 12), ("E6", e6, 6))
     )
-    d43 = _difference("z4-z3 times theta(Delta)*theta(E6)", f4 * t3 * c4, f3 * t4 * c3)
-    d42 = _difference("z4-z2 times theta(E4)*theta(E6)", f4 * t2 * c4, f2 * t4 * c2)
     return (d43 * (1728 * c2)).matches(e4 * e4 * d42 * c3, min_overlap=overlap)
 
 
@@ -670,6 +636,7 @@ def anharmonic_images(mu: LaurentSeries) -> dict[str, LaurentSeries]:
 def classify_theta_cross_ratio(N: int) -> tuple[str, LaurentSeries]:
     """Identify which anharmonic image of mu = theta2^4/theta3^4 equals the
     cross-ratio [tau, h_theta2, h_theta3, h_theta4]; exact comparison.
+    The cross-ratio is num/den of ``_cross_ratio_parts``: one division.
 
     Every image is compared on at least ``CROSS_RATIO_MIN_OVERLAP``
     coefficients, and exactly one image may match.  The cross-ratio and
@@ -683,8 +650,12 @@ def classify_theta_cross_ratio(N: int) -> tuple[str, LaurentSeries]:
         )
     # theta2 has no integer p-expansion, but h_{f^n} = h_f for any form f,
     # so each h_theta_j comes from the weight-2 form theta_j^4.
-    cross = tau_cross_ratio((theta_fourth(j, N), 2) for j in (2, 3, 4))
-    mu = theta_fourth(2, N) / theta_fourth(3, N)
+    f2, f3, f4 = (theta_fourth(j, N) for j in (2, 3, 4))
+    c2, d43, c3, d42 = _cross_ratio_parts(
+        (("theta2^4", f2, 2), ("theta3^4", f3, 2), ("theta4^4", f4, 2))
+    )
+    cross = (f2 * d43 * c2) / (f3 * d42 * c3)
+    mu = f2 / f3
     labels = [
         label
         for label, image in anharmonic_images(mu).items()

@@ -8,7 +8,9 @@ numeric evaluator as it ran before its factors were cached, and the
 product routes to the generators that ``modforms`` builds by one formula
 each: the seed as the paper's eta quotient, theta2^4 from the triangular
 series, and the theta log-derivatives from theta_3, theta_4 and psi
-themselves.  Kept here only as oracles."""
+themselves, and the cross-ratio [tau, h_f2, h_f3, h_f4] through three
+offsets h_f - tau by division and their quotient, the route the solver's
+cross-ratio checks cancel.  Kept here only as oracles."""
 
 import cmath
 import math
@@ -23,6 +25,7 @@ from modschwarz.numeric import (
     _scaled_term,
 )
 from modschwarz.series import LaurentSeries
+from modschwarz.solver import _difference, _theta_of
 
 
 def first_solution(
@@ -74,6 +77,46 @@ def schwarzian_via_differences(h, tau: complex, step: float = 5e-4) -> complex:
     d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step**2)
     d3 = (f[4] - 2 * f[3] + 2 * f[1] - f[0]) / (2 * step**3)
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
+
+
+def equivariant_offset(form: LaurentSeries, weight) -> LaurentSeries:
+    """The rational series o with h_f - tau = u^(-1) * o, where
+    h_f = tau + k*f/f' is the equivariant map built from a weight-k form.
+
+    On lattice m the derivative is f' = (2/m)*u*theta(f), so
+    o = (k*m/2) * f / theta(f).  A zero theta(f) is refused by name.
+    """
+    return form / _theta_of(form, weight) * Fraction(weight * form.m, 2)
+
+
+def cross_ratio(
+    o1: LaurentSeries,
+    o2: LaurentSeries,
+    o3: LaurentSeries,
+    o4: LaurentSeries,
+) -> LaurentSeries:
+    """Cross-ratio [z1,z2,z3,z4] of four points z_i = tau + u^(-1)*o_i.
+
+    The u-powers cancel between numerator and denominator, so the result
+    is again a rational Laurent series:
+    ((o1-o2)(o4-o3)) / ((o1-o3)(o4-o2)).  Coinciding points are refused
+    by name.
+    """
+    d12 = _difference("z1-z2", o1, o2)
+    d43 = _difference("z4-z3", o4, o3)
+    d13 = _difference("z1-z3", o1, o3)
+    d42 = _difference("z4-z2", o4, o2)
+    return (d12 * d43) / (d13 * d42)
+
+
+def tau_cross_ratio(forms) -> LaurentSeries:
+    """The cross-ratio [tau, h_f1, h_f2, h_f3] of three (form, weight)
+    pairs: tau's offset is the zero series on the first form's window,
+    and each h_f - tau is ``equivariant_offset`` of its form."""
+    forms = list(forms)
+    f = forms[0][0]
+    offsets = (equivariant_offset(form, weight) for form, weight in forms)
+    return cross_ratio(LaurentSeries.zero(f.m, f.N), *offsets)
 
 
 def reference_eval_series(

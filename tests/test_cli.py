@@ -13,7 +13,7 @@ import modschwarz
 from modschwarz import cli, closed_forms
 from modschwarz.cli import build_parser, run
 from modschwarz.series import LaurentSeries
-from modschwarz.solver import MAX_ORDER, MAX_R
+from modschwarz.solver import MAX_ORDER, MAX_R, minimum_order
 
 
 def capture(argv):
@@ -92,6 +92,19 @@ def test_the_slowest_input_passes_validation(monkeypatch):
 def test_too_small_order_exits_2():
     code, _, _ = capture(["solve", "--r", "6", "--order", "3"])
     assert code == 2
+
+
+def test_order_below_the_minimum_at_the_r_limit_exits_2(monkeypatch):
+    # r = MAX_R itself is accepted, so the refusal names --order, not --r.
+    def refuse(r, N):
+        raise AssertionError("solve_ode was called")
+
+    monkeypatch.setattr(cli, "solve_ode", refuse)
+    least = minimum_order(MAX_R)
+    assert_usage_error(
+        ["solve", "--r", str(MAX_R), "--order", str(least - 1)],
+        f"--order must be >= {least} for r={MAX_R}",
+    )
 
 
 def test_unknown_series_name_exits_2():

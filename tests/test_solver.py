@@ -32,18 +32,22 @@ from modschwarz.solver import (
     build_B,
     build_g,
     classify_theta_cross_ratio,
-    cross_ratio,
-    equivariant_offset,
     frobenius_oracle,
     j_cross_ratio_matches,
     minimum_order,
     n0_for,
     solve_eigen,
     solve_ode,
-    tau_cross_ratio,
 )
 
-from oracles import first_solution, reference_seed_t0, reference_theta_logderiv
+from oracles import (
+    cross_ratio,
+    equivariant_offset,
+    first_solution,
+    reference_seed_t0,
+    reference_theta_logderiv,
+    tau_cross_ratio,
+)
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +295,10 @@ def test_solve_rejects_bad_arguments():
         solve_ode(6, minimum_order(6) - 1)
     with pytest.raises(ValueError, match=f"above the limit MAX_R={MAX_R}"):
         solve_ode(MAX_R + 1, 10**6)
+    # r = MAX_R itself is accepted: a short order is refused as such.
+    least = minimum_order(MAX_R)
+    with pytest.raises(ValueError, match=f"below the minimal budget {least} for r={MAX_R}$"):
+        solve_ode(MAX_R, least - 1)
 
 
 def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
@@ -912,6 +920,29 @@ def test_theta_cross_ratio_mismatch_names_the_order(monkeypatch):
     monkeypatch.setattr(solver, "anharmonic_images", lambda mu: {"1-mu": 1 - mu})
     with pytest.raises(ResidualNonzero, match="cross-ratio at order 20 matches 0 "):
         classify_theta_cross_ratio(20)
+
+
+@pytest.mark.parametrize("N", [*range(CROSS_RATIO_MIN_OVERLAP, 131), 160, 200, 240])
+def test_theta_cross_ratio_is_the_offset_routes_series(N):
+    # The one-division num/den is the very series of the offsets'
+    # quotient route, window included.
+    label, cross = classify_theta_cross_ratio(N)
+    assert label == "mu"
+    assert cross == tau_cross_ratio((theta_fourth(j, N), 2) for j in (2, 3, 4))
+
+
+def test_theta_cross_ratio_takes_one_division(monkeypatch):
+    # The cross-ratio, mu and the two inverses of ``anharmonic_images``.
+    calls = []
+    inverse = LaurentSeries.inverse
+
+    def counted(self, *args):
+        calls.append(self)
+        return inverse(self, *args)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", counted)
+    classify_theta_cross_ratio(40)
+    assert len(calls) == 4
 
 
 def test_theta_cross_ratio_is_classical_lambda():
