@@ -2,8 +2,8 @@
 reference examples and the exact identity suite.
 
 Every call pays for importing this module.  ``closed_forms`` (the paper's
-r = 1..4 literals, ``expand`` and ``CLAIMS``) serves ``examples`` alone,
-so only that command imports it."""
+r = 1..4 literals, ``CLAIMS`` and their decision in ``ring``) serves
+``examples`` alone, so only that command imports it."""
 
 from __future__ import annotations
 
@@ -193,15 +193,11 @@ def _check(out, failures: list, name: str, ok: bool, detail: str = "") -> None:
 def _cmd_examples(args, out) -> int:
     from . import closed_forms
 
-    N = args.order
-    res = solve_ode(args.r, N)
+    res = solve_ode(args.r, args.order)
     failures: list[str] = []
-    overlap = max(10, N // 2)
 
-    for claim in closed_forms.CLAIMS:
-        if claim.r != args.r:
-            continue
-        _check(out, failures, claim.label, claim.check(res, overlap))
+    for claim, ok in closed_forms.verdicts(res):
+        _check(out, failures, claim.label, ok)
         if claim.note:
             print(f"NOTE {claim.note}", file=out)
 

@@ -146,10 +146,17 @@ def _doubles(series: LaurentSeries) -> tuple:
 
 
 def _p(tau: complex, m: int) -> complex:
-    """p = exp(2*pi*i*tau/m), for tau in the upper half-plane."""
+    """p = exp(2*pi*i*tau/m), for tau in the upper half-plane with |p|
+    below 1.0 as a double.  Where |p| rounds to 1.0 (Im tau below about
+    1.8e-17*m) no term decays, and a series whose terms all underflow
+    would read a tail of 0.0 and pass any tolerance; such a tau is
+    refused like one outside the half-plane."""
     if tau.imag <= 0:
         raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
-    return cmath.exp(2j * math.pi * tau / m)
+    p = cmath.exp(2j * math.pi * tau / m)
+    if abs(p) >= 1.0:
+        raise PointOutsideDomain(f"|p| rounds to 1.0 at tau = {tau} on lattice {m}")
+    return p
 
 
 def _sum(table: tuple, p: complex) -> tuple[complex, float]:

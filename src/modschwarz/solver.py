@@ -155,14 +155,11 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     constant term 0 for n != -1 (it is theta(t^(n+1))/(n+1)) and -1 for
     n = -1 (theta(log t)).  So c_j = CT(G*E4*t^(-(j+1))), and as
     t^(-(j+1)) = O(p^(j+1)) and E4 = 1 + O(p), only x*E4 through p^-1
-    reaches it: c_j = CT(x*E4 * s^(j+1)), s = 1/t through p^len(X).  The
-    powers go baby-step giant-step, L = isqrt(len(X)): the baby steps
-    s^1..s^L, the giant steps x*E4*s^(i*L), each from the one before and
-    cut to p^-1, and then c_j is one constant term of a giant step times a
-    baby step.  So about 2*sqrt(len(X)) products build the powers, where
-    one product per power made the pairings cubic in len(X): 40 against
-    130 ms at r = 199 (len(X) = 199), 3 against 6 ms at r = 96 (CPU, one
-    process, 2-CPU VM).
+    reaches it (``residue_pairings``).  Its baby-step giant-step powers
+    of 1/t take about 2*sqrt(len(X)) products, where one product per
+    power made the pairings cubic in len(X): 40 against 130 ms at
+    r = 199 (len(X) = 199), 3 against 6 ms at r = 96 (CPU, one process,
+    2-CPU VM).
 
     P(t) is then evaluated through p^N by Paterson-Stockmeyer: with the
     coefficients over one integer denominator D and k = isqrt(deg P + 1),
@@ -178,17 +175,7 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     t0 = seed_t0(group, budget)
     t = hauptmodul(group, budget)
     h = LaurentSeries(t.m, -size, X[::-1]) * eisenstein(4, size - 1, t.m)
-    s = t.truncate(size).inverse().truncate(size)  # p + ..., through p^size
-    L = isqrt(size)
-    baby = [s]  # s^b through p^size for b = 1..L, from s^(b-1) = O(p^(b-1))
-    for b in range(2, L + 1):
-        baby.append(baby[-1].truncate(size - 1) * s.truncate(size - b + 1))
-    c, giant = [], h  # giant = h*s^(i*L) through p^-1, from p^(i*L - size)
-    for i in range(0, size, L):
-        if i:
-            giant = giant * baby[-1].truncate(size - 1 - i + L)
-        c += [_constant_term(giant, sb) for sb in baby[: size - i]]
-    C, D = _clear_denominators(c)
+    C, D = _clear_denominators(residue_pairings(h, t, size))
     deg = max((j for j, cj in enumerate(C) if cj), default=0)
     k = isqrt(deg + 1)
     tp = [1, t]  # tp[l] = t^l
@@ -204,6 +191,31 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     for i in range(deg // k - 1, -1, -1):
         P = P * tp[k] + block(i)
     return P * t0 / D
+
+
+def residue_pairings(h: LaurentSeries, t: LaurentSeries, n: int) -> list[Fraction]:
+    """CT(h * t^-(j+1)) for j = 0..n-1, with h known from p^-n through
+    p^-1 and t = 1/p + ... the Hauptmodul, known through p^n.
+
+    t^-(j+1) = s^(j+1) = O(p^(j+1)) with s = 1/t, so only h through p^-1
+    reaches the constant term.  The powers go baby-step giant-step,
+    L = isqrt(n): the baby steps s^1..s^L, the giant steps h*s^(i*L),
+    each from the one before and cut to p^-1, and each pairing is one
+    constant term of a giant step times a baby step
+    (``series._constant_term``).  ``build_g`` reads the coefficients of P
+    this way, and ``closed_forms`` those of P and Psi.
+    """
+    s = t.truncate(n).inverse().truncate(n)  # p + ..., through p^n
+    L = isqrt(n)
+    baby = [s]  # s^b through p^n for b = 1..L, from s^(b-1) = O(p^(b-1))
+    for b in range(2, L + 1):
+        baby.append(baby[-1].truncate(n - 1) * s.truncate(n - b + 1))
+    c, giant = [], h  # giant = h*s^(i*L) through p^-1, from p^(i*L - n)
+    for i in range(0, n, L):
+        if i:
+            giant = giant * baby[-1].truncate(n - 1 - i + L)
+        c += [_constant_term(giant, sb) for sb in baby[: n - i]]
+    return c
 
 
 def relation_series(

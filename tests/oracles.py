@@ -10,12 +10,16 @@ each: the seed as the paper's eta quotient, theta2^4 from the triangular
 series, and the theta log-derivatives from theta_3, theta_4 and psi
 themselves, and the cross-ratio [tau, h_f2, h_f3, h_f4] through three
 offsets h_f - tau by division and their quotient, the route the solver's
-cross-ratio checks cancel.  Kept here only as oracles."""
+cross-ratio checks cancel, and the series route of the closed-form
+claims, which compares each literal's expansion with the solve's output on
+its window, as ``examples`` did before the ring decided them.  Kept here
+only as oracles."""
 
 import cmath
 import math
 from fractions import Fraction
 
+from modschwarz.closed_forms import expand
 from modschwarz.modforms import Group, eisenstein, eta_power, theta_series
 from modschwarz.numeric import (
     TAIL_FACTOR,
@@ -130,6 +134,8 @@ def reference_eval_series(
     if tau.imag <= 0:
         raise PointOutsideDomain(f"Im tau must be positive, got {tau}")
     p = cmath.exp(2j * math.pi * tau / series.m)
+    if abs(p) >= 1.0:
+        raise PointOutsideDomain(f"|p| rounds to 1.0 at tau = {tau}")
     value = 0j
     terms = []
     for n, x in enumerate(series.nums, series.n_min):
@@ -200,3 +206,19 @@ def reference_theta_logderiv(j: int, N: int) -> tuple[Fraction, LaurentSeries]:
         return Fraction(1, 8), (psi.theta() / psi).align(2).truncate(N)
     t = theta_series(j, N)
     return Fraction(0), t.theta() / t * Fraction(1, 2)
+
+
+def claim_matches_series(claim, result, overlap: int) -> bool:
+    """True when a ``closed_forms.Claim`` comes out as stated on the
+    series: its literal, expanded by ``closed_forms.expand`` at the
+    output's order N on the output's lattice, matches the output on at
+    least ``overlap`` coefficients, or, for a variant with ``holds``
+    False, does not.  The output is X, g, S, R, or theta_antider(g*E4)."""
+    if claim.output == "X":
+        return (list(result.X) == list(claim.reference)) == claim.holds
+    if claim.output == "antider":
+        out = (result.g * eisenstein(4, result.g.N + 1, 2)).theta_antider()
+    else:
+        out = getattr(result, claim.output)
+    reference = expand(claim.reference, out.N, out.m)
+    return out.matches(reference, min_overlap=overlap) == claim.holds

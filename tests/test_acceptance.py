@@ -22,7 +22,7 @@ from modschwarz.solver import (
     solve_eigen,
 )
 
-from oracles import direct_schwarz_residual
+from oracles import claim_matches_series, direct_schwarz_residual
 
 ORDER = 60  # the order of the shared ``solved`` fixture (conftest.py)
 
@@ -97,10 +97,14 @@ def test_criterion_5_oracle_equivalence(solved):
 
 def test_criterion_6_closed_form_goldens(solved):
     overlap = 40
+    # Each row on the series route, on a window of 40, and in the ring.
+    ring = {
+        claim: ok for r in (1, 2, 3, 4) for claim, ok in closed_forms.verdicts(solved[r])
+    }
     failed = [
         claim.label
         for claim in closed_forms.CLAIMS
-        if not claim.check(solved[claim.r], overlap)
+        if not (claim_matches_series(claim, solved[claim.r], overlap) and ring[claim])
     ]
     residual_authority = all(
         solved[r].ode_residual.is_zero() and solved[r].schwarz_residual_zero
@@ -118,7 +122,8 @@ def test_criterion_6_closed_form_goldens(solved):
         6,
         not failed and residual_authority,
         f"all {len(closed_forms.CLAIMS)} rows of closed_forms.CLAIMS come out as "
-        f"stated for r=1..4 at overlap {overlap} (the 1226 g3 variant rejected)",
+        f"stated for r=1..4 at overlap {overlap} and exactly in the ring "
+        "(the 1226 g3 variant rejected)",
     )
 
 

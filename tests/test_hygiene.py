@@ -2,8 +2,8 @@
 names, no function that only the tests call, a clean ``__all__``, nothing
 imported from outside the standard library, every division through the
 one quotient kernel, every lattice layout through ``series``, no cache
-without a bound, and no ``inspect``, ``dataclasses`` or ``closed_forms``
-in the import."""
+without a bound, and no ``inspect``, ``dataclasses``, ``closed_forms`` or
+``ring`` in the import."""
 
 import ast
 import os
@@ -232,6 +232,11 @@ def test_the_import_leaves_the_closed_forms_to_examples():
     # Parsing and running the r = 1..4 literals, ``expand`` and ``CLAIMS``
     # is about a tenth of the import, and only ``examples`` reads them.
     assert_not_imported(["modschwarz.closed_forms"])
+
+
+def test_the_import_leaves_the_ring_to_examples():
+    # ``ring`` decides the closed-form claims, so it follows ``closed_forms``.
+    assert_not_imported(["modschwarz.ring"])
 
 
 def test_no_runtime_dependencies():

@@ -164,6 +164,16 @@ def test_eval_rejects_lower_half_plane():
         eval_series(LaurentSeries.one(1, 5), 0.5 - 1j)
 
 
+@pytest.mark.parametrize("m", (1, 2))
+def test_eval_rejects_a_point_where_p_rounds_to_the_unit_circle(m):
+    # Im tau = 1e-20 gives |p| == 1.0 as a double: a series whose every
+    # term underflows would read a tail of 0.0 and pass any tolerance.
+    tiny = LaurentSeries.from_numerators(m, 0, [1], 10**400)
+    for series in (tiny, LaurentSeries.zero(m, 10)):
+        with pytest.raises(PointOutsideDomain, match="rounds to 1.0"):
+            eval_series(series, 0.3 + 1e-20j, tolerance=1e-6)
+
+
 def test_eval_tail_guard_raises_outside_convergence(solved):
     # h for r=3 has poles around Im tau ~ 0.62; close to that height the
     # R-series terms stop decaying and the guard must fire.
