@@ -49,6 +49,15 @@ bit-length test.  Blocks took 0.8 of the plain kernel's time for R*S at
 (200, 402); below 320 shared bits (every R*S of r <= 12 up to order 90)
 they took 1.02-1.22 of it.
 
+For the same reason the three gcd passes over numerators read them
+last-first: the canonical form's in ``_set``, the content in
+``_primitive`` and the block chain of ``_convolve_blocks``.  From the
+end, where the padding is gone, the running gcd reaches its value within
+a step or two, and ``math.gcd`` skips the rest of its arguments once
+that value is 1.  The gcd of R's den and numerators took 0.09 against
+1.28 ms forward at (96, 98), and 0.33 against 9.3 ms at (199, 400), with
+the same value (best of 15, one process, 2-CPU VM).
+
 All coefficient arithmetic is exact; floats are rejected.  Values are
 immutable, so they can be shared freely across threads.
 """
@@ -202,8 +211,9 @@ def _constant_term(a: LaurentSeries, b: LaurentSeries) -> Fraction:
 
 
 def _primitive(nums: Sequence[int]) -> tuple[int, Sequence[int]]:
-    """``(c, nums / c)`` with c the content ``gcd(*nums)``; 1 if all are zero."""
-    c = gcd(*nums) or 1
+    """``(c, nums / c)`` with c the content ``gcd(*nums)``, read last-first;
+    1 if all are zero."""
+    c = gcd(*reversed(nums)) or 1
     return c, (nums if c == 1 else [x // c for x in nums])
 
 
@@ -238,7 +248,8 @@ def _convolve_blocks(
 
     Cut x into blocks of ``_BLOCK``; block k ends at e_k, and
     ``G_k = gcd(den, x_0..x_(e_k - 1))``, so each G_k divides the one
-    before.  Coefficient j is ``sum_k G_k*dot_k``, with dot_k the dot
+    before; each is found from the one before and block k read
+    last-first.  Coefficient j is ``sum_k G_k*dot_k``, with dot_k the dot
     product of block k divided by G_k against y reversed, one
     ``_convolve`` per block.  Horner over the blocks,
     ``acc = acc*(G_(k-1)/G_k) + dot_k``, keeps coefficient j over the G
@@ -255,7 +266,7 @@ def _convolve_blocks(
     chain = []
     for s in range(0, len(x), _BLOCK):
         block = x[s:s + _BLOCK]
-        g = gcd(G, *block)
+        g = gcd(G, *reversed(block))
         step, G = G // g, g
         chain.append(G)
         dots = _convolve(block if G == 1 else [v // G for v in block], y, n - s)
@@ -359,7 +370,7 @@ class LaurentSeries:
         if start:
             nums = nums[start:]
             n_min += start
-        g = gcd(den, *nums)
+        g = gcd(den, *reversed(nums))
         if g != 1:
             den //= g
             nums = [x // g for x in nums]

@@ -6,21 +6,21 @@ On the group's lattice (m = 1 for even r, m = 2 for odd r) the expansion
 variable is p = q**(1/m) and d/dtau = a*u*theta with a = 2/m and
 theta = p d/dp.
 
-1. One pass of the ODE's coefficient relation, in integers, from the
-   deepest pole p^n0 (size = -n0) to the full budget (``relation_series``)
-   gives g and the first solution S.  Below p^0 it is B X = X: the
-   principal part X of g is the eigenvalue-1 eigenvector of the
-   upper-triangular matrix B (``build_B``, ``solve_eigen``) with deepest
-   component 1.  At p^size it leaves g free.
+1. The ODE's coefficient relation, in integers, from the deepest pole
+   p^n0 (size = -n0) through p^-1 (``relation_series``) gives the
+   principal part X of g.  Below p^0 the relation is B X = X: X is the
+   eigenvalue-1 eigenvector of the upper-triangular matrix B
+   (``build_B``, ``solve_eigen``) with deepest component 1.
 2. Realise the weight -2 form with principal part X as P(t)*t0, with t
    the Hauptmodul and t0 the seed form, only through
    p^(size + CROSS_RATIO_MIN_OVERLAP): the coefficients of P are residue
    pairings (``build_g``), and P(t)*t0 is evaluated by Paterson-Stockmeyer.
-   Its coefficient at p^size fixes the free multiple of S in g; the two
-   must agree wherever both are known.
+   At p^size the relation leaves g free.  One pass of it from p^n0 to the
+   full budget, with g at p^size read off this short build, gives g and
+   the first solution S; the two g must agree wherever both are known.
 3. The first solution is F1 = u*S with
    S = a*theta(g) - (r^2/a)*theta_antider(g*E4); its constant term, the
-   value of F1/u at the cusp, is 0 for every r.  The pass of step 1
+   value of F1/u at the cusp, is 0 for every r.  The pass of step 2
    gives S alongside g; g*E4 is formed only to check it (step 5).
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
    h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
@@ -37,7 +37,7 @@ theta = p d/dp.
    g, S and R.
 
 A second implementation of the recurrence for S (``frobenius_oracle``)
-checks the bookkeeping of the pass of step 1; the ODE residual is the proof.
+checks the bookkeeping of the pass of step 2; the ODE residual is the proof.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class DegenerateEntries(ValueError):
 # all of it in the series products and the one division.  The slowest case
 # is even r = 200 at its minimum order 402, where R's numerators reach
 # 14660 bits.  On a 2-CPU VM (CPU, three runs) ``solve --format json``
-# took 3.2-4.1 s: R = -2g/S 1.2-1.3 s, R*S + 2g 1.2-1.4 s, the short
-# modular build 0.17-0.23 s and the recurrence 0.15-0.23 s.  Odd r = 199
-# lives on lattice 2, where the kernels skip the zero half: ``verify`` at
-# its minimum order 400 took 0.96-1.18 s.
+# took 3.5-4.3 s: R = -2g/S 1.3-1.4 s, R*S + 2g 1.4-1.8 s, the short
+# modular build 0.16-0.18 s and the two relation passes 0.16-0.17 s.
+# Odd r = 199 lives on lattice 2, where the kernels skip the zero half:
+# ``verify`` at its minimum order 400 took 0.95-1.10 s.
 MAX_R = 200
 
 # Largest --order the CLI accepts, for every command.  The slowest input
@@ -219,11 +219,13 @@ def residue_pairings(h: LaurentSeries, t: LaurentSeries, n: int) -> list[Fractio
 
 
 def relation_series(
-    r: int, e4: LaurentSeries, M: int
+    r: int, e4: LaurentSeries, M: int, g_size: int | Fraction = 0
 ) -> tuple[LaurentSeries, LaurentSeries]:
     """One pass of the ODE's coefficient relation from p^-size through
-    p^M (size = -n0): the weight -2 form g with g_(-size) = 1 and 0 at
-    p^size, and the first solution S with F1 = u*S.
+    p^M (size = -n0): the weight -2 form g with g_(-size) = 1 and
+    ``g_size`` at p^size, and the first solution S with F1 = u*S.  A pass
+    through p^-1 gives the principal part of g alone, and S as the zero
+    window, in 2-3% of the time of a full pass at r = 47, 64 and 96.
 
     S = a*theta(g) - (r^2/a)*theta_antider(g*E4), which builds in
     a*theta(S) = a^2*theta^2(g) - r^2*g*E4.  On lattice m, g and S can be
@@ -240,15 +242,17 @@ def relation_series(
     0 there (the cusp value c/u, which ``solve`` prints, is 0 for every
     r), as at every exponent below p^size.  At k = r, n = size, the left
     side vanishes, so the relation fixes lambda = S_r = -r * sum_(i<r)
-    g_i b_(r-i), and g_r is free: g + c*S has the same S.  For k > r,
-    S_k comes from the ODE,
+    g_i b_(r-i), and g_r is free: g + c*S has the same S.  The pass puts
+    g_r = ``g_size``.  For k > r, S_k comes from the ODE,
         4k(k - r) S_k = r^2 * sum_(r<=i<k) S_i b_(k-i),
-    and then g_k from the relation.  The lattice only decides where the
+    and then g_k from the relation, which is linear in g and S: with
+    (g0, S0) the pass with 0, the pass with ``g_size`` = c gives
+    g0 + (c/lambda)*S0 and S0.  The lattice only decides where the
     results land: step k is the coefficient of p^(-size + m*k) of g and of
     S, and the exponents in between are zero.
 
-    Why g + (g_size/lambda)*S is the modular g = P(t)*t0 of ``build_g``
-    to all orders, with g_size its coefficient at p^size.  Write Gamma for
+    Why g is the modular g = P(t)*t0 of ``build_g`` to all orders when
+    ``g_size`` is that form's coefficient at p^size.  Write Gamma for
     SL2(Z) or its index-2 subgroup of squares; both have genus 0, one cusp
     and no cusp forms of weight 2 or 4.
     1. The modular g is a weakly holomorphic form of weight -2 on Gamma.
@@ -266,14 +270,16 @@ def relation_series(
        hence zero.
     5. So S solves the ODE to all orders: S_k = 0 for k < r and the S_k
        for k > r follow from S_r.  The modular g meets the relation above
-       with these S_k, so by induction on k it has the coefficients of
-       this pass below p^size, and those of g + (g_size/lambda)*S from
-       p^size on.
+       with these S_k, and it has g_size at p^size, so by induction on k
+       it has the coefficients of this pass.
 
     The g_k and S_k are kept as integers over one common denominator D,
     as in ``frobenius_oracle``: each step is an integer dot product with
     the b_j.  Each new coefficient, S_k and then g_k, is one rescale: A,
-    the S numerators and D grow by what 4k(k - r) leaves after cancelling.
+    the S numerators and D grow by what 4k(k - r), or the denominator of
+    ``g_size``, leaves after cancelling.  Carrying the modular g keeps
+    the numbers short: at r = 96 the pass with 0 gives g over 74 bits, the
+    one with the modular ``g_size`` over 28.
     """
     size = -n0_for(r)
     m = e4.m
@@ -304,7 +310,7 @@ def relation_series(
         gsum = sum(map(mul, A, b[k:0:-1]))
         if k == r:
             T.append(-r * gsum)
-            gk = 0
+            gk = over_D(g_size.numerator * D, g_size.denominator)
         else:
             gk = over_D(rr * gsum + (2 * k - r) * sk, den)
         A.append(gk)
@@ -396,18 +402,20 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
     Budgets are chosen from the exact trust propagation: division by S
     (order -n0) costs 3*(-n0) orders on R, so g is carried to
-    M = N + 3*(-n0) + 4 and E4 to M - n0.  X, g and S come from one pass
-    of the ODE's coefficient relation (``relation_series``), so a solve
-    builds no matrix B, and forms g*E4 only to check the pass.  The
-    Hauptmodul and the seed form are asked for only through
-    2*(-n0) + CROSS_RATIO_MIN_OVERLAP, whatever N is, for the short
-    modular build from X.  Its coefficient at p^(-n0), where the pass
-    leaves g free, fixes the multiple of S added to g; on every other
-    exponent it knows, g must equal it, or ``MatchFailure`` names the
-    first that differs.  That compare also names a wrong X, since g from
-    p^0 on follows the relation and not the X read off it, and so does
-    the delta part below (delta starts at p^n0).  A changed g at p^(-n0)
-    passes both (g + c*S gives the same S).
+    M = N + 3*(-n0) + 4 and E4 to M - n0.  X comes from a pass of the
+    ODE's coefficient relation through p^-1, and g and S from one pass
+    through M (``relation_series``), so a solve builds no matrix B, and
+    forms g*E4 only to check the pass.  The Hauptmodul and the seed form
+    are asked for only through 2*(-n0) + CROSS_RATIO_MIN_OVERLAP, whatever
+    N is, for the short modular build from X.  Its coefficient at
+    p^(-n0), where the relation leaves g free, goes into the full pass,
+    so that pass carries the modular g and no multiple of S is added
+    after it.  On every other exponent it knows, g must equal the short
+    build, or ``MatchFailure`` names the first that differs.  That compare
+    also names a wrong X, since g from p^0 on follows the relation and not
+    the X read off the head pass, and so does the delta part below (delta
+    starts at p^n0).  A changed g at p^(-n0) passes both (g + c*S gives
+    the same S).
 
     R = g/S * (-2) is the one division of a solution series; the short build
     inverts only t.  ``g / S`` runs the quotient kernel of
@@ -482,15 +490,15 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
     M = N + 3 * size + 4
     e4 = eisenstein(4, M + size, m)
-    g, S = relation_series(r, e4, M)
+    head, _ = relation_series(r, e4, -1)
+    X = tuple(head.coeff(-i) for i in range(1, size + 1))
+    short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
+    g, S = relation_series(r, e4, M, short.coeff(size))
     if S.order != size:
         raise ResidualNonzero(
             f"first solution has no term at p^{size} {where}: "
             f"S has order {S.order}, wanted {size}"
         )
-    X = tuple(g.coeff(-i) for i in range(1, size + 1))
-    short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
-    g = g + S * (short.coeff(size) / S.coeff(size))
     n = (g - short).order
     if n is not None:
         raise MatchFailure(

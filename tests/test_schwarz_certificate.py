@@ -75,8 +75,8 @@ def test_s_off_at_its_last_coefficient_breaks_the_ode_part(monkeypatch):
     # theta(w) = (2/a)*(S*delta + g*E) and S*delta starts past p^M.
     real = solver.relation_series
 
-    def off_at_the_end(r, e4, M):
-        g, S = real(r, e4, M)
+    def off_at_the_end(r, e4, M, g_size=0):
+        g, S = real(r, e4, M, g_size)
         return g, S + LaurentSeries.from_terms(S.m, {S.N: 1}, S.N)
 
     monkeypatch.setattr(solver, "relation_series", off_at_the_end)
@@ -101,8 +101,8 @@ def test_rescaled_s_breaks_only_the_delta_part(monkeypatch):
     # (c-1)*a*theta(S), and the Wronskian series is 2w_0 + 2S^2.
     real = solver.relation_series
 
-    def rescaled(r, e4, M):
-        g, S = real(r, e4, M)
+    def rescaled(r, e4, M, g_size=0):
+        g, S = real(r, e4, M, g_size)
         return g, S * 2
 
     monkeypatch.setattr(solver, "relation_series", rescaled)

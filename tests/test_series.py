@@ -387,6 +387,62 @@ def test_only_a_padded_first_block_takes_the_block_path():
     assert not _padded(padded(1), 1)
 
 
+def forward_canonical(nums, den):
+    """The canonical ``(nums, den)`` by one gcd read first to last."""
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def forward_content(nums):
+    """``_primitive`` by one gcd read first to last, as a list."""
+    c = gcd(*nums) or 1
+    return c, [x // c for x in nums]
+
+
+def content(nums):
+    c, primitive = _primitive(nums)
+    return c, list(primitive)
+
+
+@pytest.mark.parametrize("r, N", [(96, 98), (12, 240)])
+def test_last_first_gcds_of_r_equal_the_forward_ones(r, N, monkeypatch):
+    # The numerators g/S hands to the canonical form are padded, as R's are.
+    from modschwarz.solver import solve_ode
+
+    res = solve_ode(r, N)
+    raw = []
+    real = LaurentSeries.from_numerators.__func__
+
+    def spy(cls, m, n_min, nums, den=1):
+        raw.append((list(nums), den))
+        return real(cls, m, n_min, nums, den)
+
+    monkeypatch.setattr(LaurentSeries, "from_numerators", classmethod(spy))
+    q = res.g / res.S
+    (nums, den), = raw
+    assert gcd(den, *nums[:_BLOCK]).bit_length() > _PADDING_BITS
+    assert (q.nums, q.den) == forward_canonical(nums, den)
+    assert q * (-2) == res.R
+    assert content(res.R.nums) == forward_content(res.R.nums)
+    assert content(nums) == forward_content(nums)
+
+
+def test_last_first_gcds_where_only_the_last_numerators_share_den():
+    # Padding at the end: from there the running gcd starts at den and
+    # falls to 7 only where the first numerators begin.
+    share = 2**40 * 3**5
+    den = 7 * share
+    nums = [7 * (6 * i + 1) for i in range(2 * _BLOCK)]
+    nums += [7 * share * (i + 2) for i in range(2 * _BLOCK)]
+    assert [gcd(den, x) for x in (nums[0], nums[-1])] == [7, den]
+    s = LaurentSeries.from_numerators(1, 0, nums, den)
+    assert (s.nums, s.den) == forward_canonical(nums, den) == (s.nums, share)
+    assert content(nums) == forward_content(nums) == (7, [x // 7 for x in nums])
+    out, G = _convolve_blocks(nums, Y, len(nums), den)
+    assert G == gcd(den, *nums) == 7
+    assert [v * G for v in out] == _convolve(nums, Y, len(nums))
+
+
 @st.composite
 def pairing_st(draw):
     """A series on either lattice with a window of up to 8 terms from
@@ -582,14 +638,12 @@ def test_lazily_scaled_quotient_keeps_the_reference_q_and_d(case):
 
 @pytest.mark.parametrize("r", [12, 47])
 def test_quotient_of_the_relations_g_by_s_keeps_the_reference_q_and_d(r):
-    """The real regime: the primitive numerators of ``relation_series``'s
-    g and S, where D grows at every step of the nonzero half."""
-    from modschwarz.modforms import Group, eisenstein
-    from modschwarz.solver import minimum_order, n0_for, relation_series
+    """The real regime: the primitive numerators of a solve's g and S,
+    where D grows at every step of the nonzero half."""
+    from modschwarz.solver import minimum_order, solve_ode
 
-    group = Group.for_r(r)
-    M = minimum_order(r)
-    g, S = relation_series(r, eisenstein(4, M - n0_for(r), group.lattice), M)
+    res = solve_ode(r, minimum_order(r))
+    g, S, group = res.g, res.S, res.group
     n = min(len(g.nums), len(S.nums))
     _, A = _primitive(g.nums[:n])
     _, U = _primitive(S.nums[:n])

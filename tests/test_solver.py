@@ -303,21 +303,18 @@ def test_solve_rejects_bad_arguments():
 
 
 def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
-    solved = solve_ode(2, 40)
-    c = solved.g.coeff(1) / solved.S.coeff(1)  # g = pass's g + c*S
     real = solver.relation_series
 
-    def perturbed(r, e4, M):
-        g, S = real(r, e4, M)
-        g = g + S * c
+    def perturbed(r, e4, M, g_size=0):
+        g, S = real(r, e4, M, g_size)
+        if M < 0:  # the head pass: no p^6 and no S in its window
+            return g, S
         p6 = LaurentSeries.from_terms(g.m, {6: 1}, g.N)
-        S6 = first_solution(g + p6, e4, r)[0]
-        return g - S6 * c, S6
+        return g, first_solution(g + p6, e4, r)[0]
 
-    # S is integrated from g + p^6, and the pass's g is moved by -c*S6 so
-    # that the solve still forms the solved g; a g changed past p^size
-    # itself is caught earlier, by the compare with the short modular
-    # build (see below).
+    # S is integrated from g + p^6, and the solve keeps the solved g; a g
+    # changed past p^size itself is caught earlier, by the compare with
+    # the short modular build (see below).
     monkeypatch.setattr(solver, "relation_series", perturbed)
     # g + p^6 moves S by (6a - r^2/(6a)) p^6 = 35/3 p^6 for r = 2 (a = 2),
     # so the residual starts at (36a^2 - r^2) * 35/3 = 4900/3 at p^6.
@@ -392,8 +389,8 @@ def test_shifted_principal_part_names_r_order_and_exponent(r, e, monkeypatch):
     # the right one, so the compare names the first exponent they part at.
     real = solver.relation_series
 
-    def shifted(r, e4, M):
-        g, S = real(r, e4, M)
+    def shifted(r, e4, M, g_size=0):
+        g, S = real(r, e4, M, g_size)
         return g + LaurentSeries.from_terms(g.m, {-1: 1}, g.N), S
 
     monkeypatch.setattr(solver, "relation_series", shifted)
@@ -406,11 +403,13 @@ def test_shifted_principal_part_names_r_order_and_exponent(r, e, monkeypatch):
 
 
 def test_a_first_solution_without_its_leading_term_is_named(monkeypatch):
-    # The solve divides by S at p^size to fix the free multiple of S in g.
+    # The Wronskian's constant 4*r*lambda*g_(-size) reads S at p^size.
     real = solver.relation_series
 
-    def headless(r, e4, M):
-        g, S = real(r, e4, M)
+    def headless(r, e4, M, g_size=0):
+        g, S = real(r, e4, M, g_size)
+        if M < 0:  # the head pass: S is the zero window there
+            return g, S
         lead = LaurentSeries.from_terms(S.m, {S.order: S.leading_coefficient}, S.N)
         return g, S - lead
 
@@ -563,6 +562,62 @@ def test_relation_and_oracle_windows_end_exactly_at_the_order(r):
         oracle = frobenius_oracle(r, M)
         assert (oracle.m, oracle.n_min, oracle.N) == (m, size, M)
         assert oracle.matches(S * (1 / S.leading_coefficient), min_overlap=M - size + 1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 12, 47])
+def test_a_pass_with_g_at_p_size_adds_that_multiple_of_s(r):
+    # The relation is linear in g and S, and S does not read g_size.
+    size = -n0_for(r)
+    m = Group.for_r(r).lattice
+    M = minimum_order(r) + 3 * size + 4
+    e4 = eisenstein(4, M + size, m)
+    g0, S0 = solver.relation_series(r, e4, M)
+    lam = S0.coeff(size)
+    for c in (0, -3, Fraction(-7, 5)):
+        g, S = solver.relation_series(r, e4, M, c)
+        assert S == S0
+        assert g == g0 + S0 * (c / lam)
+        assert g.coeff(size) == c
+    head, S_head = solver.relation_series(r, e4, -1)
+    assert head == g0.truncate(-1)
+    assert (S_head.is_zero(), S_head.N) == (True, -1)
+
+
+def multiple_of(x: LaurentSeries, S: LaurentSeries) -> bool:
+    """Is x a nonzero rational multiple of S, on S's window?"""
+    return (
+        not x.is_zero()
+        and (x.m, x.n_min, x.N) == (S.m, S.n_min, S.N)
+        and all(a * S.nums[0] == b * x.nums[0] for a, b in zip(x.nums, S.nums))
+    )
+
+
+@pytest.mark.parametrize("r", [3, 12])
+def test_a_solve_makes_a_head_pass_and_one_full_pass_and_adds_no_s(r, monkeypatch):
+    passes, sums = [], []
+    real_pass = solver.relation_series
+    real_add = LaurentSeries.__add__
+
+    def spy_pass(r, e4, M, g_size=0):
+        passes.append((M, g_size))
+        return real_pass(r, e4, M, g_size)
+
+    def spy_add(a, b):
+        sums.append((a, b))
+        return real_add(a, b)
+
+    monkeypatch.setattr(solver, "relation_series", spy_pass)
+    monkeypatch.setattr(LaurentSeries, "__add__", spy_add)
+    N = minimum_order(r)
+    res = solve_ode(r, N)
+    size = -n0_for(r)
+    assert passes == [(-1, 0), (N + 3 * size + 4, res.g.coeff(size))]
+    assert sums  # the residuals add series
+    assert not [
+        x for pair in sums for x in pair
+        if isinstance(x, LaurentSeries) and multiple_of(x, res.S)
+    ]
+    assert multiple_of(res.S * Fraction(-2, 3), res.S)
 
 
 def test_theta_antider_raises_on_nonzero_constant():
