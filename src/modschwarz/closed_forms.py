@@ -3,7 +3,7 @@ and decided exactly in the ring of quasi-modular forms.
 
 A literal is a tuple of terms.  A term is a string, a rational multiple
 of E2^a E4^b E6^c Delta^(d/2) such as ``"-1/3 E2 E4 Delta^-1/2"``, or a
-pair of literals, a numerator and its divisor.
+pair of literals, a numerator and its divisor, by ``ring``'s grammar.
 
 ``examples`` decides each claim in ``ring``, Q[E2, E4, E6, Delta^(+-1/2)]
 (``verdicts``).  The paper's abstract says the solutions are
@@ -49,6 +49,8 @@ its numerator through N + v and, with u the numerator's order, its
 divisor through N - u + 2v, the window of ``LaurentSeries.inverse``.  v
 and u are read off expansions, not off the terms, since terms cancel:
 E2 - E6/E4 starts at q, but E2 - E6/E4 - 720*Delta/(E4*E6) at q^2.
+The ring reads each term (``ring.read_term``) and decides whether a
+divisor is zero, so v is probed only where it exists.
 
 Known misprint: the g_3 combination is sometimes quoted with coefficient
 1226 instead of 1266.  The 1226 variant has principal part
@@ -69,20 +71,10 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
-from .modforms import eisenstein, eta_power, hauptmodul, seed_t0
-from .ring import GENERATORS, Element, parse, polynomial
+from .modforms import Group, eisenstein, eta_power, hauptmodul, seed_t0
+from .ring import E2, E4, Element, parse, polynomial, read_term
 from .series import LaurentSeries, ZeroLeadingCoefficient
 from .solver import residue_pairings
-
-E2, E4 = GENERATORS["E2"], GENERATORS["E4"]
-
-# The deepest p^n a divisor's order is probed at.  The divisors in the
-# tables start at p^0..p^8 (the h table cut at depth 3 starts at q^4 on
-# lattice 2), and a divisor of order v makes its numerator expand through
-# p^(N + v).  So the fourth probe, through p^62, leaves a margin of seven
-# times the deepest order in use; a divisor still zero there is refused
-# as zero, which a zero divisor would otherwise never be.
-_PROBE_LIMIT = 62
 
 G3_COEFFICIENT = 1266
 G3_MISPRINT = 1226
@@ -121,46 +113,37 @@ SEED = {1: ("1 E4 E6 Delta^-1",), 2: ("1 E4 Delta^-1/2",)}
 
 
 def expand(literal: tuple, N: int, m: int) -> LaurentSeries:
-    """The q-expansion of ``literal`` on lattice m, exactly through p^N.
-
-    The windows are those of the module docstring.  A divisor's order is
-    read off its expansion through p^6, or p^14, p^30, p^62 until one
-    shows a coefficient: one small probe for every divisor in the tables.
-    A divisor that is zero through p^62 (``_PROBE_LIMIT``) is refused with
-    ZeroLeadingCoefficient, as a zero divisor is.  A term that starts
-    above p^N is left out.
+    """The q-expansion of ``literal`` on lattice m, exactly through p^N,
+    on the windows of the module docstring.  A zero divisor is refused
+    with ZeroLeadingCoefficient; a term that starts above p^N is left out.
     """
     total = 0  # a sum of scalars until the first series term
     for term in literal:
         if not isinstance(term, str):
             numerator, divisor = term
             probe = expand(divisor, 6, m)
+            if probe.order is None and not parse(divisor)[0]:
+                raise ZeroLeadingCoefficient(f"divisor {divisor!r} is the zero element")
             while probe.order is None:
-                if probe.N >= _PROBE_LIMIT:
-                    raise ZeroLeadingCoefficient(
-                        f"divisor {divisor!r} is zero through p^{probe.N} on lattice {m}"
-                    )
                 probe = expand(divisor, 2 * probe.N + 2, m)
             v = probe.order
             num = expand(numerator, N + v, m)
             if num.order is not None and num.order - v <= N:
                 total = total + expand(divisor, N - num.order + 2 * v, m).inverse(num)
             continue
-        coefficient, *factors = term.split()
-        powers = dict(factor.partition("^")[::2] for factor in factors)
-        d, _, two = powers.pop("Delta", "0").partition("/")
-        w, half = divmod(int(d or 1) * m, int(two or 1))
+        coefficient, (*ks, c) = read_term(term)
+        w, half = divmod(c * m, 2)
         if half:
             raise ValueError(f"{term!r} has a half-integral power of Delta on lattice 1")
         if N < w:
             continue
-        forms = [(int(p or 1), eisenstein(int(E[1]), N - w, m)) for E, p in powers.items()]
-        ups = [form**p for p, form in forms if p > 0]
+        forms = [(k, eisenstein(weight, N - w, m)) for weight, k in zip((2, 4, 6), ks) if k]
+        ups = [form**k for k, form in forms if k > 0]
         if w:
             sign = 1 if w > 0 else -1
             ups.append(eta_power(sign * 24 // m, N - w + sign) ** abs(w))
-        value = reduce(mul, ups, Fraction(coefficient) if "/" in coefficient else int(coefficient))
-        downs = [form**-p for p, form in forms if p < 0]
+        value = reduce(mul, ups, coefficient)
+        downs = [form**-k for k, form in forms if k < 0]
         total = total + (reduce(mul, downs).inverse(value) if downs else value)
     return total if isinstance(total, LaurentSeries) else LaurentSeries.zero(m, N) + total
 
@@ -187,7 +170,7 @@ class Solution(NamedTuple):
 
 def ring_solution(r: int, X: tuple, P, Psi) -> Solution:
     """The ``Solution`` with coefficients P and Psi of the polynomials in t."""
-    m = 1 if r % 2 == 0 else 2
+    m = Group.for_r(r).lattice
     t, t0 = parse(HAUPTMODUL[m])[0], parse(SEED[m])[0]
     return Solution(r, X, polynomial(P, t) * t0, polynomial(Psi, t))
 
@@ -241,7 +224,7 @@ class Claim(NamedTuple):
             same = n == (sol.sigma - E2 * g * Fraction(1, 3)) * d
         elif self.output == "R":
             same = n * (E2 * g - sol.sigma * 3) == g * d * 6
-        elif self.output == "antider" and self.r % 2:
+        elif self.output == "antider" and Group.for_r(self.r) is Group.SQUARES:
             # theta = 2D on lattice 2, and the odd part fixes the constant.
             same = (n.derivative() * d - n * d.derivative()) * 2 == g * E4 * d * d and not (
                 n * d.conjugate() + n.conjugate() * d

@@ -301,12 +301,11 @@ def _h_derivatives(result: SolveResult) -> tuple:
 
 
 def _theta_image(R: LaurentSeries, a: int, k: int) -> LaurentSeries:
-    """a^k*theta^k(R), plus 1 for k = 1: the series of h^(k)/u^(k-1)."""
+    """a^k*theta^k(R): the series of h^(k)/u^(k-1), but for the 1 of h'."""
     image = R
     for _ in range(k):
         image = image.theta()
-    image = image * a**k
-    return image + 1 if k == 1 else image
+    return image * a**k
 
 
 def _schwarzian_at(derivatives: tuple, tau: complex) -> complex:

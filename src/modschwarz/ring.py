@@ -17,21 +17,29 @@ Delta needs lattice 2, where it carries only odd powers of p.
     D(E6) = (E2*E6 - E4^2)/2, D(Delta) = E2*Delta,
 so that theta = p d/dp is m*D on lattice m.
 
-``parse`` reads the literal syntax of ``closed_forms``: a tuple of terms,
-each a string such as ``"-720 Delta E4^-1 E6^-1"`` or a pair of literals,
-a numerator and its divisor.  A literal becomes a quotient n/d of two
-elements, the negative powers of E2, E4 and E6 and every divisor going
-into d.  The ring is an integral domain, so n/d == n'/d' exactly when
-n*d' == n'*d: a quotient is decided by one comparison of cross products,
-with no expansion and no window.
+A ``closed_forms`` literal is a tuple of terms, each a pair of literals
+(a numerator and its divisor) or a string: a coefficient, an integer or
+p/q and nothing else, then factors E2, E4, E6 or Delta, each alone or as
+name^k, such as ``"-720 Delta E4^-1 E6^-1"``.  k is an integer, or for
+Delta a whole multiple of 1/2 such as -3/2; a repeated factor adds its
+powers, and any other name is refused.  ``read_term``, the one reader of
+a string term, serves ``parse`` and ``closed_forms.expand``.  ``parse``
+makes a literal a quotient n/d, the negative powers of E2, E4 and E6 and
+every divisor going into d.  The ring is an integral domain, so
+n/d == n'/d' exactly when n*d' == n'*d: a quotient is decided by one
+comparison of cross products, with no expansion and no window.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 _SCALARS = (int, Fraction)
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+_FACTORS = ("E2", "E4", "E6", "Delta")
+_FACTOR = re.compile(rf"({'|'.join(_FACTORS)})(?:\^{_RATIONAL.pattern})?")
 
 
 class Element:
@@ -147,11 +155,9 @@ def constant(c: int | Fraction) -> Element:
 
 
 ONE = constant(1)
-GENERATORS = {
-    "E2": Element({(1, 0, 0, 0): 1}),
-    "E4": Element({(0, 1, 0, 0): 1}),
-    "E6": Element({(0, 0, 1, 0): 1}),
-}
+E2 = Element({(1, 0, 0, 0): 1})
+E4 = Element({(0, 1, 0, 0): 1})
+E6 = Element({(0, 0, 1, 0): 1})
 
 
 def polynomial(coeffs, x: Element) -> Element:
@@ -162,28 +168,35 @@ def polynomial(coeffs, x: Element) -> Element:
     return out
 
 
+def read_term(text: str) -> tuple[Fraction, list[int]]:
+    """One string term of a literal, by the grammar of the module
+    docstring: its coefficient, and the powers of E2, E4 and E6 and twice
+    the power of Delta, in that order."""
+    coefficient, *factors = text.split() or [""]
+    if not _RATIONAL.fullmatch(coefficient):
+        raise ValueError(f"{text!r}: {coefficient!r} is not an integer or p/q")
+    powers = [0, 0, 0, 0]
+    for factor in factors:
+        match = _FACTOR.fullmatch(factor)
+        if not match:
+            raise ValueError(f"{text!r}: unknown factor {factor!r}")
+        name, p, q = match.groups()
+        j = _FACTORS.index(name)
+        k, rest = divmod(int(p or 1) * (2 if j == 3 else 1), int(q or 1))
+        if rest:
+            raise ValueError(f"{text!r}: {factor} is not a power of {name}{'^(1/2)' * (j == 3)}")
+        powers[j] += k
+    return Fraction(coefficient), powers
+
+
 def _term(text: str) -> tuple[Element, Element]:
     """One string term as (numerator, denominator): the negative powers of
-    E2, E4 and E6 go below, Delta^(c/2) stays above for every integer c."""
-    coefficient, *factors = text.split()
-    num, den = constant(Fraction(coefficient)), ONE
-    for factor in factors:
-        name, _, power = factor.partition("^")
-        if name == "Delta":
-            d, _, two = power.partition("/")
-            c, rest = divmod(2 * int(d or 1), int(two or 1))
-            if rest:
-                raise ValueError(f"{text!r}: Delta^{power} is not a power of Delta^(1/2)")
-            num = num * Element({(0, 0, 0, c): 1})
-        elif name in GENERATORS:
-            k = int(power or 1)
-            if k >= 0:
-                num = num * GENERATORS[name] ** k
-            else:
-                den = den * GENERATORS[name] ** -k
-        else:
-            raise ValueError(f"{text!r}: unknown factor {name!r}")
-    return num, den
+    E2, E4 and E6 go below, Delta^(c/2) stays above for every integer c.
+    Each is one monomial times a power of E6, the only factor that reduces."""
+    x, (i, a, b, c) = read_term(text)
+    num = Element({(max(i, 0), max(a, 0), 0, c): x.numerator}, x.denominator)
+    den = Element({(max(-i, 0), max(-a, 0), 0, 0): 1})
+    return num * E6 ** max(b, 0), den * E6 ** max(-b, 0)
 
 
 def parse(literal: tuple) -> tuple[Element, Element]:

@@ -3,6 +3,7 @@ per guard, each naming the exception it raises and a fragment of its
 message."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from modschwarz.closed_forms import expand
 from modschwarz.modforms import (
     eisenstein, hauptmodul, seed_t0, sigma, theta_fourth, theta_series
 )
+from modschwarz.ring import parse
 from modschwarz.series import LaurentSeries, ZeroLeadingCoefficient
 from modschwarz.solver import build_B
 
@@ -93,6 +95,27 @@ GUARDS = {
     "half-power-of-delta-on-lattice-1": (
         lambda: expand(("1 E4 Delta^-1/2",), 10, 1),
         ValueError, "half-integral power of Delta on lattice 1",
+    ),
+    # The closed-form notation has one reader, ring.read_term: the ring
+    # (parse) and the series reference (expand) refuse the same terms.
+    **{
+        f"expand-{word}-lattice-{m}": (
+            partial(expand, (f"1 {word}",), 5, m), ValueError, f"unknown factor '{word}'"
+        )
+        for word in ("F4", "E8")
+        for m in (1, 2)
+    },
+    "parse-F4": (partial(parse, ("1 F4",)), ValueError, "unknown factor 'F4'"),
+    **{
+        f"{route}-coefficient-{word or 'missing'}": (
+            partial(call, (text,)), ValueError, f"'{word}' is not an integer or p/q"
+        )
+        for word, text in (("1.5", "1.5 E4"), ("1e2", "1e2 E4"), ("1/0", "1/0 E4"), ("", ""))
+        for route, call in (("expand", partial(expand, N=5, m=1)), ("parse", parse))
+    },
+    "third-power-of-delta-on-lattice-2": (
+        lambda: expand(("1 Delta^1/3",), 5, 2),
+        ValueError, r"Delta\^1/3 is not a power of Delta\^\(1/2\)",
     ),
     "B-for-r0": (
         lambda: build_B(0),

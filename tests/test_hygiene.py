@@ -256,6 +256,19 @@ def test_the_import_leaves_the_ring_to_examples():
     assert_not_imported(["modschwarz.ring"])
 
 
+def test_closed_forms_reads_no_term_string():
+    # ring.read_term is the one reader of the closed-form notation, for the
+    # ring and for closed_forms.expand alike: a split or a partition in
+    # closed_forms would be a second reader.
+    tree = ast.parse((PACKAGE / "closed_forms.py").read_text())
+    calls = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not calls & {"split", "rsplit", "partition", "rpartition"}
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:

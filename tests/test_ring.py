@@ -16,12 +16,11 @@ import pytest
 from modschwarz import closed_forms
 from modschwarz.closed_forms import CLAIMS, H_DENOMINATOR, HAUPTMODUL, SEED, expand
 from modschwarz.modforms import Group, delta, eisenstein, hauptmodul, seed_t0
-from modschwarz.ring import GENERATORS, ONE, Element, constant, parse, polynomial
+from modschwarz.ring import E2, E4, E6, ONE, Element, constant, parse, polynomial
 from modschwarz.solver import solve_ode
 
 from oracles import claim_matches_series
 
-E2, E4, E6 = (GENERATORS[name] for name in ("E2", "E4", "E6"))
 DELTA = Element({(0, 0, 0, 2): 1})
 N = 24
 
@@ -106,13 +105,30 @@ def test_hauptmodul_and_seed_literals_are_the_generators(m):
 SERIES_ROWS = [claim for claim in CLAIMS if claim.output != "X"]
 
 
+def quotient_literal(source: tuple) -> tuple:
+    """The ``parse`` quotient n/d of a literal, written back as a literal
+    with one term per monomial of n and of d."""
+    n, d = parse(source)
+    return literal(n) if d == ONE else ((literal(n), literal(d)),)
+
+
 @pytest.mark.parametrize("claim", SERIES_ROWS, ids=lambda c: f"r{c.r}-{c.output}-{c.holds}")
 def test_each_literal_parses_to_its_expansion(claim):
     m = 1 if claim.r % 2 == 0 else 2
-    n, d = parse(claim.reference)
-    quotient = literal(n) if d == ONE else ((literal(n), literal(d)),)
+    quotient = quotient_literal(claim.reference)
     for order in (5, 30):
         assert expand(quotient, order, m) == expand(claim.reference, order, m)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize(
+    "text", ["1 E4 E4", "2 E6 E6", "-3/7 E2 E6 E4^-1 E6 E4^-2", "5 Delta^1/2 E4^-1 Delta^1/2"]
+)
+def test_a_repeated_factor_adds_its_powers_on_both_routes(text, m):
+    # The quotient's literal names each generator once, so its expansion
+    # does not lean on how a repeated factor is read.
+    for order in (5, 30):
+        assert expand((text,), order, m) == expand(quotient_literal((text,)), order, m)
 
 
 def test_the_parser_refuses_what_is_not_in_the_ring():

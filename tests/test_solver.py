@@ -780,9 +780,10 @@ def test_f1_closed_form_r4_needs_both_corrections(solved):
 
 
 def test_expand_refuses_a_zero_divisor_in_bounded_time():
-    # The divisor E4 - E4 is zero at every order: its probe stops at
-    # p^_PROBE_LIMIT and refuses it by name.  A child process with a
-    # timeout turns a probe that never ends into a failure, not a hang.
+    # The divisor E4 - E4 is zero at every order: the ring decides that it
+    # is the zero element, and expand refuses it by name before probing
+    # its order.  A child process with a timeout turns a probe that never
+    # ends into a failure, not a hang.
     code = (
         "from modschwarz import closed_forms\n"
         "try:\n"
@@ -796,8 +797,7 @@ def test_expand_refuses_a_zero_divisor_in_bounded_time():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "ZeroLeadingCoefficient divisor ('1 E4', '-1 E4') is zero through "
-        f"p^{closed_forms._PROBE_LIMIT} on lattice 1\n"
+        "ZeroLeadingCoefficient divisor ('1 E4', '-1 E4') is the zero element\n"
     )
 
 
