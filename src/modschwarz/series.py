@@ -24,7 +24,10 @@ for readers.  A product or a quotient first divides the numerators of each
 side by their content (their ``gcd``), so the convolutions multiply the
 smallest integers that carry the value; the contents go back into the
 result as one rational factor.  A product is one kernel, ``_convolve``,
-one dot product per output coefficient.  Division is one kernel,
+one dot product per output coefficient.  Two products against one small
+factor, as g*E4 and S*E4 are in a solve, run as one (``_mul_pair``):
+the numerators of both travel as one packed integer list, at a width
+that ``_pack_width`` proves wide enough.  Division is one kernel,
 ``_quotient``: forward substitution, one coefficient of the quotient at a
 time.  Each coefficient stays over the denominator of its own step,
 which grows only by what the divisor's leading numerator leaves after
@@ -193,6 +196,58 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     rb = [0] * (n - len(b)) + list(b[n - 1::-1])  # b[:n] reversed, 0-padded
     # a[i] pairs with b[k-i] = rb[n-1-k+i]: map stops at the shorter list.
     return [sum(map(mul, a, rb[i:])) for i in range(n - 1, -1, -1)]
+
+
+def _pack_width(x_bits: int, e_bits: int, terms: int) -> int:
+    """The width W at which integers x_i and y_i travel as one
+    ``z_i = x_i + (y_i << W)`` through dot products with integers e_j.
+
+    Lemma: if |x_i| < 2^x_bits, |e_j| < 2^e_bits and a dot product has at
+    most ``terms`` terms, then |sum x_i e_j| < 2^(x_bits + e_bits +
+    bits(terms)) <= 2^(W - 1).  So sum z_i e_j = X + (Y << W) with
+    |X| < 2^(W - 1), and ``_unpack`` reads X as the remainder mod 2^W
+    centred on 0 and Y as the rest shifted down by W, each exactly,
+    whatever the size and sign of Y.  The same holds for each z_i.
+    """
+    return x_bits + e_bits + terms.bit_length() + 1
+
+
+def _pack(xs: Sequence[int], ys: Sequence[int], W: int) -> list[int]:
+    """``x + (y << W)`` for each pair of a list of x and one of y."""
+    return [x + (y << W) for x, y in zip(xs, ys)]
+
+
+def _unpack(zs: Sequence[int], W: int) -> tuple[list[int], list[int]]:
+    """``(xs, ys)`` with ``zs[i] = xs[i] + (ys[i] << W)`` and every
+    ``-2^(W-1) <= xs[i] < 2^(W-1)``: the lists that ``_pack`` packed."""
+    ys = [(z + (1 << (W - 1))) >> W for z in zs]
+    return [z - (y << W) for z, y in zip(zs, ys)], ys
+
+
+def _mul_pair(
+    x: LaurentSeries, y: LaurentSeries, e: LaurentSeries
+) -> tuple[LaurentSeries, LaurentSeries]:
+    """``(x * e, y * e)``, each ``==`` what ``__mul__`` gives, from one
+    ``_convolve`` of the numerators of x and y packed as one list from
+    the lower of their first exponents.  Against a small e, such as E4, a
+    product of twice the bits costs little more than one, and the
+    interpreter's cost per term is paid once.
+    """
+    m = max(x.m, y.m, e.m)
+    x, y, e = x.align(m), y.align(m), e.align(m)
+    lo, hi = min(x.n_min, y.n_min), max(x.N, y.N)
+    tops = [min(s.N + e.n_min, e.N + s.n_min) for s in (x, y)]  # as in __mul__
+    (cx, X), (cy, Y), (ce, E) = (_primitive(s.nums) for s in (x, y, e))
+    X, Y = ([0] * (s.n_min - lo) + list(v) + [0] * (hi - s.N) for s, v in ((x, X), (y, Y)))
+    bits = max(map(abs, X)).bit_length(), max(map(abs, E)).bit_length()
+    W = _pack_width(*bits, len(E))
+    halves = _unpack(_convolve(_pack(X, Y, W), E, max(tops) - lo - e.n_min + 1), W)
+    out = []
+    for s, c, top, nums in zip((x, y), (cx, cy), tops, halves):
+        f = Fraction(c * ce, s.den * e.den)
+        nums = _scaled(nums[s.n_min - lo : top - lo - e.n_min + 1], f.numerator)
+        out.append(LaurentSeries.from_numerators(m, s.n_min + e.n_min, nums, f.denominator))
+    return out[0], out[1]
 
 
 def _constant_term(a: LaurentSeries, b: LaurentSeries) -> Fraction:

@@ -21,7 +21,9 @@ theta = p d/dp.
 3. The first solution is F1 = u*S with
    S = a*theta(g) - (r^2/a)*theta_antider(g*E4); its constant term, the
    value of F1/u at the cusp, is 0 for every r.  The pass of step 2
-   gives S alongside g; g*E4 is formed only to check it (step 5).
+   gives S alongside g: it carries both as one packed integer list,
+   g_k + (S_k << W), so that one dot product with the coefficients of E4
+   gives both sums of a step.  g*E4 is formed only to check it (step 5).
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
    h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
    pass of the series quotient kernel, forward substitution over one
@@ -33,8 +35,10 @@ theta = p d/dp.
    and the constant 4*r*lambda of the Wronskian is nonzero, with lambda
    the leading coefficient of S.  By Abel's identity these prove
    {h,tau}/pi^2 - 2*r^2*E4 == 0 on the window that R determines;
-   ``solve_ode`` states the lemma.  R*S is the only product of two of
-   g, S and R.
+   ``solve_ode`` states the lemma.  g*E4 and S*E4 come from one
+   product of g and S packed as in step 3 (``series._mul_pair``), formed
+   before R; the ODE and delta parts stay two series, each checked on its
+   own.  R*S is the only product of two of g, S and R.
 
 A second implementation of the recurrence for S (``frobenius_oracle``)
 checks the bookkeeping of the pass of step 2; the ODE residual is the proof.
@@ -49,7 +53,15 @@ from typing import NamedTuple
 
 from .modforms import Group, eisenstein, hauptmodul, seed_t0, theta_fourth
 from .series import (
-    LaurentSeries, _clear_denominators, _constant_term, _on_lattice, format_rational
+    LaurentSeries,
+    _clear_denominators,
+    _constant_term,
+    _mul_pair,
+    _on_lattice,
+    _pack,
+    _pack_width,
+    _unpack,
+    format_rational,
 )
 
 
@@ -77,7 +89,7 @@ class DegenerateEntries(ValueError):
 # is even r = 200 at its minimum order 402, where R's numerators reach
 # 14660 bits.  On a 2-CPU VM (CPU, three runs) ``solve --format json``
 # took 3.5-4.3 s: R = -2g/S 1.3-1.4 s, R*S + 2g 1.4-1.8 s, the short
-# modular build 0.16-0.18 s and the two relation passes 0.16-0.17 s.
+# modular build 0.16-0.18 s and the two relation passes 0.13-0.14 s.
 # Odd r = 199 lives on lattice 2, where the kernels skip the zero half:
 # ``verify`` at its minimum order 400 took 0.95-1.10 s.
 MAX_R = 200
@@ -91,6 +103,12 @@ MAX_ORDER = 600
 # Fewest coefficients an identity comparison may rest on; also how far past
 # p^size a solve builds g as a modular form, to compare with the recurrence.
 CROSS_RATIO_MIN_OVERLAP = 10
+
+# Bits that ``relation_series`` adds to the packing width W past what the
+# lemma of ``series._pack_width`` needs, so that it repacks rarely: a
+# full pass at (96, 98) repacked 30 times with 64 and took about 8.6 ms,
+# 8 times with 256 and 8.3 ms; with 0 the passes took 2-4 times as long.
+_PACK_SLACK = 256
 
 
 def n0_for(r: int) -> int:
@@ -274,47 +292,78 @@ def relation_series(
        it has the coefficients of this pass.
 
     The g_k and S_k are kept as integers over one common denominator D,
-    as in ``frobenius_oracle``: each step is an integer dot product with
-    the b_j.  Each new coefficient, S_k and then g_k, is one rescale: A,
-    the S numerators and D grow by what 4k(k - r), or the denominator of
-    ``g_size``, leaves after cancelling.  Carrying the modular g keeps
-    the numbers short: at r = 96 the pass with 0 gives g over 74 bits, the
-    one with the modular ``g_size`` over 28.
+    as in ``frobenius_oracle``, and packed into one list,
+    Z_i = g_i + (S_i << W) with S_i = 0 for i < r, so that one integer dot
+    product with the b_j gives both sums of a step:
+        sum_(i<k) Z_i b_(k-i) = sum g_i b_(k-i) + (sum S_i b_(k-i) << W).
+    ``series._unpack`` reads the two sums back exactly while W is as wide
+    as the lemma of ``series._pack_width`` asks for the g bits, the b_j
+    and the K steps of the pass; the pass keeps a bound on the g bits as
+    rescales grow them and repacks Z, ``_PACK_SLACK`` bits wider than the
+    lemma needs, before they would outgrow W.  Each new coefficient, S_k
+    and then g_k, is one rescale: Z and D grow by what 4k(k - r), or the
+    denominator of ``g_size``, leaves after cancelling, and a rescale in
+    the S step multiplies the g sum, read before it, by the same
+    factor.  Carrying the modular g keeps the numbers short: at r = 96 the
+    pass with 0 gives g over 74 bits, the one with the modular ``g_size``
+    over 28.  Against a b_j of one or two 30-bit digits, a product of
+    twice the bits costs little more than one, and the interpreter's cost
+    per term, most of a step's time while the numbers are short, is paid
+    once: a full pass took 7.2 against 10.7 ms with two lists at
+    (2, 360) and 4.9 against 5.9 ms at (12, 240); where the g numerators
+    pass about 2000 bits the arithmetic dominates and the two layouts are
+    within 10%: 8.1 against 7.8 ms at (96, 98), 132 against 122 ms at
+    (200, 402) (best of 7, one process, 2-CPU VM).  ``tests/oracles.py``
+    keeps the pass with two lists as its reference.
     """
     size = -n0_for(r)
     m = e4.m
     rr = r * r
     b = e4.nums[::m]  # q-coefficients b_0..b_K of E4
-    A, D = [1], 1  # g_0..g_(k-1) over D
-    T: list[int] = []  # S_r..S_(k-1) over D
+    K = (M + size) // m
+    e_bits = max(map(abs, b[: K + 1])).bit_length()
+    Z, D = [1], 1  # g_i + (S_i << W) for i < k, over D
+    g_bits = 1  # every |g_i| < 2^g_bits
+    W = _pack_width(g_bits, e_bits, K) + _PACK_SLACK
 
-    def over_D(num: int, den: int) -> int:
+    def widen(bits: int) -> None:
+        """Let the g numerators reach 2^bits: repack Z, with slack, where
+        the lemma of ``_pack_width`` needs a wider W."""
+        nonlocal Z, W, g_bits
+        g_bits = max(g_bits, bits)
+        need = _pack_width(g_bits, e_bits, K)
+        if need > W:
+            Z = _pack(*_unpack(Z, W), need + _PACK_SLACK)
+            W = need + _PACK_SLACK
+
+    def over_D(num: int, den: int) -> tuple[int, int]:
         """num/den, a new coefficient times D, as an integer over the new
-        D; A, T and D are rescaled by what den leaves after cancelling."""
-        nonlocal A, T, D
+        D, and the step s: Z and D are rescaled by what den leaves after
+        cancelling."""
+        nonlocal Z, D
         c = gcd(num, den) if den > 0 else -gcd(num, den)
         s = den // c
         if s != 1:
-            A = [x * s for x in A]
-            T = [x * s for x in T]
+            widen(g_bits + s.bit_length())
+            Z = [z * s for z in Z]
             D *= s
-        return num // c
+        return num // c, s
 
-    for k in range(1, (M + size) // m + 1):
+    for k in range(1, K + 1):
         den = 4 * k * (k - r)
-        sk = 0
-        if k > r:
-            # over_D rebinds T, so T is read only after it returns.
-            sk = over_D(rr * sum(map(mul, T, b[k - r : 0 : -1])), den)
-            T.append(sk)
-        gsum = sum(map(mul, A, b[k:0:-1]))
+        (gsum,), (ssum,) = _unpack([sum(map(mul, Z, b[k:0:-1]))], W)
+        # A rescale in the S step leaves gsum over the old D: times s.
+        sk, s = over_D(rr * ssum, den) if k > r else (0, 1)
         if k == r:
-            T.append(-r * gsum)
-            gk = over_D(g_size.numerator * D, g_size.denominator)
+            gk, s = over_D(g_size.numerator * D, g_size.denominator)
+            sk = -r * gsum * s
         else:
-            gk = over_D(rr * gsum + (2 * k - r) * sk, den)
-        A.append(gk)
-    return _on_lattice(A, D, m, -size, M), _on_lattice(T, D, m, size, M)
+            gk, s = over_D(rr * gsum * s + (2 * k - r) * sk, den)
+            sk *= s
+        widen(gk.bit_length())
+        Z.append(gk + (sk << W))
+    A, T = _unpack(Z, W)
+    return _on_lattice(A, D, m, -size, M), _on_lattice(T[r:], D, m, size, M)
 
 
 class SolveResult(NamedTuple):
@@ -405,7 +454,8 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     M = N + 3*(-n0) + 4 and E4 to M - n0.  X comes from a pass of the
     ODE's coefficient relation through p^-1, and g and S from one pass
     through M (``relation_series``), so a solve builds no matrix B, and
-    forms g*E4 only to check the pass.  The Hauptmodul and the seed form
+    forms g*E4, packed with S*E4 into one product, only to check the
+    pass.  The Hauptmodul and the seed form
     are asked for only through 2*(-n0) + CROSS_RATIO_MIN_OVERLAP, whatever
     N is, for the short modular build from X.  Its coefficient at
     p^(-n0), where the relation leaves g free, goes into the full pass,
@@ -448,8 +498,9 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     (ii)  theta(w) = (2/a)*(S*delta + g*E) (Abel's identity, with
           residuals): F2 has tau times the ODE residual of F1, and delta
           is what is left.  The recurrence builds delta == 0 in; the
-          delta part checks its integer pass against the convolution
-          kernel of ``LaurentSeries.__mul__``.
+          delta part checks its integer pass, one running dot product
+          per step, against the convolution kernel ``series._convolve``
+          of the pair product.
     (iii) With V = a*theta(w)/w, the field W = a^2*theta^2(R)/h' equals
           -2a*theta(S)/S + V, and
             {h,tau}/pi^2 - 2r^2*E4 = W^2/2 - a*theta(W) - 2r^2*E4
@@ -484,7 +535,6 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         )
     group = Group.for_r(r)
     m = group.lattice
-    a = 2 // m
     size = -n0_for(r)
     where = f"for r={r} at order {N}"
 
@@ -507,6 +557,7 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
             f"the short modular build gives {format_rational(short.coeff(n))}"
         )
 
+    ode, delta = _ode_and_delta(r, g, S, e4)
     R = g / S * (-2)
     res = SolveResult(
         r=r,
@@ -516,8 +567,8 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         g=g,
         S=S,
         R=R,
-        ode_residual=S.theta().theta() * (a * a) - S * e4 * (r * r),
-        delta_residual=S.theta() * a - g.theta().theta() * (a * a) + g * e4 * (r * r),
+        ode_residual=ode,
+        delta_residual=delta,
         division_residual=R * S + g * 2,
         wronskian=4 * r * S.coeff(size) * g.coeff(-size),
     )
@@ -525,6 +576,24 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     if failure is not None:
         raise ResidualNonzero(failure)
     return res
+
+
+def _ode_and_delta(
+    r: int, g: LaurentSeries, S: LaurentSeries, e4: LaurentSeries
+) -> tuple[LaurentSeries, LaurentSeries]:
+    """The ODE and delta parts of the certificate (``solve_ode``), each
+    its own series, with g*E4 and S*E4 from one packed product
+    (``series._mul_pair``).  A solve forms them before R, so that the two
+    products are freed before the division: held through it, they raised
+    the peak RSS of a process that solves (47, 96), (64, 66) and (96, 98)
+    in turn by 0.13 MiB.
+    """
+    a = 2 // g.m
+    gE4, SE4 = _mul_pair(g, S, e4)
+    return (
+        S.theta().theta() * (a * a) - SE4 * (r * r),
+        S.theta() * a - g.theta().theta() * (a * a) + gE4 * (r * r),
+    )
 
 
 def frobenius_oracle(r: int, N: int) -> LaurentSeries:

@@ -12,12 +12,15 @@ themselves, and the cross-ratio [tau, h_f2, h_f3, h_f4] through three
 offsets h_f - tau by division and their quotient, the route the solver's
 cross-ratio checks cancel, and the series route of the closed-form
 claims, which compares each literal's expansion with the solve's output on
-its window, as ``examples`` did before the ring decided them.  Kept here
-only as oracles."""
+its window, as ``examples`` did before the ring decided them, and the
+coefficient relation's pass with g and S as two lists, as a solve ran it
+before it packed them into one.  Kept here only as oracles."""
 
 import cmath
 import math
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from modschwarz.closed_forms import expand
 from modschwarz.modforms import Group, eisenstein, eta_power, theta_series
@@ -28,8 +31,8 @@ from modschwarz.numeric import (
     TailTooLarge,
     _scaled_term,
 )
-from modschwarz.series import LaurentSeries
-from modschwarz.solver import _difference, _theta_of
+from modschwarz.series import LaurentSeries, _on_lattice
+from modschwarz.solver import _difference, _theta_of, n0_for
 
 
 def first_solution(
@@ -48,6 +51,63 @@ def first_solution(
     s_tilde = g.theta() * a - product.theta_antider() * Fraction(r * r, a)
     c_over_u = s_tilde.coeff(0)
     return s_tilde - c_over_u, c_over_u
+
+
+def reference_relation_series(
+    r: int, e4: LaurentSeries, M: int, g_size: int | Fraction = 0
+) -> tuple[LaurentSeries, LaurentSeries]:
+    """``solver.relation_series`` with g and S as two lists over one D and
+    two dot products per step, one for the sum of the g_i b_(k-i) and
+    one for that of the S_i b_(k-i); the packed pass must return ``==``
+    series.  Each new coefficient, S_k and then g_k, is one rescale of
+    both lists and D by what 4k(k - r), or the denominator of ``g_size``,
+    leaves after cancelling.
+    """
+    size = -n0_for(r)
+    m = e4.m
+    rr = r * r
+    b = e4.nums[::m]  # q-coefficients b_0..b_K of E4
+    A, D = [1], 1  # g_0..g_(k-1) over D
+    T: list[int] = []  # S_r..S_(k-1) over D
+
+    def over_D(num: int, den: int) -> int:
+        nonlocal A, T, D
+        c = gcd(num, den) if den > 0 else -gcd(num, den)
+        s = den // c
+        if s != 1:
+            A = [x * s for x in A]
+            T = [x * s for x in T]
+            D *= s
+        return num // c
+
+    for k in range(1, (M + size) // m + 1):
+        den = 4 * k * (k - r)
+        sk = 0
+        if k > r:
+            # over_D rebinds T, so T is read only after it returns.
+            sk = over_D(rr * sum(map(mul, T, b[k - r : 0 : -1])), den)
+            T.append(sk)
+        gsum = sum(map(mul, A, b[k:0:-1]))
+        if k == r:
+            T.append(-r * gsum)
+            gk = over_D(g_size.numerator * D, g_size.denominator)
+        else:
+            gk = over_D(rr * gsum + (2 * k - r) * sk, den)
+        A.append(gk)
+    return _on_lattice(A, D, m, -size, M), _on_lattice(T, D, m, size, M)
+
+
+def separate_parts(res) -> tuple[LaurentSeries, LaurentSeries]:
+    """The ODE and delta parts of a solve's certificate with S*E4 and
+    g*E4 as two products of ``LaurentSeries.__mul__``, as a solve formed
+    them before it packed g and S into one product."""
+    r, a = res.r, 2 // res.m
+    g, S = res.g, res.S
+    e4 = eisenstein(4, g.N - res.n0, res.m)
+    return (
+        S.theta().theta() * (a * a) - S * e4 * (r * r),
+        S.theta() * a - g.theta().theta() * (a * a) + g * e4 * (r * r),
+    )
 
 
 def direct_schwarz_residual(res):

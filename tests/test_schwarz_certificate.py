@@ -1,6 +1,7 @@
 """The certificate behind ``schwarz_residual_zero``: the direct Schwarzian
 residual and the Wronskian series as its oracles, one break per part, and
-the one division and three products a solve makes."""
+the one division, the one product and the one packed pair product a solve
+makes."""
 
 import io
 import json
@@ -11,9 +12,9 @@ import pytest
 from modschwarz import cli, modforms, series, solver
 from modschwarz.modforms import eisenstein, hauptmodul
 from modschwarz.series import LaurentSeries, format_rational
-from modschwarz.solver import minimum_order, solve_ode
+from modschwarz.solver import CROSS_RATIO_MIN_OVERLAP, minimum_order, n0_for, solve_ode
 
-from oracles import direct_schwarz_residual, wronskian
+from oracles import direct_schwarz_residual, separate_parts, wronskian
 from test_output_digests import DIGESTS
 
 CASES = sorted(
@@ -83,6 +84,7 @@ def test_s_off_at_its_last_coefficient_breaks_the_ode_part(monkeypatch):
     code, message, res = verify_broken(monkeypatch)
     assert code == 1
     assert nonzero_parts(res) == ["ODE", "delta"]
+    assert (res.ode_residual, res.delta_residual) == separate_parts(res)
     M = res.S.N  # a = 1 and r = 3 on the squares lattice
     assert message == (
         f"ODE residual nonzero for r=3 at order 40: coefficient {M * M - 9} at p^{M}"
@@ -109,12 +111,53 @@ def test_rescaled_s_breaks_only_the_delta_part(monkeypatch):
     code, message, res = verify_broken(monkeypatch)
     assert code == 1
     assert nonzero_parts(res) == ["delta"]
+    assert (res.ode_residual, res.delta_residual) == separate_parts(res)
     assert (res.delta_residual - res.S.theta() / 2).is_zero()
     assert message == (
         f"delta residual nonzero for r=3 at order 40: coefficient "
         f"{format_rational(3 * res.S.leading_coefficient / 2)} at p^3"
     )
     assert (wronskian(res.g, res.S) - res.wronskian).order == 6
+
+
+@pytest.mark.parametrize("case", [(3, 40), (4, 40)])
+@pytest.mark.parametrize(
+    "which, where",
+    [("S", "first"), ("S", "middle"), ("S", "last"), ("g", "past the overlap"), ("g", "last")],
+)
+def test_one_coefficient_off_breaks_the_parts_as_two_products_do(case, which, where, monkeypatch):
+    # The ODE and delta parts take g*E4 and S*E4 from one packed product.
+    # With S or g off by 1 at one coefficient, each part must still be the
+    # series that two separate products give, so the message names the
+    # same first exponent and value.  g is changed only past the short
+    # build's window, where the compare with it cannot see the change.
+    real = solver.relation_series
+
+    def off_at_one(r, e4, M, g_size=0):
+        g, S = real(r, e4, M, g_size)
+        if M < 0:  # the head pass
+            return g, S
+        x = S if which == "S" else g
+        e = {
+            "first": x.n_min,
+            "middle": x.n_min + (x.N - x.n_min) // 2 // x.m * x.m,
+            "past the overlap": -n0_for(r) + CROSS_RATIO_MIN_OVERLAP + x.m,
+            "last": x.N,
+        }[where]
+        x = x + LaurentSeries.from_terms(x.m, {e: 1}, x.N)
+        return (g, x) if which == "S" else (x, S)
+
+    monkeypatch.setattr(solver, "relation_series", off_at_one)
+    code, message, res = verify_broken(monkeypatch, case)
+    assert code == 1
+    ode, delta = separate_parts(res)
+    assert (res.ode_residual, res.delta_residual) == (ode, delta)
+    name, part = next((n, p) for n, p in (("ODE", ode), ("delta", delta)) if not p.is_zero())
+    v = part.order
+    assert message == (
+        f"{name} residual nonzero for r={case[0]} at order {case[1]}: "
+        f"coefficient {format_rational(part.coeff(v))} at p^{v}"
+    )
 
 
 def block_calls(monkeypatch) -> list[int]:
@@ -179,17 +222,18 @@ def test_a_zero_wronskian_is_reported(monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 12])
 def test_a_solve_inverts_only_s(r, monkeypatch):
-    # Outside the short modular build, the only division is g/S and the
-    # only products of two series are S*E4 (ODE), g*E4 (delta) and R*S
-    # (division): no Wronskian series.  The short build divides twice:
-    # -theta(t) by E4 for the seed t0, then 1 by the Hauptmodul cut to
-    # p^size for its residue pairings.
+    # Outside the short modular build, the only division is g/S, the only
+    # product of two series is R*S (division), and g and S meet E4 exactly
+    # once, as one packed pair for the ODE and delta parts
+    # (``series._mul_pair``): no Wronskian series.  The short build divides
+    # twice: -theta(t) by E4 for the seed t0, then 1 by the Hauptmodul cut
+    # to p^size for its residue pairings.
     for gen in vars(modforms).values():
         if hasattr(gen, "cache_clear"):
             gen.cache_clear()
-    divided, divided_in_build, multiplied, building = [], [], [], []
+    divided, divided_in_build, multiplied, paired, building = [], [], [], [], []
     real_inverse, real_mul = LaurentSeries.inverse, LaurentSeries.__mul__
-    real_build_g = solver.build_g
+    real_build_g, real_pair = solver.build_g, solver._mul_pair
 
     def inverse_spy(self, numerator=1):
         (divided_in_build if building else divided).append((self, numerator))
@@ -199,6 +243,10 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
         if isinstance(other, LaurentSeries) and not building:
             multiplied.append((self, other))
         return real_mul(self, other)
+
+    def pair_spy(x, y, e):
+        paired.append((x, y, e))
+        return real_pair(x, y, e)
 
     def build_g_spy(*args):
         building.append(True)
@@ -210,6 +258,7 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
     monkeypatch.setattr(LaurentSeries, "inverse", inverse_spy)
     monkeypatch.setattr(LaurentSeries, "__mul__", mul_spy)
     monkeypatch.setattr(solver, "build_g", build_g_spy)
+    monkeypatch.setattr(solver, "_mul_pair", pair_spy)
     res = solve_ode(r, minimum_order(r))
     size = -res.n0
     (e4, seed_numerator), (t, one) = divided_in_build
@@ -228,8 +277,8 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
                 return label
         return "E4" if x == eisenstein(4, x.N, res.m) else f"p^{x.n_min}..p^{x.N}"
 
-    products = sorted((name(x), name(y)) for x, y in multiplied)
-    assert products == [("R", "S"), ("S", "E4"), ("g", "E4")]
+    assert [(name(x), name(y)) for x, y in multiplied] == [("R", "S")]
+    assert [tuple(map(name, args)) for args in paired] == [("g", "S", "E4")]
 
 
 @pytest.mark.parametrize("r, N", [(64, 66), (96, 98)])

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modschwarz import series
+from modschwarz.modforms import eisenstein
 from modschwarz.series import (
     _BLOCK,
     _PADDING_BITS,
@@ -25,10 +26,14 @@ from modschwarz.series import (
     _convolve,
     _convolve_blocks,
     _even_halves,
+    _mul_pair,
     _on_lattice,
+    _pack,
+    _pack_width,
     _padded,
     _primitive,
     _quotient,
+    _unpack,
     format_rational,
     parse_rational,
 )
@@ -591,6 +596,78 @@ def test_quotient_on_one_parity_keeps_the_dense_q_and_d(A, U, offset, dense_u):
         assert (Q, D) == reference_substitution(A, U, n)
         padded = (A + [0] * n)[:n]
         assert reference_product(Q, U)[:n] == [x * D for x in padded]
+
+
+# ---------------------------------------------------------------------------
+# the packed pair: two products against one factor in one convolution
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.integers(1, 300),
+    st.integers(1, 40),
+    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=24),
+    st.lists(kernel_ints, min_size=1, max_size=24),
+    st.booleans(),
+    st.data(),
+)
+@example(5, 3, [1] * 8, [-(2**90)] * 8, False, None)  # low at its bound, high < 0
+@example(5, 3, [-1] * 9, [-1, 0, -7], True, None)  # the half path
+@settings(max_examples=120, deadline=None)
+def test_packed_convolution_splits_at_the_lemmas_width(x_bits, e_bits, signs, ys, half, data):
+    # Every x is +-(2^x_bits - 1) and every e is 2^e_bits - 1, the most
+    # each may be: the low sums reach 1/8 of the lemma's bound 2^(W - 1)
+    # when the signs agree, and the high ones are drawn with either sign.
+    xs = [sign * (2**x_bits - 1) for sign in signs]
+    es = [2**e_bits - 1] * len(xs)
+    if half:
+        xs, ys, es = one_parity(xs, 0), one_parity(ys, 0), one_parity(es, 0)
+    ys = (ys + [0] * len(xs))[: len(xs)]
+    n = data.draw(st.integers(1, 2 * len(xs) - 1)) if data else 2 * len(xs) - 1
+    W = _pack_width(x_bits, e_bits, len(es))
+    low, high = _unpack(_convolve(_pack(xs, ys, W), es, n), W)
+    assert (low, high) == (_convolve(xs, es, n), _convolve(ys, es, n))
+    assert _unpack(_pack(xs, ys, W), W) == (xs, ys)
+    assert max(map(abs, low)) < 2 ** (W - 1)
+    if len(set(signs)) == 1 and not half and n >= len(xs):
+        assert max(map(abs, low)) >= 2 ** (W - 4)
+
+
+@st.composite
+def packable_series_st(draw, m, parity):
+    """A series on lattice m with numerators up to 2^90 of either sign,
+    over a denominator up to 2^40; with ``parity`` (lattice 2), zero at
+    every exponent of the other parity, so that the kernels halve it."""
+    n_min = draw(st.integers(min_value=-6, max_value=6))
+    nums = draw(st.lists(nonzero_kernel_ints, min_size=1, max_size=18))
+    if parity:
+        nums = one_parity(nums, 0)
+    den = draw(st.integers(1, 2**40))
+    return LaurentSeries.from_numerators(m, n_min, nums, den)
+
+
+@st.composite
+def pair_st(draw):
+    m = draw(st.sampled_from((1, 2)))
+    parity = m == 2 and draw(st.booleans())
+    x, y = (draw(packable_series_st(m, parity)) for _ in range(2))
+    if parity and (x.n_min - y.n_min) % 2:  # keep the packed list one parity
+        y = LaurentSeries.from_numerators(m, y.n_min + 1, y.nums, y.den)
+    e = draw(packable_series_st(m, parity))
+    return x, y, e
+
+
+@given(pair_st())
+@example((
+    LaurentSeries.from_numerators(2, -3, one_parity([2**90 - 1] * 9, 0), 7),
+    LaurentSeries.from_numerators(2, 3, one_parity([-(2**90)] * 9, 0)),
+    eisenstein(4, 20, 2),
+))  # a solve's shape: y from p^size on, E4 on lattice 2, negative high half
+@settings(max_examples=150, deadline=None)
+def test_packed_pair_product_is_the_two_products(pair):
+    x, y, e = pair
+    assert _mul_pair(x, y, e) == (x * e, y * e)
+    assert _mul_pair(y, x, e) == (y * e, x * e)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from modschwarz.modforms import (
     seed_t0,
     theta_fourth,
 )
-from modschwarz.series import LaurentSeries, NonzeroConstantTerm
+from modschwarz.series import LaurentSeries, NonzeroConstantTerm, _mul_pair
 from modschwarz.solver import (
     CROSS_RATIO_MIN_OVERLAP,
     MAX_R,
@@ -45,6 +45,7 @@ from oracles import (
     cross_ratio,
     equivariant_offset,
     first_solution,
+    reference_relation_series,
     reference_seed_t0,
     reference_theta_logderiv,
     tau_cross_ratio,
@@ -581,6 +582,48 @@ def test_a_pass_with_g_at_p_size_adds_that_multiple_of_s(r):
     head, S_head = solver.relation_series(r, e4, -1)
     assert head == g0.truncate(-1)
     assert (S_head.is_zero(), S_head.N) == (True, -1)
+
+
+PASS_GRID = sorted(
+    {(r, N) for r in range(1, 25) for N in (minimum_order(r), 60, 90)}
+    | {(r, minimum_order(r)) for r in (47, 64, 96, 120, 199, 200)}
+)
+
+
+@pytest.mark.parametrize("r, N", PASS_GRID)
+def test_the_packed_pass_is_the_pass_with_two_lists(r, N):
+    # The head pass and the full pass of a solve at order N, with g at
+    # p^size 0, the short build's value and a fraction, against the pass
+    # that keeps g and S apart; then the packed pair product of the
+    # solve's g and S against two products.
+    size = -n0_for(r)
+    group = Group.for_r(r)
+    M = N + 3 * size + 4
+    e4 = eisenstein(4, M + size, group.lattice)
+    head, _ = solver.relation_series(r, e4, -1)
+    X = tuple(head.coeff(-i) for i in range(1, size + 1))
+    modular = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP).coeff(size)
+    for g_size in (0, Fraction(-7, 5), modular):
+        for end in (-1, M):
+            got = solver.relation_series(r, e4, end, g_size)
+            assert got == reference_relation_series(r, e4, end, g_size)
+    g, S = got
+    assert _mul_pair(g, S, e4) == (g * e4, S * e4)
+
+
+@pytest.mark.parametrize("r", [2, 3, 12])
+def test_the_packed_pass_widens_before_a_rescale_outgrows_it(r):
+    # A g_size over 3^1000 rescales every g numerator by 1585 bits in one
+    # step, far past the slack of the packing width: the pass must repack
+    # before it multiplies, or the halves of Z run into each other.
+    size = -n0_for(r)
+    m = Group.for_r(r).lattice
+    M = minimum_order(r) + 3 * size + 4
+    e4 = eisenstein(4, M + size, m)
+    g_size = Fraction(1, 3**1000)
+    assert solver.relation_series(r, e4, M, g_size) == reference_relation_series(
+        r, e4, M, g_size
+    )
 
 
 def multiple_of(x: LaurentSeries, S: LaurentSeries) -> bool:
