@@ -8,9 +8,11 @@ theta = p d/dp.
 
 1. The ODE's coefficient relation, in integers, from the deepest pole
    p^n0 (size = -n0) through p^-1 (``relation_series``) gives the
-   principal part X of g.  Below p^0 the relation is B X = X: X is the
-   eigenvalue-1 eigenvector of the upper-triangular matrix B
-   (``build_B``, ``solve_eigen``) with deepest component 1.
+   principal part X of g: this head pass is how a solve finds X.  Below
+   p^0 the relation is B X = X, so X is also the eigenvalue-1
+   eigenvector of the upper-triangular matrix B with deepest component
+   1; ``build_B`` and ``solve_eigen`` build it that way as the reference
+   for the head pass, and no solve calls them.
 2. Realise the weight -2 form with principal part X as P(t)*t0, with t
    the Hauptmodul and t0 the seed form, only through
    p^(size + CROSS_RATIO_MIN_OVERLAP): the coefficients of P are residue
@@ -40,12 +42,25 @@ theta = p d/dp.
    before R; the ODE and delta parts stay two series, each checked on its
    own.  R*S is the only product of two of g, S and R.
 
+Steps 1 and 2 up to the short build depend on r alone: X, and g
+through p^(size + CROSS_RATIO_MIN_OVERLAP).  ``r_stage`` makes them, and
+keeps them in a store with one entry per r, so that a later solve of the
+same r at any order reads them instead of making them again.  An entry is
+published only after the solve that made it has passed the compare of
+step 2, all three parts of step 5 and the Wronskian check, so a fault
+never persists; every solve, warm or cold, still runs the full pass, the
+compare, the division and the whole certificate.  r <= MAX_R, so the
+store holds at most MAX_R entries: the largest, r = 199, takes 58 KB,
+and r = 1..200 together 4.6 MB (``sys.getsizeof`` over their tuples,
+Fractions and integers).
+
 A second implementation of the recurrence for S (``frobenius_oracle``)
 checks the bookkeeping of the pass of step 2; the ODE residual is the proof.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
@@ -209,6 +224,50 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     for i in range(deg // k - 1, -1, -1):
         P = P * tp[k] + block(i)
     return P * t0 / D
+
+
+# The r-only stage of every solve that has passed, r -> (X, short build);
+# ``r_stage`` reads it and ``solve_ode`` publishes to it.
+_stages: dict[int, tuple[tuple[Fraction, ...], LaurentSeries]] = {}
+_stages_lock = threading.Lock()
+
+
+def r_stage(r: int, e4: LaurentSeries) -> tuple[tuple[Fraction, ...], LaurentSeries]:
+    """X and the short modular build of g through
+    p^(size + CROSS_RATIO_MIN_OVERLAP): the half of a solve of r that no
+    order changes (see the module docstring).  ``e4`` is the solve's own
+    E4; the head pass reads it through p^(size - 1).
+
+    When a passing solve of r has left its pair in the store, this returns
+    it, which is exactly what a fresh build gives.  A miss calls
+    ``relation_series`` and ``build_g`` by their module names and stores
+    nothing: ``solve_ode`` publishes the pair once all its checks pass.
+    ``r_stage.cache_entries()`` and ``r_stage.cache_clear()`` read and
+    empty the store under its lock, as the generators' prefix caches do.
+    """
+    with _stages_lock:
+        stage = _stages.get(r)
+    if stage is not None:
+        return stage
+    size = -n0_for(r)
+    head, _ = relation_series(r, e4, -1)
+    X = tuple(head.coeff(-i) for i in range(1, size + 1))
+    return X, build_g(X, Group.for_r(r), size + CROSS_RATIO_MIN_OVERLAP)
+
+
+def _stage_entries() -> dict[int, tuple[tuple[Fraction, ...], LaurentSeries]]:
+    """A snapshot of the store: r -> (X, short modular build)."""
+    with _stages_lock:
+        return dict(_stages)
+
+
+def _stage_clear() -> None:
+    with _stages_lock:
+        _stages.clear()
+
+
+r_stage.cache_entries = _stage_entries
+r_stage.cache_clear = _stage_clear
 
 
 def residue_pairings(h: LaurentSeries, t: LaurentSeries, n: int) -> list[Fraction]:
@@ -467,6 +526,14 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     starts at p^n0).  A changed g at p^(-n0) passes both (g + c*S gives
     the same S).
 
+    X and the short build depend on r alone, so they come from
+    ``r_stage``: made by the first solve of r, and read from its store by
+    every later solve of that r, whatever N.  The solve publishes them
+    there only after the compare, all three certificate parts and the
+    Wronskian check have passed, so a solve that raises leaves nothing.
+    Everything from E4 on is per N and runs on every solve, warm or cold:
+    the full pass, the compare, the division and the certificate.
+
     R = g/S * (-2) is the one division of a solution series; the short build
     inverts only t.  ``g / S`` runs the quotient kernel of
     ``LaurentSeries.inverse``: it divides the numerators of g and of S by
@@ -540,9 +607,7 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
     M = N + 3 * size + 4
     e4 = eisenstein(4, M + size, m)
-    head, _ = relation_series(r, e4, -1)
-    X = tuple(head.coeff(-i) for i in range(1, size + 1))
-    short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
+    X, short = r_stage(r, e4)
     g, S = relation_series(r, e4, M, short.coeff(size))
     if S.order != size:
         raise ResidualNonzero(
@@ -575,6 +640,8 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     failure = res.certificate_failure()
     if failure is not None:
         raise ResidualNonzero(failure)
+    with _stages_lock:
+        _stages.setdefault(r, (X, short))
     return res
 
 

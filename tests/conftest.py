@@ -4,7 +4,16 @@ import time
 
 import pytest
 
-from modschwarz.solver import solve_ode
+from modschwarz.solver import r_stage, solve_ode
+
+
+@pytest.fixture(autouse=True)
+def cold_r_stage():
+    """Every test starts with ``r_stage``'s store empty, so its first solve
+    of each r is cold, as a solve in a fresh process is: a test that spies
+    on or perturbs the head pass, ``build_g`` or the generators sees the
+    calls a cold solve makes.  ``tests/test_r_stage.py`` tests warm solves."""
+    r_stage.cache_clear()
 
 
 @pytest.fixture(scope="session")

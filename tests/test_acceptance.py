@@ -14,12 +14,13 @@ from modschwarz.modforms import (
     jacobi_residual,
     ramanujan_residuals,
 )
-from modschwarz.numeric import check_equivariance, generators_for
+from modschwarz.numeric import S_GEN, T_GEN, check_equivariance, generators_for
 from modschwarz.solver import (
     build_B,
     frobenius_oracle,
     j_cross_ratio_matches,
     solve_eigen,
+    solve_ode,
 )
 
 from oracles import claim_matches_series, direct_schwarz_residual
@@ -176,4 +177,26 @@ def test_criterion_9_determinism():
         9,
         ok,
         "solve --r 6 --order 50 --format json twice yields byte-identical output",
+    )
+
+
+def test_criterion_10_odd_r_equivariance_for_all_of_sl2z(solved):
+    # For odd r, R is a series in q and h commutes with S and T, not only
+    # with the generators of the squares subgroup (``generators_for``).
+    odd = range(1, 13, 2)
+    results = [solved[r] for r in odd] + [solve_ode(r, 90) for r in odd]
+    parity = all(n % 2 == 0 for res in results for n, _ in res.R.items())
+    worst = 0.0
+    ok = parity
+    for r in (1, 3):
+        for gamma in (S_GEN, T_GEN):
+            rep = check_equivariance(solved[r], gamma, 1e-6)
+            worst = max(worst, rep["max_residual"])
+            ok = ok and rep["pass"]
+    report(
+        10,
+        ok,
+        f"R has no odd exponent of p for odd r=1..11 at orders {ORDER} and 90, "
+        f"and max |h(g.tau) - g.h(tau)| under S and T for r=1,3 is "
+        f"{worst:.3e} < 1e-6 at order {ORDER}",
     )
