@@ -10,7 +10,7 @@ worker processes.
 
     PYTHONPATH=src python3 qa/manifest.py write qa/manifest.json
     PYTHONPATH=src python3 qa/manifest.py compare qa/manifest.json
-    PYTHONPATH=src python3 qa/manifest.py compare qa/manifest.json --r 1-12 --jobs 1
+    PYTHONPATH=src python3 qa/manifest.py compare qa/manifest.json --r 1-12
 
 ``write`` writes ``{"sha256": {"r,order": hex}, "cpu_s": {"r,order": s},
 ...}``.  ``compare`` solves again and exits 0 if every digest is the same,
@@ -98,15 +98,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("path", type=Path)
     parser.add_argument("--r", type=r_range, default=list(range(1, MAX_R + 1)),
                         help=f"the r to solve, as 5, 1-12 or 1,2,47 (default 1-{MAX_R})")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes, at most the CPU count (default: all)")
     args = parser.parse_args(argv)
     if args.mode == "compare":
         try:
             manifest = json.loads(args.path.read_text())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read the manifest {args.path}: {exc}")
-    jobs = max(1, min(args.jobs, os.cpu_count() or 1, len(args.r)))
+    jobs = min(os.cpu_count() or 1, len(args.r))
     start = time.perf_counter()
     rows = solve_all(args.r, jobs)
     wall = time.perf_counter() - start

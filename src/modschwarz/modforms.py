@@ -121,8 +121,14 @@ def _prefix_cached(build):
                 store[key] = fresh
         return fresh.truncate(N)
 
-    def cache_entries() -> dict[tuple, LaurentSeries]:
-        """A snapshot of the store: other arguments -> longest expansion."""
+    return _with_store(cached, store, lock)
+
+
+def _with_store(fn, store: dict, lock: threading.Lock):
+    """Give ``fn`` the ``cache_entries()`` (a snapshot of ``store``) and
+    ``cache_clear()`` of its store, both under ``lock``."""
+
+    def cache_entries() -> dict:
         with lock:
             return dict(store)
 
@@ -130,9 +136,9 @@ def _prefix_cached(build):
         with lock:
             store.clear()
 
-    cached.cache_entries = cache_entries
-    cached.cache_clear = cache_clear
-    return cached
+    fn.cache_entries = cache_entries
+    fn.cache_clear = cache_clear
+    return fn
 
 
 @_prefix_cached

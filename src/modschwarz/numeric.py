@@ -84,20 +84,10 @@ Q_GEN = Moebius(1, -1, 1, 0)   # S^-1 * P * S, order 6
 
 def generators_for(group: Group) -> tuple[tuple[str, Moebius], ...]:
     """The generators a check of h uses: S, T for the full group; P, Q,
-    which generate the squares subgroup, for it.
-
-    For odd r, h in fact commutes with S and T as well, so with all of
-    SL2(Z).  g and S live only on the odd exponents -r + 2k, so
-    R = -2g/S has only even ones: R is a series in q, and
-    h(tau + 1) = h(tau) + 1 exactly.  The squares subgroup is the kernel
-    of chi, the character of eta^12 = Delta^(1/2), with
-    chi(T) = chi(S) = -1.  g and Sigma = S + E2*g/3 are odd under
-    Delta^(1/2) -> -Delta^(1/2), so they are modular for SL2(Z) with
-    character chi, of weights -2 and 0; with E2's law this gives
-    F1(-1/tau) = chi(S)*F2(tau)/tau and F2(-1/tau) = -chi(S)*F1(tau)/tau.
-    chi cancels in h = F2/F1, so h(-1/tau) = -1/h(tau).  The checks keep
-    P and Q for odd r, so the bytes of ``verify --numeric`` stay as they
-    are; the tests check S and T at r = 1 and 3.
+    which generate the squares subgroup, for it.  For odd r, h commutes
+    with S and T too: R is a q-series, and the character of eta^12 that g
+    and S carry cancels in h = F2/F1 (ROADMAP item 22).  P and Q stay, so
+    ``verify --numeric`` keeps its bytes.
     """
     if group is Group.FULL:
         return (("S", S_GEN), ("T", T_GEN))

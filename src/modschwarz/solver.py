@@ -42,17 +42,14 @@ theta = p d/dp.
    before R; the ODE and delta parts stay two series, each checked on its
    own.  R*S is the only product of two of g, S and R.
 
-Steps 1 and 2 up to the short build depend on r alone: X, and g
-through p^(size + CROSS_RATIO_MIN_OVERLAP).  ``r_stage`` makes them, and
-keeps them in a store with one entry per r, so that a later solve of the
-same r at any order reads them instead of making them again.  An entry is
-published only after the solve that made it has passed the compare of
-step 2, all three parts of step 5 and the Wronskian check, so a fault
-never persists; every solve, warm or cold, still runs the full pass, the
-compare, the division and the whole certificate.  r <= MAX_R, so the
-store holds at most MAX_R entries: the largest, r = 199, takes 58 KB,
-and r = 1..200 together 4.6 MB (``sys.getsizeof`` over their tuples,
-Fractions and integers).
+Steps 1 and 2 up to the short build depend on r alone.  ``r_stage``
+keeps X and the short build in a store with one entry per r, so a later
+solve of r at any order starts at E4.  An entry is published only after
+the solve that made it has passed the compare of step 2, all three parts
+of step 5 and the Wronskian check; every solve, warm or cold, still runs
+the full pass, the compare, the division and the whole certificate.  At
+most MAX_R entries: 58 KB at r = 199, 4.6 MB for r = 1..200.
+``r_stage.cache_entries()`` and ``cache_clear()`` read and empty it.
 
 A second implementation of the recurrence for S (``frobenius_oracle``)
 checks the bookkeeping of the pass of step 2; the ODE residual is the proof.
@@ -66,7 +63,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .modforms import Group, eisenstein, hauptmodul, seed_t0, theta_fourth
+from .modforms import Group, _with_store, eisenstein, hauptmodul, seed_t0, theta_fourth
 from .series import (
     LaurentSeries,
     _clear_denominators,
@@ -226,48 +223,31 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     return P * t0 / D
 
 
-# The r-only stage of every solve that has passed, r -> (X, short build);
-# ``r_stage`` reads it and ``solve_ode`` publishes to it.
+# r -> (X, short build) of every solve of r that has passed.
 _stages: dict[int, tuple[tuple[Fraction, ...], LaurentSeries]] = {}
 _stages_lock = threading.Lock()
 
 
 def r_stage(r: int, e4: LaurentSeries) -> tuple[tuple[Fraction, ...], LaurentSeries]:
-    """X and the short modular build of g through
-    p^(size + CROSS_RATIO_MIN_OVERLAP): the half of a solve of r that no
-    order changes (see the module docstring).  ``e4`` is the solve's own
-    E4; the head pass reads it through p^(size - 1).
-
-    When a passing solve of r has left its pair in the store, this returns
-    it, which is exactly what a fresh build gives.  A miss calls
-    ``relation_series`` and ``build_g`` by their module names and stores
-    nothing: ``solve_ode`` publishes the pair once all its checks pass.
-    ``r_stage.cache_entries()`` and ``r_stage.cache_clear()`` read and
-    empty the store under its lock, as the generators' prefix caches do.
-    """
+    """X and the short build of g for r, stored or made afresh with the
+    solve's own ``e4`` (the r-only stage of the module docstring)."""
     with _stages_lock:
         stage = _stages.get(r)
-    if stage is not None:
-        return stage
-    size = -n0_for(r)
-    head, _ = relation_series(r, e4, -1)
-    X = tuple(head.coeff(-i) for i in range(1, size + 1))
-    return X, build_g(X, Group.for_r(r), size + CROSS_RATIO_MIN_OVERLAP)
+    if stage is None:
+        size = -n0_for(r)
+        head, _ = relation_series(r, e4, -1)
+        X = tuple(head.coeff(-i) for i in range(1, size + 1))
+        stage = X, build_g(X, Group.for_r(r), size + CROSS_RATIO_MIN_OVERLAP)
+    return stage
 
 
-def _stage_entries() -> dict[int, tuple[tuple[Fraction, ...], LaurentSeries]]:
-    """A snapshot of the store: r -> (X, short modular build)."""
+def _publish(r: int, stage: tuple[tuple[Fraction, ...], LaurentSeries]) -> None:
+    """Store the r-only stage of a solve of r that has passed every check."""
     with _stages_lock:
-        return dict(_stages)
+        _stages.setdefault(r, stage)
 
 
-def _stage_clear() -> None:
-    with _stages_lock:
-        _stages.clear()
-
-
-r_stage.cache_entries = _stage_entries
-r_stage.cache_clear = _stage_clear
+_with_store(r_stage, _stages, _stages_lock)
 
 
 def residue_pairings(h: LaurentSeries, t: LaurentSeries, n: int) -> list[Fraction]:
@@ -526,13 +506,9 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     starts at p^n0).  A changed g at p^(-n0) passes both (g + c*S gives
     the same S).
 
-    X and the short build depend on r alone, so they come from
-    ``r_stage``: made by the first solve of r, and read from its store by
-    every later solve of that r, whatever N.  The solve publishes them
-    there only after the compare, all three certificate parts and the
-    Wronskian check have passed, so a solve that raises leaves nothing.
-    Everything from E4 on is per N and runs on every solve, warm or cold:
-    the full pass, the compare, the division and the certificate.
+    X and the short build come from ``r_stage``, and are published to its
+    store only once every check below has passed; everything from E4 on
+    runs on every solve (the module docstring has the store).
 
     R = g/S * (-2) is the one division of a solution series; the short build
     inverts only t.  ``g / S`` runs the quotient kernel of
@@ -640,8 +616,7 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     failure = res.certificate_failure()
     if failure is not None:
         raise ResidualNonzero(failure)
-    with _stages_lock:
-        _stages.setdefault(r, (X, short))
+    _publish(r, (X, short))
     return res
 
 

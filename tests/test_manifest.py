@@ -52,19 +52,28 @@ def test_a_cold_and_a_warm_solve_match_the_manifest(manifest_module, monkeypatch
     assert manifest_module.first_moved(json.loads(MANIFEST.read_text()), rows) is None
 
 
-def test_compare_exits_1_naming_the_first_moved_case(manifest_module, tmp_path, capsys):
+def test_compare_names_the_first_moved_case(manifest_module):
+    doc = json.loads(MANIFEST.read_text())
+    rows = manifest_module.solve_all([3, 2], 1)
+    assert manifest_module.first_moved(doc, rows) is None
+    doc["sha256"]["2,14"] = "0" * 64  # the warm solve of r = 2
+    doc["sha256"]["3,8"] = "0" * 64
+    assert "(r, order) = (2, 14) moved" in manifest_module.first_moved(doc, rows)
+
+
+def test_compare_exits_1_on_a_moved_or_missing_case(manifest_module, tmp_path, capsys):
+    # One r, so main solves it in this process.
     doc = json.loads(MANIFEST.read_text())
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
-    assert manifest_module.main(["compare", str(path), "--r", "1-3", "--jobs", "1"]) == 0
-    doc["sha256"]["2,14"] = "0" * 64  # the warm solve of r = 2
-    doc["sha256"]["3,8"] = "0" * 64
+    assert manifest_module.main(["compare", str(path), "--r", "1"]) == 0
+    doc["sha256"]["1,14"] = "0" * 64
     path.write_text(json.dumps(doc))
-    assert manifest_module.main(["compare", str(path), "--r", "3,2", "--jobs", "1"]) == 1
-    assert "(r, order) = (2, 14) moved" in capsys.readouterr().err
+    assert manifest_module.main(["compare", str(path), "--r", "1"]) == 1
+    assert "(r, order) = (1, 14) moved" in capsys.readouterr().err
     del doc["sha256"]["1,4"]
     path.write_text(json.dumps(doc))
-    assert manifest_module.main(["compare", str(path), "--r", "1", "--jobs", "1"]) == 1
+    assert manifest_module.main(["compare", str(path), "--r", "1"]) == 1
     assert "(r, order) = (1, 4) is not in the manifest" in capsys.readouterr().err
 
 
