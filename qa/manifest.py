@@ -3,7 +3,7 @@
 For each r = 1..MAX_R the script runs ``solve --r r --order N --format
 json`` through ``cli.run`` at N = minimum_order(r) and then at
 minimum_order(r) + WARM_STEP, in one process, so the first solve of each
-r is cold and the second reads ``solver.r_stage``'s store.  It records
+r is cold and the second extends it from ``solve_ode``'s store.  It records
 the sha256 of each output and the CPU seconds of each solve
 (``time.process_time``), with the r spread over at most ``os.cpu_count()``
 worker processes.
@@ -42,7 +42,7 @@ def key(r: int, order: int) -> str:
 
 
 def solve_r(r: int) -> list[tuple[int, int, str, float]]:
-    """(r, order, sha256, CPU seconds) of the cold and the warm solve of r."""
+    """(r, order, sha256, CPU seconds) of the cold and the extended solve of r."""
     rows = []
     for order in (minimum_order(r), minimum_order(r) + WARM_STEP):
         out = io.StringIO()

@@ -179,23 +179,24 @@ def _even_halves(n: int, *lists: Sequence[int]) -> list[Sequence[int]] | None:
     return None
 
 
-def _spread(half: Sequence[int], n: int) -> list[int]:
-    """``half`` at the even indices of a list of n, zeros between."""
-    out = [0] * n
-    out[::2] = half
+def _spread(half: Sequence[int], n: int, start: int = 0) -> list[int]:
+    """Entries ``start..n-1`` of the list of n with ``half`` at its even
+    indices and zeros between."""
+    out = [0] * (n - start)
+    out[start % 2 :: 2] = half
     return out
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Coefficients ``0..n-1`` of the product of integer lists a and b,
-    each one dot product of a with b reversed; on ``_even_halves``, a
+def _convolve(a: Sequence[int], b: Sequence[int], n: int, start: int = 0) -> list[int]:
+    """Coefficients ``start..n-1`` of the product of integer lists a and
+    b, each one dot product of a with b reversed; on ``_even_halves``, a
     quarter of the products and none of the zeros."""
     halves = _even_halves(n, a, b)
     if halves:
-        return _spread(_convolve(*halves, (n + 1) // 2), n)
+        return _spread(_convolve(*halves, (n + 1) // 2, (start + 1) // 2), n, start)
     rb = [0] * (n - len(b)) + list(b[n - 1::-1])  # b[:n] reversed, 0-padded
     # a[i] pairs with b[k-i] = rb[n-1-k+i]: map stops at the shorter list.
-    return [sum(map(mul, a, rb[i:])) for i in range(n - 1, -1, -1)]
+    return [sum(map(mul, a, rb[i:])) for i in range(n - 1 - start, -1, -1)]
 
 
 def _pack_width(x_bits: int, e_bits: int, terms: int) -> int:
@@ -225,28 +226,33 @@ def _unpack(zs: Sequence[int], W: int) -> tuple[list[int], list[int]]:
 
 
 def _mul_pair(
-    x: LaurentSeries, y: LaurentSeries, e: LaurentSeries
+    x: LaurentSeries, y: LaurentSeries, e: LaurentSeries, start: int | None = None
 ) -> tuple[LaurentSeries, LaurentSeries]:
     """``(x * e, y * e)``, each ``==`` what ``__mul__`` gives, from one
     ``_convolve`` of the numerators of x and y packed as one list from
     the lower of their first exponents.  Against a small e, such as E4, a
     product of twice the bits costs little more than one, and the
-    interpreter's cost per term is paid once.
+    interpreter's cost per term is paid once.  With ``start``, each
+    product holds, and the kernel forms, only its rows from ``p**start``
+    on (``start`` must not pass the end of either product).
     """
     m = max(x.m, y.m, e.m)
     x, y, e = x.align(m), y.align(m), e.align(m)
     lo, hi = min(x.n_min, y.n_min), max(x.N, y.N)
+    base = lo + e.n_min  # the exponent of the packed product's index 0
+    first = 0 if start is None else max(start - base, 0)
     tops = [min(s.N + e.n_min, e.N + s.n_min) for s in (x, y)]  # as in __mul__
     (cx, X), (cy, Y), (ce, E) = (_primitive(s.nums) for s in (x, y, e))
     X, Y = ([0] * (s.n_min - lo) + list(v) + [0] * (hi - s.N) for s, v in ((x, X), (y, Y)))
     bits = max(map(abs, X)).bit_length(), max(map(abs, E)).bit_length()
     W = _pack_width(*bits, len(E))
-    halves = _unpack(_convolve(_pack(X, Y, W), E, max(tops) - lo - e.n_min + 1), W)
+    halves = _unpack(_convolve(_pack(X, Y, W), E, max(tops) - base + 1, first), W)
     out = []
     for s, c, top, nums in zip((x, y), (cx, cy), tops, halves):
         f = Fraction(c * ce, s.den * e.den)
-        nums = _scaled(nums[s.n_min - lo : top - lo - e.n_min + 1], f.numerator)
-        out.append(LaurentSeries.from_numerators(m, s.n_min + e.n_min, nums, f.denominator))
+        i = max(s.n_min - lo, first)  # the first row of this product
+        nums = _scaled(nums[i - first : top - base + 1 - first], f.numerator)
+        out.append(LaurentSeries.from_numerators(m, base + i, nums, f.denominator))
     return out[0], out[1]
 
 
@@ -295,11 +301,11 @@ def _padded(x: Sequence[int], den: int) -> bool:
 
 
 def _convolve_blocks(
-    x: Sequence[int], y: Sequence[int], n: int, den: int
+    x: Sequence[int], y: Sequence[int], n: int, den: int, start: int = 0
 ) -> tuple[list[int], int]:
-    """``(nums, G)`` with ``nums * G`` the first n coefficients of the
-    product of x and y, the same as ``_convolve(x, y, n)``, for x whose
-    numerators over den carry a factor of den that shrinks along x.
+    """``(nums, G)`` with ``nums * G`` the coefficients ``start..n-1`` of
+    the product of x and y, the same as ``_convolve(x, y, n, start)``, for
+    x whose numerators over den carry a factor of den that shrinks along x.
 
     Cut x into blocks of ``_BLOCK``; block k ends at e_k, and
     ``G_k = gcd(den, x_0..x_(e_k - 1))``, so each G_k divides the one
@@ -313,10 +319,10 @@ def _convolve_blocks(
     """
     halves = _even_halves(n, x, y)
     if halves:
-        nums, G = _convolve_blocks(*halves, (n + 1) // 2, den)
-        return _spread(nums, n), G
+        nums, G = _convolve_blocks(*halves, (n + 1) // 2, den, (start + 1) // 2)
+        return _spread(nums, n, start), G
     x = x[:n]
-    out = [0] * n
+    out = [0] * (n - start)  # out[j - start] is coefficient j
     G = den
     chain = []
     for s in range(0, len(x), _BLOCK):
@@ -324,12 +330,31 @@ def _convolve_blocks(
         g = gcd(G, *reversed(block))
         step, G = G // g, g
         chain.append(G)
-        dots = _convolve(block if G == 1 else [v // G for v in block], y, n - s)
-        out[s:] = [v * step + d for v, d in zip(out[s:], dots)]
+        i = max(s - start, 0)  # the first row block k reaches
+        dots = _convolve(block if G == 1 else [v // G for v in block], y, n - s, start + i - s)
+        out[i:] = [v * step + d for v, d in zip(out[i:], dots)]
     for s, Gk in zip(range(0, len(x), _BLOCK), chain):
-        if Gk != G:
-            out[s:s + _BLOCK] = [v * (Gk // G) for v in out[s:s + _BLOCK]]
+        i, end = max(s - start, 0), s + _BLOCK - start
+        if Gk != G and end > 0:
+            out[i:end] = [v * (Gk // G) for v in out[i:end]]
     return out, G
+
+
+def _product(a: LaurentSeries, b: LaurentSeries, start: int = 0) -> tuple[list[int], Fraction]:
+    """``(nums, c)`` with ``nums * c`` the coefficients of ``a * b`` (on
+    one lattice) from its index ``start`` on, through the last that a and b
+    determine.  The numerators of each side are divided by their content
+    first, and a side whose numerators are padded over its den (the larger
+    of the two) takes the block path."""
+    n = min(a.N + b.n_min, b.N + a.n_min) - (a.n_min + b.n_min) + 1
+    ca, A = _primitive(a.nums)
+    cb, B = _primitive(b.nums)
+    x, y, den = (A, B, a.den) if a.den >= b.den else (B, A, b.den)
+    if _padded(x, den):
+        nums, G = _convolve_blocks(x, y, n, den, start)
+    else:
+        nums, G = _convolve(A, B, n, start), 1
+    return nums, Fraction(ca * cb * G, a.den * b.den)
 
 
 def _scaled(nums: Sequence[int], c: int) -> Sequence[int]:
@@ -337,7 +362,9 @@ def _scaled(nums: Sequence[int], c: int) -> Sequence[int]:
     return nums if c == 1 else [x * c for x in nums]
 
 
-def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], int]:
+def _quotient(
+    A: Sequence[int], U: Sequence[int], n: int, q: Sequence[int] = (), D: int = 1
+) -> tuple[list[int], int]:
     """Integers Q over one D > 0 with ``Q/D = A/U`` through ``p**(n-1)``.
 
     Needs ``U[0] != 0`` and ``len(U) >= n``; A may be shorter (its missing
@@ -354,19 +381,23 @@ def _quotient(A: Sequence[int], U: Sequence[int], n: int) -> tuple[list[int], in
     earlier q[i] is rescaled at each step.  The last D is the quotient's
     own denominator in every case measured.
 
+    Given the quotient's first ``len(q)`` coefficients as ``q`` over one
+    ``D`` (from A and U through a lower order), the substitution keeps
+    them, as if each step after the first were 1, and finds only the
+    later coefficients.
+
     When A and U vanish at every odd index, so does Q, and each odd step
     finds num = 0 and keeps D: the ``_even_halves`` give the same Q and D.
     """
-    halves = _even_halves(n, A, U)
+    halves = _even_halves(n, A, U, q)
     if halves:
-        Q, D = _quotient(*halves, (n + 1) // 2)
+        Q, D = _quotient(*halves[:2], (n + 1) // 2, halves[2], D)
         return _spread(Q, n), D
     u0 = U[0]
-    q: list[int] = []
-    steps: list[int] = []
-    D = 1
+    q = list(q)
+    steps = [D] + [1] * (len(q) - 1) if q else []  # D is 1 when q is empty
     plain = n  # the first index above 0 with a step above 1; n while none
-    for j in range(n):
+    for j in range(len(q), n):
         p = min(plain, j)  # q[:p] share one denominator; Horner takes q[p:]
         acc = sum(map(mul, q, U[j:j - p:-1]))
         for i in range(p, j):
@@ -547,12 +578,12 @@ class LaurentSeries:
                 yield self.n_min + i, Fraction(x, self.den)
 
     def _numerators(self, lo: int, hi: int, scale: int) -> list[int]:
-        """Numerators of ``p**lo..p**hi`` times scale; needs lo <= n_min, hi <= N."""
+        """Numerators of ``p**lo..p**hi`` times scale; needs hi <= N."""
         top = hi - self.n_min + 1
         pad = [0] * (min(self.n_min, hi + 1) - lo)
         if top <= 0:
             return pad
-        body = self.nums[:top]
+        body = self.nums[max(lo - self.n_min, 0) : top]
         return pad + (list(body) if scale == 1 else [x * scale for x in body])
 
     def matches(self, other: "LaurentSeries", *, min_overlap: int) -> bool:
@@ -632,25 +663,14 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         a, b = _aligned(self, other)
-        n_min = a.n_min + b.n_min
-        # Beyond this bound the convolution would need unknown coefficients.
-        N = min(a.N + b.n_min, b.N + a.n_min)
-        ca, A = _primitive(a.nums)
-        cb, B = _primitive(b.nums)
-        n = N - n_min + 1
-        x, y, den = (A, B, a.den) if a.den >= b.den else (B, A, b.den)
-        if _padded(x, den):
-            nums, G = _convolve_blocks(x, y, n, den)
-        else:
-            nums, G = _convolve(A, B, n), 1
-        c = Fraction(ca * cb * G, a.den * b.den)
+        nums, c = _product(a, b)
         return LaurentSeries.from_numerators(
-            a.m, n_min, _scaled(nums, c.numerator), c.denominator
+            a.m, a.n_min + b.n_min, _scaled(nums, c.numerator), c.denominator
         )
 
     __rmul__ = __mul__
 
-    def inverse(self, numerator=1) -> "LaurentSeries":
+    def inverse(self, numerator=1, known: "LaurentSeries | None" = None) -> "LaurentSeries":
         """``numerator / self``: the multiplicative inverse by default, and
         the quotient behind ``a / b``, which calls ``b.inverse(a)``.
 
@@ -665,7 +685,10 @@ class LaurentSeries:
         The numerators of both sides are divided by their content before
         ``_quotient`` divides them by forward substitution (the inverse is
         the same loop with numerator 1), and the contents and denominators
-        go back into the result as one rational factor.
+        go back into the result as one rational factor.  ``known``, the
+        same quotient through a lower order (of a numerator and a divisor
+        that agree with these on its window), gives the coefficients that
+        the substitution resumes after, so only the later ones are found.
         """
         if isinstance(numerator, LaurentSeries):
             a, b = _aligned(numerator, self)
@@ -685,8 +708,17 @@ class LaurentSeries:
             )
         cA, A = _primitive(A)
         cU, U = _primitive(b.nums[:n])
-        Q, D = _quotient(A, U, n)
         c = Fraction(cA * b.den, cU * a_den)
+        q, D = (), 1
+        if known is not None:
+            if known.m != b.m or known.n_min < start - v or known.N >= start - v + n:
+                raise ValueError("the known quotient is not inside this one's window")
+            # known = c*Q/D on its window: Q there, over one D, in lowest terms.
+            q = known._numerators(start - v, known.N, c.denominator)
+            D = known.den * c.numerator
+            G = gcd(D, *reversed(q))  # c > 0: contents and dens are positive
+            q, D = [x // G for x in q], D // G
+        Q, D = _quotient(A, U, n, q, D)
         return LaurentSeries.from_numerators(
             b.m, start - v, _scaled(Q, c.numerator), D * c.denominator
         )

@@ -27,7 +27,7 @@ theta = p d/dp.
    g_k + (S_k << W), so that one dot product with the coefficients of E4
    gives both sums of a step.  g*E4 is formed only to check it (step 5).
 4. The second solution is F2 = -2g + tau*F1, so the Schwarzian solution is
-   h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient g/S is one
+   h = F2/F1 = tau + (1/u)*R with R = -2*g/S.  The quotient -2g/S is one
    pass of the series quotient kernel, forward substitution over one
    common denominator.
 5. Verify exactly, each on its full trusted window:
@@ -40,16 +40,19 @@ theta = p d/dp.
    ``solve_ode`` states the lemma.  g*E4 and S*E4 come from one
    product of g and S packed as in step 3 (``series._mul_pair``), formed
    before R; the ODE and delta parts stay two series, each checked on its
-   own.  R*S is the only product of two of g, S and R.
+   own.  R*S, formed as integer rows, is the only product of two of g, S
+   and R.
 
-Steps 1 and 2 up to the short build depend on r alone.  ``r_stage``
-keeps X and the short build in a store with one entry per r, so a later
-solve of r at any order starts at E4.  An entry is published only after
-the solve that made it has passed the compare of step 2, all three parts
-of step 5 and the Wronskian check; every solve, warm or cold, still runs
-the full pass, the compare, the division and the whole certificate.  At
-most MAX_R entries: 58 KB at r = 199, 4.6 MB for r = 1..200.
-``r_stage.cache_entries()`` and ``cache_clear()`` read and empty it.
+Every coefficient of g, S and R is fixed by the ones below it, so
+``solve_ode`` keeps each solve that passed, one per r.  A later solve of r
+at or below its order is the stored one cut to its windows; above it, the
+solve continues it: the pass resumes from its g and S, the quotient from
+R's numerators, and the three parts of step 5 are formed only on the added
+exponents (``solve_ode`` has the lemma).  A cold solve is the same code
+from an empty prefix.  Only a solve that passed every check replaces an
+entry, and only by a longer one; past STORE_BYTES of numerators the least
+recently used entry goes.  ``solve_ode.cache_entries()`` and
+``cache_clear()`` read and empty the store.
 
 A second implementation of the recurrence for S (``frobenius_oracle``)
 checks the bookkeeping of the pass of step 2; the ODE residual is the proof.
@@ -59,8 +62,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import mul
+from math import gcd, isqrt, lcm
+from operator import add, mul
+from sys import getsizeof
 from typing import NamedTuple
 
 from .modforms import Group, _with_store, eisenstein, hauptmodul, seed_t0, theta_fourth
@@ -72,6 +76,8 @@ from .series import (
     _on_lattice,
     _pack,
     _pack_width,
+    _product,
+    _scaled,
     _unpack,
     format_rational,
 )
@@ -223,33 +229,6 @@ def build_g(X: tuple[Fraction, ...], group: Group, N: int) -> LaurentSeries:
     return P * t0 / D
 
 
-# r -> (X, short build) of every solve of r that has passed.
-_stages: dict[int, tuple[tuple[Fraction, ...], LaurentSeries]] = {}
-_stages_lock = threading.Lock()
-
-
-def r_stage(r: int, e4: LaurentSeries) -> tuple[tuple[Fraction, ...], LaurentSeries]:
-    """X and the short build of g for r, stored or made afresh with the
-    solve's own ``e4`` (the r-only stage of the module docstring)."""
-    with _stages_lock:
-        stage = _stages.get(r)
-    if stage is None:
-        size = -n0_for(r)
-        head, _ = relation_series(r, e4, -1)
-        X = tuple(head.coeff(-i) for i in range(1, size + 1))
-        stage = X, build_g(X, Group.for_r(r), size + CROSS_RATIO_MIN_OVERLAP)
-    return stage
-
-
-def _publish(r: int, stage: tuple[tuple[Fraction, ...], LaurentSeries]) -> None:
-    """Store the r-only stage of a solve of r that has passed every check."""
-    with _stages_lock:
-        _stages.setdefault(r, stage)
-
-
-_with_store(r_stage, _stages, _stages_lock)
-
-
 def residue_pairings(h: LaurentSeries, t: LaurentSeries, n: int) -> list[Fraction]:
     """CT(h * t^-(j+1)) for j = 0..n-1, with h known from p^-n through
     p^-1 and t = 1/p + ... the Hauptmodul, known through p^n.
@@ -276,13 +255,21 @@ def residue_pairings(h: LaurentSeries, t: LaurentSeries, n: int) -> list[Fractio
 
 
 def relation_series(
-    r: int, e4: LaurentSeries, M: int, g_size: int | Fraction = 0
+    r: int,
+    e4: LaurentSeries,
+    M: int,
+    g_size: int | Fraction = 0,
+    start: tuple[LaurentSeries, LaurentSeries] | None = None,
 ) -> tuple[LaurentSeries, LaurentSeries]:
     """One pass of the ODE's coefficient relation from p^-size through
     p^M (size = -n0): the weight -2 form g with g_(-size) = 1 and
     ``g_size`` at p^size, and the first solution S with F1 = u*S.  A pass
     through p^-1 gives the principal part of g alone, and S as the zero
     window, in 2-3% of the time of a full pass at r = 47, 64 and 96.
+    ``start``, the g and S of an earlier pass of r through p^size or
+    beyond, resumes the pass after its last step: each step reads only
+    the steps below it, so the steps it holds are the ones this pass would
+    find again, and ``g_size`` is already among them.
 
     S = a*theta(g) - (r^2/a)*theta_antider(g*E4), which builds in
     a*theta(S) = a^2*theta^2(g) - r^2*g*E4.  On lattice m, g and S can be
@@ -361,9 +348,16 @@ def relation_series(
     b = e4.nums[::m]  # q-coefficients b_0..b_K of E4
     K = (M + size) // m
     e_bits = max(map(abs, b[: K + 1])).bit_length()
-    Z, D = [1], 1  # g_i + (S_i << W) for i < k, over D
-    g_bits = 1  # every |g_i| < 2^g_bits
+    if start is None:
+        A, T, D = [1], [0], 1
+    else:  # the steps of the earlier pass over one D
+        g, S = start
+        D = lcm(g.den, S.den)
+        A = g._numerators(-size, g.N, D // g.den)[::m]
+        T = [0] * r + S._numerators(size, S.N, D // S.den)[::m]
+    g_bits = max(map(abs, A)).bit_length()  # every |g_i| < 2^g_bits
     W = _pack_width(g_bits, e_bits, K) + _PACK_SLACK
+    Z = _pack(A, T, W)  # g_i + (S_i << W) for i < k, over D
 
     def widen(bits: int) -> None:
         """Let the g numerators reach 2^bits: repack Z, with slack, where
@@ -388,7 +382,7 @@ def relation_series(
             D *= s
         return num // c, s
 
-    for k in range(1, K + 1):
+    for k in range(len(Z), K + 1):
         den = 4 * k * (k - r)
         (gsum,), (ssum,) = _unpack([sum(map(mul, Z, b[k:0:-1]))], W)
         # A rescale in the S step leaves gsum over the old D: times s.
@@ -480,6 +474,53 @@ class SolveResult(NamedTuple):
         }
 
 
+# r -> (the longest solve of r that passed, the bytes of its g, S and R
+# numerators), least recently used first (``solve_ode``).
+_solves: dict[int, tuple[SolveResult, int]] = {}
+_solves_lock = threading.Lock()
+
+# Bytes of g, S and R numerators (``_footprint``) the store keeps before it
+# drops its least recently used entry.  At the second orders of
+# ``qa/manifest.py``, minimum_order(r) + 10, the entries take 7.6 MiB for
+# r = 1..100, 7.3 MiB for the nine largest (r = 190..200) and 56.6 MiB for
+# all of r = 1..200.
+STORE_BYTES = 8 * 2**20
+
+
+def _footprint(res: SolveResult) -> int:
+    """Bytes of the numerators of g, S and R of ``res``."""
+    return sum(sum(map(getsizeof, s.nums)) for s in (res.g, res.S, res.R))
+
+
+def _stored(r: int) -> SolveResult | None:
+    """The stored solve of r, now the most recently used, or None."""
+    with _solves_lock:
+        entry = _solves.pop(r, None)
+        if entry is None:
+            return None
+        _solves[r] = entry
+    return entry[0]
+
+
+def _publish(res: SolveResult) -> None:
+    """Store ``res``, a solve that has passed every check, unless the store
+    holds a solve of its r at its order or above; then drop the least
+    recently used entries, never ``res``, while the store is over
+    ``STORE_BYTES``."""
+    nbytes = _footprint(res)
+    with _solves_lock:
+        entry = _solves.get(res.r)
+        if entry is not None and entry[0].N >= res.N:
+            return
+        _solves.pop(res.r, None)
+        _solves[res.r] = res, nbytes
+        total = sum(n for _, n in _solves.values())
+        for r in list(_solves)[:-1]:
+            if total <= STORE_BYTES:
+                break
+            total -= _solves.pop(r)[1]
+
+
 def minimum_order(r: int) -> int:
     """Smallest series order solve_ode accepts for this r."""
     return 2 * (-n0_for(r)) + 2
@@ -506,12 +547,16 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     starts at p^n0).  A changed g at p^(-n0) passes both (g + c*S gives
     the same S).
 
-    X and the short build come from ``r_stage``, and are published to its
-    store only once every check below has passed; everything from E4 on
-    runs on every solve (the module docstring has the store).
+    A solve of r at or below the order of the stored solve of r is that
+    solve cut to its windows.  Above it, the solve continues it: the pass
+    resumes after the stored g and S, the division after R's coefficients,
+    and each part of the certificate starts past the stored windows; the
+    head pass, the short build and the compare do not run again (the
+    compare's window lies in every stored g).  Only a solve that has passed
+    every check below is stored (the module docstring has the store).
 
-    R = g/S * (-2) is the one division of a solution series; the short build
-    inverts only t.  ``g / S`` runs the quotient kernel of
+    R = -2g/S is the one division of a solution series; the short build
+    inverts only t.  ``S.inverse(-2g)`` runs the quotient kernel of
     ``LaurentSeries.inverse``: it divides the numerators of g and of S by
     their contents (at r = 96 those of S share 795 of their 1964 bits), then
     finds the quotient one coefficient at a time by forward substitution.
@@ -567,7 +612,20 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     direct expansion from R reaches.  Each part is checked on its own, so
     that two nonzero parts cannot cancel, and each failure raises
     ``ResidualNonzero`` naming it.
+
+    Inheritance.  Each part's coefficient at p^j reads g, S, R and E4 only
+    within a fixed offset of j: E reads S through p^j and E4 through
+    p^(j - k); delta reads g and S through p^j and E4 through p^(j + k);
+    R*S + 2g reads R through p^(j - k), S through p^(j + 2k) and g at p^j.
+    g, S, R and E4 are the same numbers at every order, each coefficient
+    fixed by the ones below it.  So a solve of r that passed with M0 for M
+    leaves E and delta zero through M0 and R*S + 2g through M0 - 2k for
+    every longer solve of r, which checks each part exactly on the rows
+    past those, and w(0), and inherits the rest.
     """
+    for name, value in (("r", r), ("N", N)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"solve_ode: {name} must be an int, got {value!r}")
     if r < 1:
         raise ValueError("r must be a positive integer")
     if r > MAX_R:
@@ -582,24 +640,34 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     where = f"for r={r} at order {N}"
 
     M = N + 3 * size + 4
+    prev = _stored(r)
+    if prev is not None and N <= prev.N:
+        return _cut(prev, N)
     e4 = eisenstein(4, M + size, m)
-    X, short = r_stage(r, e4)
-    g, S = relation_series(r, e4, M, short.coeff(size))
+    if prev is None:
+        head, _ = relation_series(r, e4, -1)
+        X = tuple(head.coeff(-i) for i in range(1, size + 1))
+        short = build_g(X, group, size + CROSS_RATIO_MIN_OVERLAP)
+        g, S = relation_series(r, e4, M, short.coeff(size))
+        n = (g - short).order
+        if n is not None:
+            raise MatchFailure(
+                f"g by the recurrence {where}: coefficient at p^{n} is "
+                f"{format_rational(g.coeff(n))}, "
+                f"the short modular build gives {format_rational(short.coeff(n))}"
+            )
+        done = -size - 1  # the last row of E and delta a prefix certified: none
+    else:
+        X, done = prev.X, prev.S.N
+        g, S = relation_series(r, e4, M, start=(prev.g, prev.S))
     if S.order != size:
         raise ResidualNonzero(
             f"first solution has no term at p^{size} {where}: "
             f"S has order {S.order}, wanted {size}"
         )
-    n = (g - short).order
-    if n is not None:
-        raise MatchFailure(
-            f"g by the recurrence {where}: coefficient at p^{n} is "
-            f"{format_rational(g.coeff(n))}, "
-            f"the short modular build gives {format_rational(short.coeff(n))}"
-        )
 
-    ode, delta = _ode_and_delta(r, g, S, e4)
-    R = g / S * (-2)
+    ode, delta = _ode_and_delta(r, g, S, e4, done + 1)
+    R = S.inverse(g * -2, known=None if prev is None else prev.R)
     res = SolveResult(
         r=r,
         N=N,
@@ -610,32 +678,83 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
         R=R,
         ode_residual=ode,
         delta_residual=delta,
-        division_residual=R * S + g * 2,
+        division_residual=_division_part(R, S, g, done - 2 * size + 1),
         wronskian=4 * r * S.coeff(size) * g.coeff(-size),
     )
     failure = res.certificate_failure()
     if failure is not None:
         raise ResidualNonzero(failure)
-    _publish(r, (X, short))
+    _publish(res)
     return res
 
 
+_with_store(solve_ode, _solves, _solves_lock)
+
+
+def _cut(res: SolveResult, N: int) -> SolveResult:
+    """The passed solve ``res`` on the windows of a solve of ``res.r`` at
+    order N <= res.N: every coefficient is the same at every order, so
+    each series is its truncation."""
+    size = -res.n0
+    M = N + 3 * size + 4
+    return res._replace(
+        N=N,
+        g=res.g.truncate(M),
+        S=res.S.truncate(M),
+        R=res.R.truncate(M - 3 * size),
+        ode_residual=res.ode_residual.truncate(M),
+        delta_residual=res.delta_residual.truncate(M),
+        division_residual=res.division_residual.truncate(M - 2 * size),
+    )
+
+
+def _rows(x: LaurentSeries, lo: int) -> LaurentSeries:
+    """The coefficients of x from p^lo on (x itself if it starts there or later)."""
+    if lo <= x.n_min:
+        return x
+    return LaurentSeries.from_numerators(x.m, lo, x.nums[lo - x.n_min :], x.den)
+
+
 def _ode_and_delta(
-    r: int, g: LaurentSeries, S: LaurentSeries, e4: LaurentSeries
+    r: int, g: LaurentSeries, S: LaurentSeries, e4: LaurentSeries, lo: int
 ) -> tuple[LaurentSeries, LaurentSeries]:
-    """The ODE and delta parts of the certificate (``solve_ode``), each
-    its own series, with g*E4 and S*E4 from one packed product
-    (``series._mul_pair``).  A solve forms them before R, so that the two
-    products are freed before the division: held through it, they raised
-    the peak RSS of a process that solves (47, 96), (64, 66) and (96, 98)
-    in turn by 0.13 MiB.
+    """The ODE and delta parts of the certificate (``solve_ode``) from
+    p^lo on, each its own series, with g*E4 and S*E4 from one packed
+    product (``series._mul_pair``) formed only on those rows.  A solve
+    forms them before R, so that the two products are freed before the
+    division: held through it, they raised the peak RSS of a process that
+    solves (47, 96), (64, 66) and (96, 98) in turn by 0.13 MiB.
     """
     a = 2 // g.m
-    gE4, SE4 = _mul_pair(g, S, e4)
+    gE4, SE4 = _mul_pair(g, S, e4, lo)
+    g, S = _rows(g, lo), _rows(S, lo)
     return (
         S.theta().theta() * (a * a) - SE4 * (r * r),
         S.theta() * a - g.theta().theta() * (a * a) + gE4 * (r * r),
     )
+
+
+def _division_part(
+    R: LaurentSeries, S: LaurentSeries, g: LaurentSeries, lo: int
+) -> LaurentSeries:
+    """The division part R*S + 2g of the certificate from p^lo on, on the
+    window of ``R * S + g * 2``.  With Rn, Sn and gn the numerators of R,
+    S and g over D_R, D_S and D_g, row j is the integer
+    (Rn*Sn)_j*D_g + 2*gn_j*D_R*D_S over D_R*D_S*D_g, less one gcd of the
+    scalar factors (``series._product`` takes the contents of R and S out
+    first), so a zero part is zero rows, and no gcd runs over the
+    numerators of R*S: over D_R*D_S they carry R's padding, which
+    ``__mul__`` found and divided out again (about 1 + 1 ms at (96, 98)).
+    """
+    start = R.n_min + S.n_min
+    lo = max(lo, start)
+    conv, c = _product(R, S, lo - start)
+    top = lo + len(conv) - 1
+    k, t = c.numerator * g.den, 2 * c.denominator
+    h = gcd(k, t)
+    rows = list(map(add, _scaled(conv, k // h), g._numerators(lo, top, t // h)))
+    f = Fraction(h, c.denominator * g.den)
+    return LaurentSeries.from_numerators(R.m, lo, _scaled(rows, f.numerator), f.denominator)
 
 
 def frobenius_oracle(r: int, N: int) -> LaurentSeries:

@@ -4,16 +4,17 @@ import time
 
 import pytest
 
-from modschwarz.solver import r_stage, solve_ode
+from modschwarz.solver import solve_ode
 
 
 @pytest.fixture(autouse=True)
-def cold_r_stage():
-    """Every test starts with ``r_stage``'s store empty, so its first solve
-    of each r is cold, as a solve in a fresh process is: a test that spies
-    on or perturbs the head pass, ``build_g`` or the generators sees the
-    calls a cold solve makes.  ``tests/test_r_stage.py`` tests warm solves."""
-    r_stage.cache_clear()
+def empty_solve_store():
+    """Every test starts with ``solve_ode``'s store of passed solves empty,
+    so its first solve of each r is cold, as a solve in a fresh process
+    is: a test that spies on or perturbs the head pass, ``build_g``, the
+    generators or a kernel sees the calls a cold solve makes.
+    ``tests/test_r_stage.py`` tests solves that read the store."""
+    solve_ode.cache_clear()
 
 
 @pytest.fixture(scope="session")

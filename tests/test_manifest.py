@@ -1,13 +1,16 @@
 """``qa/manifest.py``, the all-r manifest, on a few small cases: the
-checked-in digests hold cold and warm, and a moved digest is named."""
+checked-in digests hold cold, extended and cut solves, and a moved digest
+is named."""
 
+import hashlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from modschwarz import solver
+from modschwarz import cli, solver
 from modschwarz.solver import minimum_order
 
 SCRIPT = Path(__file__).resolve().parents[1] / "qa" / "manifest.py"
@@ -44,7 +47,7 @@ def test_a_cold_and_a_warm_solve_match_the_manifest(manifest_module, monkeypatch
     monkeypatch.setattr(solver, "build_g", spy)
     rows = manifest_module.solve_all(SMALL, 1)
     # Each r: the cold solve at its minimum order makes the short build,
-    # the warm one ten orders up reads it from the store.
+    # the one ten orders up extends it.
     assert len(built) == len(SMALL)
     assert [(r, N) for r, N, _, _ in rows] == [
         (r, N) for r in SMALL for N in (minimum_order(r), minimum_order(r) + 10)
@@ -52,11 +55,25 @@ def test_a_cold_and_a_warm_solve_match_the_manifest(manifest_module, monkeypatch
     assert manifest_module.first_moved(json.loads(MANIFEST.read_text()), rows) is None
 
 
+def test_a_cut_of_a_stored_solve_matches_the_manifest(manifest_module):
+    # Each r ten orders up first: the solve at its minimum order is then
+    # the stored solve cut to that order.
+    rows = []
+    for r in SMALL:
+        for order in (minimum_order(r) + manifest_module.WARM_STEP, minimum_order(r)):
+            out = io.StringIO()
+            argv = ["solve", "--r", str(r), "--order", str(order), "--format", "json"]
+            assert cli.run(argv, out=out) == 0
+            rows.append((r, order, hashlib.sha256(out.getvalue().encode()).hexdigest(), 0.0))
+        assert solver.solve_ode.cache_entries()[r][0].N == minimum_order(r) + 10
+    assert manifest_module.first_moved(json.loads(MANIFEST.read_text()), rows) is None
+
+
 def test_compare_names_the_first_moved_case(manifest_module):
     doc = json.loads(MANIFEST.read_text())
     rows = manifest_module.solve_all([3, 2], 1)
     assert manifest_module.first_moved(doc, rows) is None
-    doc["sha256"]["2,14"] = "0" * 64  # the warm solve of r = 2
+    doc["sha256"]["2,14"] = "0" * 64  # the extended solve of r = 2
     doc["sha256"]["3,8"] = "0" * 64
     assert "(r, order) = (2, 14) moved" in manifest_module.first_moved(doc, rows)
 

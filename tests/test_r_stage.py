@@ -1,27 +1,28 @@
-"""The r-only stage of a solve and its store (``solver.r_stage``): a warm
-solve is byte for byte a cold one, skips only the head pass and the short
-modular build, and a solve that fails publishes nothing.  ``conftest``
-empties the store before every test."""
+"""The store of passed solves (``solve_ode``): a solve of r at or below
+the stored order is the stored one cut to its windows, one above it
+continues it, and either is byte for byte a cold solve; an extension runs
+only the added rows and names a fault in them; a solve that fails
+publishes nothing; the byte budget drops the least recently used entry.
+``conftest`` empties the store before every test."""
 
 import json
 import os
+import re
 import sys
 import threading
 
 import pytest
 
-from modschwarz import solver
+from modschwarz import series, solver
 from modschwarz.series import LaurentSeries
 from modschwarz.solver import (
-    CROSS_RATIO_MIN_OVERLAP,
     MAX_R,
     MatchFailure,
     ResidualNonzero,
-    SolveResult,
-    build_g,
+    build_B,
     minimum_order,
     n0_for,
-    r_stage,
+    solve_eigen,
     solve_ode,
 )
 
@@ -30,91 +31,170 @@ def solve_bytes(r: int, N: int) -> str:
     return json.dumps(solve_ode(r, N).to_json_dict())
 
 
+def entries() -> dict:
+    """r -> the stored SolveResult."""
+    return {r: res for r, (res, _) in solve_ode.cache_entries().items()}
+
+
+def chain(r: int) -> list[int]:
+    """Extension, extension, cut, extension: the orders of one r that the
+    store answers in turn, each at least r's minimum."""
+    low = minimum_order(r)
+    return [N for N in (low, low + 10, 60, 40, 90) if N >= low]
+
+
 @pytest.mark.parametrize("r", range(1, 25))
 def test_a_warm_solve_is_byte_for_byte_a_cold_one(r):
-    N = minimum_order(r) + 10
-    cold = solve_ode(r, N)
-    cold_bytes = json.dumps(cold.to_json_dict())
-    r_stage.cache_clear()
-    solve_ode(r, minimum_order(r))  # makes the entry of r
-    assert set(r_stage.cache_entries()) == {r}
-    warm = solve_ode(r, N)
-    assert warm == cold
-    assert json.dumps(warm.to_json_dict()) == cold_bytes
+    cold = {}
+    for N in chain(r):
+        solve_ode.cache_clear()
+        cold[N] = solve_ode(r, N)
+    solve_ode.cache_clear()
+    for N in chain(r):
+        warm = solve_ode(r, N)
+        assert warm == cold[N], N
+        assert json.dumps(warm.to_json_dict()) == json.dumps(cold[N].to_json_dict()), N
+    assert entries()[r].N == max(chain(r))
 
 
 def test_an_entry_is_the_cold_stage():
-    # X from the head pass and the short build of g through
-    # p^(size + CROSS_RATIO_MIN_OVERLAP), exactly as a fresh build gives.
+    # The entry of r is the passed solve itself, X from the head pass
+    # included, with the bytes of its g, S and R numerators.
     for r in (3, 12):
         res = solve_ode(r, 40)
-        X, short = r_stage.cache_entries()[r]
-        size = -n0_for(r)
-        assert X == res.X
-        assert short == build_g(X, res.group, size + CROSS_RATIO_MIN_OVERLAP)
-        assert short.N == size + CROSS_RATIO_MIN_OVERLAP
+        stored, nbytes = solve_ode.cache_entries()[r]
+        assert stored is res
+        assert res.X == solve_eigen(build_B(r))
+        assert nbytes == sum(sys.getsizeof(x) for s in (res.g, res.S, res.R) for x in s.nums)
 
 
 @pytest.mark.parametrize("r", [3, 12])
-def test_a_warm_solve_skips_only_the_r_stage(r, monkeypatch):
-    solve_ode(r, minimum_order(r))
-    _, short = r_stage.cache_entries()[r]
-    passes, built, subtracted, parts = [], [], [], []
+def test_an_extension_runs_only_the_added_rows(r, monkeypatch):
+    prev = solve_ode(r, 60)
+    passes, built, quotients, pairs, parts, rows = [], [], [], [], [], []
     real_pass, real_build_g = solver.relation_series, solver.build_g
-    real_sub, real_certificate = LaurentSeries.__sub__, SolveResult.certificate
+    real_quotient, real_convolve = series._quotient, series._convolve
+    real_pair, real_part = solver._mul_pair, solver._division_part
 
-    def spy_pass(r, e4, M, g_size=0):
-        passes.append(M)
-        return real_pass(r, e4, M, g_size)
+    def spy_pass(r, e4, M, g_size=0, start=None):
+        passes.append((M, start))
+        return real_pass(r, e4, M, g_size, start)
 
     def spy_build_g(*args):
         built.append(args)
         return real_build_g(*args)
 
-    def spy_sub(a, b):
-        subtracted.append(b)
-        return real_sub(a, b)
+    def spy_quotient(A, U, n, q=(), D=1):
+        quotients.append((n, len(q)))
+        return real_quotient(A, U, n, q, D)
 
-    def spy_certificate(res):
-        out = real_certificate(res)
-        parts.append([(name, residual.is_zero()) for name, residual in out])
-        return out
+    def spy_convolve(a, b, n, start=0):
+        rows.append(n - start)
+        return real_convolve(a, b, n, start)
+
+    def spy_pair(x, y, e, start=None):
+        pairs.append(start)
+        return real_pair(x, y, e, start)
+
+    def spy_part(R, S, g, lo):
+        parts.append(lo)
+        return real_part(R, S, g, lo)
 
     monkeypatch.setattr(solver, "relation_series", spy_pass)
     monkeypatch.setattr(solver, "build_g", spy_build_g)
-    monkeypatch.setattr(LaurentSeries, "__sub__", spy_sub)
-    monkeypatch.setattr(SolveResult, "certificate", spy_certificate)
+    monkeypatch.setattr(series, "_quotient", spy_quotient)
+    monkeypatch.setattr(series, "_convolve", spy_convolve)
+    monkeypatch.setattr(solver, "_mul_pair", spy_pair)
+    monkeypatch.setattr(solver, "_division_part", spy_part)
     N = 90
     res = solve_ode(r, N)
     size = -n0_for(r)
-    assert passes == [N + 3 * size + 4]  # the full pass, and no head pass
+    M0, M = prev.S.N, N + 3 * size + 4
+    # One pass, resumed from the stored g and S; no head pass, no build_g.
+    assert [(m, start[0] is prev.g and start[1] is prev.S) for m, start in passes] == [(M, True)]
     assert built == []
-    assert any(b is short for b in subtracted)  # the compare, g - short
-    assert parts == [[("ODE", True), ("delta", True), ("division", True)]]
-    assert res.wronskian != 0
+    # The quotient resumes after the stored R's coefficients.
+    assert quotients[0] == (len(res.R.nums), len(prev.R.nums))
+    # Each part from its first row past the stored window, and no
+    # convolution forms more rows than the extension adds.
+    assert pairs == [M0 + 1]
+    assert parts == [prev.division_residual.N + 1]
+    assert rows and max(rows) <= M - M0
+    assert res.certificate_failure() is None
+    assert entries()[r] is res
+
+
+def faulty_pass(monkeypatch, which: str, e: int) -> None:
+    """Every full pass of r from now on gives S or g off by 1 at p^e, or
+    runs on an E4 off by 1 at p^e (the certificate reads the true E4)."""
+    real = solver.relation_series
+
+    def off(r, e4, M, g_size=0, start=None):
+        if M < 0:  # the head pass
+            return real(r, e4, M, g_size, start)
+        if which == "E4":
+            e4 = e4 + LaurentSeries.from_terms(e4.m, {e: 1}, e4.N)
+        g, S = real(r, e4, M, g_size, start)
+        if which == "S":
+            S = S + LaurentSeries.from_terms(S.m, {e: 1}, S.N)
+        if which == "g":
+            g = g + LaurentSeries.from_terms(g.m, {e: 1}, g.N)
+        return g, S
+
+    monkeypatch.setattr(solver, "relation_series", off)
 
 
 @pytest.mark.parametrize("r", [3, 12])
-@pytest.mark.parametrize("where", ["below p^size", "above p^size"])
-def test_a_perturbed_full_pass_on_a_warm_solve_fails_the_compare(r, where, monkeypatch):
-    solve_ode(r, minimum_order(r))
-    size = -n0_for(r)
-    e = size // 2 if where == "below p^size" else size + 5
-    real = solver.relation_series
+@pytest.mark.parametrize("which", ["S", "g", "E4"])
+def test_a_fault_in_an_added_row_is_named_and_leaves_the_entry(r, which, monkeypatch):
+    # Past the stored window: S or g at the first added exponent on the
+    # lattice, E4 just past the stored E4 (p^(M0 + size)).  The extension
+    # names the fault as a cold solve with the same fault does, at an
+    # exponent it added, and the passed entry stays.
+    prev = solve_ode(r, 60)
+    size, m, M0 = -n0_for(r), prev.m, prev.S.N
+    e = M0 + m if which != "E4" else M0 + size + m
+    faulty_pass(monkeypatch, which, e)
+    with pytest.raises(ResidualNonzero) as warm:
+        solve_ode(r, 90)
+    assert entries() == {r: prev}
+    solve_ode.cache_clear()
+    with pytest.raises(ResidualNonzero) as cold:
+        solve_ode(r, 90)
+    message = str(warm.value)
+    assert message == str(cold.value)
+    assert message.startswith(f"{'delta' if which == 'g' else 'ODE'} residual nonzero for r={r} at order 90")
+    named = int(re.search(r"at p\^(-?\d+)$", message).group(1))
+    assert named == (e if which != "E4" else e + size)
+    assert named > M0
+    assert entries() == {}
 
-    def perturbed(r, e4, M, g_size=0):
-        g, S = real(r, e4, M, g_size)
-        return g + LaurentSeries.from_terms(g.m, {e: 1}, g.N), S
 
-    monkeypatch.setattr(solver, "relation_series", perturbed)
+@pytest.mark.parametrize("r", [3, 64])
+def test_a_fault_in_an_added_row_of_r_is_named_by_the_division_part(r, monkeypatch):
+    # R off by 1 at its last coefficient, past the stored R: the division
+    # part's added rows name it at p^(N_R + size), as a cold solve does.
+    prev = solve_ode(r, minimum_order(r))
+    real = LaurentSeries.inverse
+
+    def off_at_the_end(self, numerator=1, known=None):
+        q = real(self, numerator, known)
+        if self.order <= 0:
+            return q
+        return q + LaurentSeries.from_terms(q.m, {q.N: 1}, q.N)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", off_at_the_end)
     N = minimum_order(r) + 10
-    with pytest.raises(
-        MatchFailure,
-        match=rf"^g by the recurrence for r={r} at order {N}: "
-        rf"coefficient at p\^{e} is -?\d+(/\d+)?, the short modular build gives ",
-    ):
+    with pytest.raises(ResidualNonzero) as warm:
         solve_ode(r, N)
-    assert set(r_stage.cache_entries()) == {r}  # the entry of the passing solve
+    assert entries() == {r: prev}
+    solve_ode.cache_clear()
+    with pytest.raises(ResidualNonzero) as cold:
+        solve_ode(r, N)
+    size = -n0_for(r)
+    assert str(warm.value) == str(cold.value)
+    assert str(warm.value).startswith(f"division residual nonzero for r={r} at order {N}: ")
+    assert str(warm.value).endswith(f" at p^{N + 4 + size}")
 
 
 def perturbed_short_build(monkeypatch, r):
@@ -131,16 +211,8 @@ def perturbed_short_build(monkeypatch, r):
 
 def perturbed_full_pass(monkeypatch, r):
     # S one off past p^size: the ODE part names it, the compare cannot.
-    real = solver.relation_series
     e = -n0_for(r) + 2
-
-    def perturbed(r, e4, M, g_size=0):
-        g, S = real(r, e4, M, g_size)
-        if M < 0:  # the head pass
-            return g, S
-        return g, S + LaurentSeries.from_terms(S.m, {e: 1}, S.N)
-
-    monkeypatch.setattr(solver, "relation_series", perturbed)
+    faulty_pass(monkeypatch, "S", e)
     return ResidualNonzero, rf"^ODE residual nonzero for r={r} at order 40: .* at p\^{e}$"
 
 
@@ -150,33 +222,54 @@ def test_a_failed_solve_publishes_nothing(r, fault, monkeypatch):
     error, message = fault(monkeypatch, r)
     with pytest.raises(error, match=message):
         solve_ode(r, 40)
-    assert r_stage.cache_entries() == {}
+    assert entries() == {}
     monkeypatch.undo()
     res = solve_ode(r, 40)
     assert res.schwarz_residual_zero
-    assert r_stage.cache_entries()[r][0] == res.X
+    assert entries() == {r: res}
 
 
 def test_the_store_holds_one_entry_per_r_solved():
+    # One entry per r, replaced only by a longer passing solve.
     for r, N in ((1, 40), (2, 40), (3, 40), (2, 60), (1, 90), (12, 40), (12, 26)):
         solve_ode(r, N)
-    assert sorted(r_stage.cache_entries()) == [1, 2, 3, 12]
+    assert {r: res.N for r, res in entries().items()} == {1: 90, 2: 60, 3: 40, 12: 40}
     with pytest.raises(ValueError):
         solve_ode(MAX_R + 1, 10**6)
     with pytest.raises(ValueError):
         solve_ode(5, minimum_order(5) - 1)
-    assert sorted(r_stage.cache_entries()) == [1, 2, 3, 12]
-    r_stage.cache_clear()
-    assert r_stage.cache_entries() == {}
+    assert sorted(entries()) == [1, 2, 3, 12]
+    solve_ode.cache_clear()
+    assert entries() == {}
+
+
+def test_the_byte_budget_drops_the_least_recently_used_entry(monkeypatch):
+    sizes = {}
+    for r in (1, 2, 3, 4):
+        solve_ode(r, 40)
+        sizes[r] = solve_ode.cache_entries()[r][1]
+    solve_ode.cache_clear()
+    monkeypatch.setattr(solver, "STORE_BYTES", sizes[1] + sizes[3] + sizes[4])
+    for r in (1, 2, 3):
+        solve_ode(r, 40)
+    solve_ode(1, 30)  # a cut: r = 1 is now the most recently used
+    solve_ode(4, 40)  # over the budget: r = 2, the least recently used, goes
+    assert list(solve_ode.cache_entries()) == [3, 1, 4]
+    monkeypatch.setattr(solver, "STORE_BYTES", 0)
+    solve_ode(3, 60)  # an extension, published; every other entry goes
+    assert list(entries()) == [3] and entries()[3].N == 60
 
 
 def test_threads_sharing_the_store_get_the_cold_outputs():
     # More threads than cores, switching often, solving r = 3 and 12 at
     # several orders from an empty store: every output is the cold one,
-    # and the store ends with one entry per r.
+    # and the store ends with one entry per r, at the longest order.
     cases = [(r, N) for r in (3, 12) for N in (40, 60, 90)]
-    want = {case: solve_bytes(*case) for case in cases}
-    r_stage.cache_clear()
+    want = {}
+    for case in cases:
+        solve_ode.cache_clear()
+        want[case] = solve_bytes(*case)
+    solve_ode.cache_clear()
     wrong = []
 
     def work(offset):
@@ -198,4 +291,4 @@ def test_threads_sharing_the_store_get_the_cold_outputs():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert sorted(r_stage.cache_entries()) == [3, 12]
+    assert {r: res.N for r, res in entries().items()} == {3: 90, 12: 90}

@@ -1,7 +1,7 @@
 """The certificate behind ``schwarz_residual_zero``: the direct Schwarzian
 residual and the Wronskian series as its oracles, one break per part, and
-the one division, the one product and the one packed pair product a solve
-makes."""
+the one division, the one product of R and S and the one packed pair
+product a solve makes."""
 
 import io
 import json
@@ -162,13 +162,14 @@ def test_one_coefficient_off_breaks_the_parts_as_two_products_do(case, which, wh
 
 def block_calls(monkeypatch) -> list[int]:
     """The denominators of the products that take the block path of
-    ``LaurentSeries.__mul__`` from now on, one per call of its helper."""
+    ``LaurentSeries.__mul__`` or of the division part from now on, one per
+    call of its helper."""
     calls = []
     real = series._convolve_blocks
 
-    def spy(x, y, n, den):
+    def spy(x, y, n, den, start=0):
         calls.append(den)
-        return real(x, y, n, den)
+        return real(x, y, n, den, start)
 
     monkeypatch.setattr(series, "_convolve_blocks", spy)
     return calls
@@ -179,16 +180,18 @@ def block_calls(monkeypatch) -> list[int]:
     [(3, 40, "last"), (64, 66, "first"), (64, 66, "block boundary"), (64, 66, "last")],
 )
 def test_r_off_at_one_coefficient_breaks_only_the_division_part(r, order, where, monkeypatch):
-    # R = g/S * (-2) comes out of one division kernel, so the break is put
-    # on the quotient g/S, the one division whose divisor has a positive
-    # order (the short build divides by E4 and by the Hauptmodul).  At
-    # r = 64 the residual R*S takes the block path: its first coefficient
-    # carries the most of the denominator, and the block boundary is where
-    # the second block starts.
+    # R = -2g/S comes out of one division kernel, so the break is put on
+    # that quotient, the one division whose divisor has a positive order
+    # (the short build divides by E4 and by the Hauptmodul).  At r = 64
+    # the residual R*S takes the block path: its first coefficient carries
+    # the most of the denominator, and the block boundary is where the
+    # second block starts.  The part's rows are formed as integers without
+    # ``__mul__``; a nonzero part is the series R*S + 2g that ``__mul__``
+    # and ``__add__`` give, so the message names the same coefficient.
     real = LaurentSeries.inverse
 
-    def off_at_one(self, numerator=1):
-        q = real(self, numerator)
+    def off_at_one(self, numerator=1, known=None):
+        q = real(self, numerator, known)
         if self.order <= 0:
             return q
         e = {"first": q.n_min, "block boundary": q.n_min + series._BLOCK, "last": q.N}[where]
@@ -200,11 +203,12 @@ def test_r_off_at_one_coefficient_breaks_only_the_division_part(r, order, where,
     assert code == 1
     assert nonzero_parts(res) == ["division"]
     assert calls == ([res.R.den] if r == 64 else [])
-    # R is off by -2 at p^e, so R*S + 2g is off by -2*s0 at p^(e + order of S).
+    assert res.division_residual == res.R * res.S + res.g * 2
+    # R is off by 1 at p^e, so R*S + 2g is off by s0 at p^(e + order of S).
     e = {"first": res.R.n_min, "block boundary": res.R.n_min + series._BLOCK, "last": res.R.N}[where]
     assert message == (
         f"division residual nonzero for r={r} at order {order}: coefficient "
-        f"{format_rational(-2 * res.S.leading_coefficient)} at p^{e + res.S.order}"
+        f"{format_rational(res.S.leading_coefficient)} at p^{e + res.S.order}"
     )
 
 
@@ -222,31 +226,37 @@ def test_a_zero_wronskian_is_reported(monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 12])
 def test_a_solve_inverts_only_s(r, monkeypatch):
-    # Outside the short modular build, the only division is g/S, the only
-    # product of two series is R*S (division), and g and S meet E4 exactly
-    # once, as one packed pair for the ODE and delta parts
+    # Outside the short modular build, the only division is -2g/S, no
+    # ``__mul__`` takes two series, R*S is formed once, as the rows of the
+    # division part (``solver._division_part``), and g and S meet E4
+    # exactly once, as one packed pair for the ODE and delta parts
     # (``series._mul_pair``): no Wronskian series.  The short build divides
     # twice: -theta(t) by E4 for the seed t0, then 1 by the Hauptmodul cut
     # to p^size for its residue pairings.
     for gen in vars(modforms).values():
         if hasattr(gen, "cache_clear"):
             gen.cache_clear()
-    divided, divided_in_build, multiplied, paired, building = [], [], [], [], []
+    divided, divided_in_build, multiplied, paired, parts, building = [], [], [], [], [], []
     real_inverse, real_mul = LaurentSeries.inverse, LaurentSeries.__mul__
     real_build_g, real_pair = solver.build_g, solver._mul_pair
+    real_part = solver._division_part
 
-    def inverse_spy(self, numerator=1):
-        (divided_in_build if building else divided).append((self, numerator))
-        return real_inverse(self, numerator)
+    def inverse_spy(self, numerator=1, known=None):
+        (divided_in_build if building else divided).append((self, numerator, known))
+        return real_inverse(self, numerator, known)
 
     def mul_spy(self, other):
         if isinstance(other, LaurentSeries) and not building:
             multiplied.append((self, other))
         return real_mul(self, other)
 
-    def pair_spy(x, y, e):
+    def pair_spy(x, y, e, start=None):
         paired.append((x, y, e))
-        return real_pair(x, y, e)
+        return real_pair(x, y, e, start)
+
+    def part_spy(R, S, g, lo):
+        parts.append((R, S, g))
+        return real_part(R, S, g, lo)
 
     def build_g_spy(*args):
         building.append(True)
@@ -259,17 +269,19 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
     monkeypatch.setattr(LaurentSeries, "__mul__", mul_spy)
     monkeypatch.setattr(solver, "build_g", build_g_spy)
     monkeypatch.setattr(solver, "_mul_pair", pair_spy)
+    monkeypatch.setattr(solver, "_division_part", part_spy)
     res = solve_ode(r, minimum_order(r))
     size = -res.n0
-    (e4, seed_numerator), (t, one) = divided_in_build
+    (e4, seed_numerator, _), (t, one, _) = divided_in_build
     assert e4 == eisenstein(4, e4.N, res.m)
     assert seed_numerator == -hauptmodul(res.group, e4.N - 1).theta()
     assert (t.n_min, t.N, one) == (-1, size, 1)
     assert t == hauptmodul(res.group, size)
     assert len(divided) == 1
-    divisor, numerator = divided[0]
+    divisor, numerator, known = divided[0]
     assert divisor is res.S
-    assert numerator is res.g
+    assert numerator == res.g * -2
+    assert known is None  # a cold solve
 
     def name(x):
         for label, y in (("g", res.g), ("S", res.S), ("R", res.R)):
@@ -277,7 +289,8 @@ def test_a_solve_inverts_only_s(r, monkeypatch):
                 return label
         return "E4" if x == eisenstein(4, x.N, res.m) else f"p^{x.n_min}..p^{x.N}"
 
-    assert [(name(x), name(y)) for x, y in multiplied] == [("R", "S")]
+    assert multiplied == []
+    assert [tuple(map(name, args)) for args in parts] == [("R", "S", "g")]
     assert [tuple(map(name, args)) for args in paired] == [("g", "S", "E4")]
 
 

@@ -303,6 +303,19 @@ def test_solve_rejects_bad_arguments():
         solve_ode(MAX_R, least - 1)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((True, 40), "r"), ((2.0, 40), "r"), ((Fraction(2), 40), "r"), ((2, 40.0), "N"), ((2, True), "N")],
+)
+def test_solve_refuses_an_r_or_order_that_is_not_an_int(args, name):
+    # A bool is an int to Python, and True would share the store's entry
+    # of r = 1 and print "r": true; a float fails deep in the pass.
+    with pytest.raises(TypeError, match=rf"^solve_ode: {name} must be an int, got "):
+        solve_ode(*args)
+    assert solve_ode.cache_entries() == {}
+    assert json.dumps(solve_ode(1, 40).to_json_dict()).startswith('{"r": 1, ')
+
+
 def test_ode_residual_raise_names_r_order_and_first_coefficient(monkeypatch):
     real = solver.relation_series
 
@@ -378,7 +391,7 @@ def test_a_solve_asks_the_generators_only_for_a_short_window(r, monkeypatch):
     largest = []
     for N in (minimum_order(r), 120):
         orders.clear()
-        solver.r_stage.cache_clear()  # both solves cold: each makes the short build
+        solve_ode.cache_clear()  # both solves cold: each makes the short build
         solve_ode(r, N)
         largest.append(max(orders))
     assert largest[0] == largest[1] <= 2 * (-n0_for(r)) + CROSS_RATIO_MIN_OVERLAP
