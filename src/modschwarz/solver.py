@@ -611,7 +611,9 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     Schwarzian residual is zero through N_R + 2k, the whole window a
     direct expansion from R reaches.  Each part is checked on its own, so
     that two nonzero parts cannot cancel, and each failure raises
-    ``ResidualNonzero`` naming it.
+    ``ResidualNonzero`` naming it.  No part reads R past N_R, so the
+    windows are checked too: g and S must end at M and R at N_R, or
+    ``_ends_at`` names the series.
 
     Inheritance.  Each part's coefficient at p^j reads g, S, R and E4 only
     within a fixed offset of j: E reads S through p^j and E4 through
@@ -660,6 +662,7 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
     else:
         X, done = prev.X, prev.S.N
         g, S = relation_series(r, e4, M, start=(prev.g, prev.S))
+    _ends_at(where, M, g=g, S=S)
     if S.order != size:
         raise ResidualNonzero(
             f"first solution has no term at p^{size} {where}: "
@@ -668,6 +671,7 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
     ode, delta = _ode_and_delta(r, g, S, e4, done + 1)
     R = S.inverse(g * -2, known=None if prev is None else prev.R)
+    _ends_at(where, M - 3 * size, R=R)
     res = SolveResult(
         r=r,
         N=N,
@@ -689,6 +693,15 @@ def solve_ode(r: int, N: int = 40) -> SolveResult:
 
 
 _with_store(solve_ode, _solves, _solves_lock)
+
+
+def _ends_at(where: str, N: int, **series: LaurentSeries) -> None:
+    """Refuse a series of a solve whose window ends anywhere but at p^N."""
+    for name, x in series.items():
+        if x.N != N:
+            raise ResidualNonzero(
+                f"{name} has window p^{x.n_min}..p^{x.N} {where}, wanted p^{x.n_min}..p^{N}"
+            )
 
 
 def _cut(res: SolveResult, N: int) -> SolveResult:

@@ -13,7 +13,8 @@ def empty_solve_store():
     so its first solve of each r is cold, as a solve in a fresh process
     is: a test that spies on or perturbs the head pass, ``build_g``, the
     generators or a kernel sees the calls a cold solve makes.
-    ``tests/test_r_stage.py`` tests solves that read the store."""
+    ``tests/test_solve_store.py`` tests solves that read the store, and
+    ``tests/test_fault_table.py`` what a failed solve leaves in it."""
     solve_ode.cache_clear()
 
 

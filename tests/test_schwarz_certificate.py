@@ -1,20 +1,16 @@
 """The certificate behind ``schwarz_residual_zero``: the direct Schwarzian
-residual and the Wronskian series as its oracles, one break per part, and
-the one division, the one product of R and S and the one packed pair
-product a solve makes."""
-
-import io
-import json
-from fractions import Fraction
+residual and the Wronskian series as its oracles, and the one division,
+the one product of R and S and the one packed pair product a solve makes.
+``test_fault_table`` breaks each part."""
 
 import pytest
 
-from modschwarz import cli, modforms, series, solver
+from modschwarz import modforms, series, solver
 from modschwarz.modforms import eisenstein, hauptmodul
-from modschwarz.series import LaurentSeries, format_rational
-from modschwarz.solver import CROSS_RATIO_MIN_OVERLAP, minimum_order, n0_for, solve_ode
+from modschwarz.series import LaurentSeries
+from modschwarz.solver import minimum_order, solve_ode
 
-from oracles import direct_schwarz_residual, separate_parts, wronskian
+from oracles import direct_schwarz_residual, wronskian
 from test_output_digests import DIGESTS
 
 CASES = sorted(
@@ -36,130 +32,6 @@ def test_direct_residual_is_zero_on_the_certificate_window(r, N):
     assert res.division_residual.N == res.R.N + k
 
 
-# ---------------------------------------------------------------------------
-# one break per part: verify exits 1 and names the broken part
-# ---------------------------------------------------------------------------
-
-R, ORDER = 3, 40
-
-
-def verify_broken(monkeypatch, case=(R, ORDER), **override):
-    """Run ``verify`` for ``case = (r, order)``, r=3 at order 40 unless
-    given; return its exit code, the error message and the SolveResult
-    that solve_ode built before checking it, with the fields in
-    ``override`` put in place of the solved ones."""
-    built = []
-    real = solver.SolveResult
-
-    def record(**fields):
-        built.append(real(**{**fields, **override}))
-        return built[-1]
-
-    monkeypatch.setattr(solver, "SolveResult", record)
-    r, order = case
-    out, err = io.StringIO(), io.StringIO()
-    code = cli.run(["verify", "--r", str(r), "--order", str(order)], out=out, err=err)
-    assert out.getvalue() == ""
-    error = json.loads(err.getvalue())["error"]
-    assert error["type"] == "ResidualNonzero"
-    return code, error["message"], built[0]
-
-
-def nonzero_parts(res):
-    return [name for name, residual in res.certificate() if not residual.is_zero()]
-
-
-def test_s_off_at_its_last_coefficient_breaks_the_ode_part(monkeypatch):
-    # A change at p^M moves E and delta there, so both parts are nonzero;
-    # the ODE part is checked first and names itself.  The Wronskian
-    # series shows the break through g*E, one |n0| lower, since
-    # theta(w) = (2/a)*(S*delta + g*E) and S*delta starts past p^M.
-    real = solver.relation_series
-
-    def off_at_the_end(r, e4, M, g_size=0):
-        g, S = real(r, e4, M, g_size)
-        return g, S + LaurentSeries.from_terms(S.m, {S.N: 1}, S.N)
-
-    monkeypatch.setattr(solver, "relation_series", off_at_the_end)
-    code, message, res = verify_broken(monkeypatch)
-    assert code == 1
-    assert nonzero_parts(res) == ["ODE", "delta"]
-    assert (res.ode_residual, res.delta_residual) == separate_parts(res)
-    M = res.S.N  # a = 1 and r = 3 on the squares lattice
-    assert message == (
-        f"ODE residual nonzero for r=3 at order 40: coefficient {M * M - 9} at p^{M}"
-    )
-    # theta(w) = 2*g*E is zero below p^(M - k) and known through it, so
-    # the two are compared as equal series, window included.
-    k = -res.n0
-    theta_w = wronskian(res.g, res.S).theta()
-    assert theta_w == res.g * res.ode_residual * 2
-    assert (theta_w.n_min, theta_w.N) == (M - k, M - k)
-
-
-def test_rescaled_s_breaks_only_the_delta_part(monkeypatch):
-    # 2S still solves the ODE and R = -2g/(2S) still divides, but
-    # F2 = -2g + tau*F1 is no longer a solution: delta(g, cS) =
-    # (c-1)*a*theta(S), and the Wronskian series is 2w_0 + 2S^2.
-    real = solver.relation_series
-
-    def rescaled(r, e4, M, g_size=0):
-        g, S = real(r, e4, M, g_size)
-        return g, S * 2
-
-    monkeypatch.setattr(solver, "relation_series", rescaled)
-    code, message, res = verify_broken(monkeypatch)
-    assert code == 1
-    assert nonzero_parts(res) == ["delta"]
-    assert (res.ode_residual, res.delta_residual) == separate_parts(res)
-    assert (res.delta_residual - res.S.theta() / 2).is_zero()
-    assert message == (
-        f"delta residual nonzero for r=3 at order 40: coefficient "
-        f"{format_rational(3 * res.S.leading_coefficient / 2)} at p^3"
-    )
-    assert (wronskian(res.g, res.S) - res.wronskian).order == 6
-
-
-@pytest.mark.parametrize("case", [(3, 40), (4, 40)])
-@pytest.mark.parametrize(
-    "which, where",
-    [("S", "first"), ("S", "middle"), ("S", "last"), ("g", "past the overlap"), ("g", "last")],
-)
-def test_one_coefficient_off_breaks_the_parts_as_two_products_do(case, which, where, monkeypatch):
-    # The ODE and delta parts take g*E4 and S*E4 from one packed product.
-    # With S or g off by 1 at one coefficient, each part must still be the
-    # series that two separate products give, so the message names the
-    # same first exponent and value.  g is changed only past the short
-    # build's window, where the compare with it cannot see the change.
-    real = solver.relation_series
-
-    def off_at_one(r, e4, M, g_size=0):
-        g, S = real(r, e4, M, g_size)
-        if M < 0:  # the head pass
-            return g, S
-        x = S if which == "S" else g
-        e = {
-            "first": x.n_min,
-            "middle": x.n_min + (x.N - x.n_min) // 2 // x.m * x.m,
-            "past the overlap": -n0_for(r) + CROSS_RATIO_MIN_OVERLAP + x.m,
-            "last": x.N,
-        }[where]
-        x = x + LaurentSeries.from_terms(x.m, {e: 1}, x.N)
-        return (g, x) if which == "S" else (x, S)
-
-    monkeypatch.setattr(solver, "relation_series", off_at_one)
-    code, message, res = verify_broken(monkeypatch, case)
-    assert code == 1
-    ode, delta = separate_parts(res)
-    assert (res.ode_residual, res.delta_residual) == (ode, delta)
-    name, part = next((n, p) for n, p in (("ODE", ode), ("delta", delta)) if not p.is_zero())
-    v = part.order
-    assert message == (
-        f"{name} residual nonzero for r={case[0]} at order {case[1]}: "
-        f"coefficient {format_rational(part.coeff(v))} at p^{v}"
-    )
-
-
 def block_calls(monkeypatch) -> list[int]:
     """The denominators of the products that take the block path of
     ``LaurentSeries.__mul__`` or of the division part from now on, one per
@@ -173,50 +45,6 @@ def block_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(series, "_convolve_blocks", spy)
     return calls
-
-
-@pytest.mark.parametrize(
-    "r, order, where",
-    [(3, 40, "last"), (64, 66, "first"), (64, 66, "block boundary"), (64, 66, "last")],
-)
-def test_r_off_at_one_coefficient_breaks_only_the_division_part(r, order, where, monkeypatch):
-    # R = -2g/S comes out of one division kernel, so the break is put on
-    # that quotient, the one division whose divisor has a positive order
-    # (the short build divides by E4 and by the Hauptmodul).  At r = 64
-    # the residual R*S takes the block path: its first coefficient carries
-    # the most of the denominator, and the block boundary is where the
-    # second block starts.  The part's rows are formed as integers without
-    # ``__mul__``; a nonzero part is the series R*S + 2g that ``__mul__``
-    # and ``__add__`` give, so the message names the same coefficient.
-    real = LaurentSeries.inverse
-
-    def off_at_one(self, numerator=1, known=None):
-        q = real(self, numerator, known)
-        if self.order <= 0:
-            return q
-        e = {"first": q.n_min, "block boundary": q.n_min + series._BLOCK, "last": q.N}[where]
-        return q + LaurentSeries.from_terms(q.m, {e: 1}, q.N)
-
-    monkeypatch.setattr(LaurentSeries, "inverse", off_at_one)
-    calls = block_calls(monkeypatch)
-    code, message, res = verify_broken(monkeypatch, (r, order))
-    assert code == 1
-    assert nonzero_parts(res) == ["division"]
-    assert calls == ([res.R.den] if r == 64 else [])
-    assert res.division_residual == res.R * res.S + res.g * 2
-    # R is off by 1 at p^e, so R*S + 2g is off by s0 at p^(e + order of S).
-    e = {"first": res.R.n_min, "block boundary": res.R.n_min + series._BLOCK, "last": res.R.N}[where]
-    assert message == (
-        f"division residual nonzero for r={r} at order {order}: coefficient "
-        f"{format_rational(res.S.leading_coefficient)} at p^{e + res.S.order}"
-    )
-
-
-def test_a_zero_wronskian_is_reported(monkeypatch):
-    code, message, res = verify_broken(monkeypatch, wronskian=Fraction(0))
-    assert code == 1
-    assert nonzero_parts(res) == []
-    assert message == "Wronskian is zero for r=3 at order 40: coefficient 0 at p^0"
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,21 @@
 """The store of passed solves (``solve_ode``): a solve of r at or below
 the stored order is the stored one cut to its windows, one above it
 continues it, and either is byte for byte a cold solve; an extension runs
-only the added rows and names a fault in them; a solve that fails
-publishes nothing; the byte budget drops the least recently used entry.
-``conftest`` empties the store before every test."""
+only the added rows; the byte budget drops the least recently used entry.
+``test_fault_table`` checks that a failed solve, cold or an extension,
+leaves the store as it was.  ``conftest`` empties the store before every
+test."""
 
 import json
 import os
-import re
 import sys
 import threading
 
 import pytest
 
 from modschwarz import series, solver
-from modschwarz.series import LaurentSeries
 from modschwarz.solver import (
     MAX_R,
-    MatchFailure,
-    ResidualNonzero,
     build_B,
     minimum_order,
     n0_for,
@@ -122,111 +119,6 @@ def test_an_extension_runs_only_the_added_rows(r, monkeypatch):
     assert rows and max(rows) <= M - M0
     assert res.certificate_failure() is None
     assert entries()[r] is res
-
-
-def faulty_pass(monkeypatch, which: str, e: int) -> None:
-    """Every full pass of r from now on gives S or g off by 1 at p^e, or
-    runs on an E4 off by 1 at p^e (the certificate reads the true E4)."""
-    real = solver.relation_series
-
-    def off(r, e4, M, g_size=0, start=None):
-        if M < 0:  # the head pass
-            return real(r, e4, M, g_size, start)
-        if which == "E4":
-            e4 = e4 + LaurentSeries.from_terms(e4.m, {e: 1}, e4.N)
-        g, S = real(r, e4, M, g_size, start)
-        if which == "S":
-            S = S + LaurentSeries.from_terms(S.m, {e: 1}, S.N)
-        if which == "g":
-            g = g + LaurentSeries.from_terms(g.m, {e: 1}, g.N)
-        return g, S
-
-    monkeypatch.setattr(solver, "relation_series", off)
-
-
-@pytest.mark.parametrize("r", [3, 12])
-@pytest.mark.parametrize("which", ["S", "g", "E4"])
-def test_a_fault_in_an_added_row_is_named_and_leaves_the_entry(r, which, monkeypatch):
-    # Past the stored window: S or g at the first added exponent on the
-    # lattice, E4 just past the stored E4 (p^(M0 + size)).  The extension
-    # names the fault as a cold solve with the same fault does, at an
-    # exponent it added, and the passed entry stays.
-    prev = solve_ode(r, 60)
-    size, m, M0 = -n0_for(r), prev.m, prev.S.N
-    e = M0 + m if which != "E4" else M0 + size + m
-    faulty_pass(monkeypatch, which, e)
-    with pytest.raises(ResidualNonzero) as warm:
-        solve_ode(r, 90)
-    assert entries() == {r: prev}
-    solve_ode.cache_clear()
-    with pytest.raises(ResidualNonzero) as cold:
-        solve_ode(r, 90)
-    message = str(warm.value)
-    assert message == str(cold.value)
-    assert message.startswith(f"{'delta' if which == 'g' else 'ODE'} residual nonzero for r={r} at order 90")
-    named = int(re.search(r"at p\^(-?\d+)$", message).group(1))
-    assert named == (e if which != "E4" else e + size)
-    assert named > M0
-    assert entries() == {}
-
-
-@pytest.mark.parametrize("r", [3, 64])
-def test_a_fault_in_an_added_row_of_r_is_named_by_the_division_part(r, monkeypatch):
-    # R off by 1 at its last coefficient, past the stored R: the division
-    # part's added rows name it at p^(N_R + size), as a cold solve does.
-    prev = solve_ode(r, minimum_order(r))
-    real = LaurentSeries.inverse
-
-    def off_at_the_end(self, numerator=1, known=None):
-        q = real(self, numerator, known)
-        if self.order <= 0:
-            return q
-        return q + LaurentSeries.from_terms(q.m, {q.N: 1}, q.N)
-
-    monkeypatch.setattr(LaurentSeries, "inverse", off_at_the_end)
-    N = minimum_order(r) + 10
-    with pytest.raises(ResidualNonzero) as warm:
-        solve_ode(r, N)
-    assert entries() == {r: prev}
-    solve_ode.cache_clear()
-    with pytest.raises(ResidualNonzero) as cold:
-        solve_ode(r, N)
-    size = -n0_for(r)
-    assert str(warm.value) == str(cold.value)
-    assert str(warm.value).startswith(f"division residual nonzero for r={r} at order {N}: ")
-    assert str(warm.value).endswith(f" at p^{N + 4 + size}")
-
-
-def perturbed_short_build(monkeypatch, r):
-    real = solver.build_g
-    e = -n0_for(r) + 5
-
-    def perturbed(X, group, N):
-        g = real(X, group, N)
-        return g + LaurentSeries.from_terms(g.m, {e: 1}, g.N)
-
-    monkeypatch.setattr(solver, "build_g", perturbed)
-    return MatchFailure, rf"coefficient at p\^{e} is "
-
-
-def perturbed_full_pass(monkeypatch, r):
-    # S one off past p^size: the ODE part names it, the compare cannot.
-    e = -n0_for(r) + 2
-    faulty_pass(monkeypatch, "S", e)
-    return ResidualNonzero, rf"^ODE residual nonzero for r={r} at order 40: .* at p\^{e}$"
-
-
-@pytest.mark.parametrize("r", [3, 12])
-@pytest.mark.parametrize("fault", [perturbed_short_build, perturbed_full_pass])
-def test_a_failed_solve_publishes_nothing(r, fault, monkeypatch):
-    error, message = fault(monkeypatch, r)
-    with pytest.raises(error, match=message):
-        solve_ode(r, 40)
-    assert entries() == {}
-    monkeypatch.undo()
-    res = solve_ode(r, 40)
-    assert res.schwarz_residual_zero
-    assert entries() == {r: res}
 
 
 def test_the_store_holds_one_entry_per_r_solved():
