@@ -170,10 +170,6 @@ def test_parse_errors_are_reported_as_json():
     assert_usage_error(["series", "e8"], "invalid choice")
 
 
-def test_the_parser_is_built_once():
-    assert build_parser() is build_parser()
-
-
 def test_examples_accepts_exactly_the_r_of_the_claims():
     # The parser names them without importing ``closed_forms``.
     assert set(cli.EXAMPLE_RS) == {claim.r for claim in closed_forms.CLAIMS}

@@ -20,8 +20,8 @@ from modschwarz.series import LaurentSeries, format_rational
 from modschwarz.solver import CROSS_RATIO_MIN_OVERLAP, minimum_order, n0_for, solve_ode
 
 from oracles import separate_parts, wronskian
-from test_schwarz_certificate import block_calls
 from test_solve_store import entries
+from test_work_census import block_calls
 
 # r -> (the order of the stored solve an extension continues, the order verified)
 ORDERS = {3: (60, 90), 12: (60, 90), 64: (66, 76)}

@@ -468,25 +468,6 @@ def test_the_evaluator_caches_stay_at_their_bound():
     assert info.currsize == info.maxsize
 
 
-@pytest.mark.parametrize("r", (1, 2, 3, 4))
-def test_one_solve_checks_build_each_table_once(r, monkeypatch):
-    # Both equivariance checks evaluate R, 20 times, and the Schwarzian
-    # check E4, 5 times, so the cache builds two tables and reads them 23
-    # times.  The Schwarzian check reads the tables of h', h'' and h'''
-    # off R in one call of _h_derivatives and sums each at the 5 points.
-    res = solve_ode(r, 60)
-    numeric._doubles.cache_clear()
-    built = []
-    real = numeric._h_derivatives
-    monkeypatch.setattr(numeric, "_h_derivatives", lambda res: built.append(res) or real(res))
-    for _, gamma in generators_for(res.group):
-        assert check_equivariance(res, gamma)["pass"]
-    assert check_schwarz_numeric(res)["pass"]
-    info = numeric._doubles.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 23, 2)
-    assert built == [res]
-
-
 def test_equal_series_share_one_table():
     # The cache is keyed by value: a series built afresh reads the table
     # of an equal one.

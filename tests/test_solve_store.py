@@ -1,10 +1,10 @@
 """The store of passed solves (``solve_ode``): a solve of r at or below
 the stored order is the stored one cut to its windows, one above it
-continues it, and either is byte for byte a cold solve; an extension runs
-only the added rows; the byte budget drops the least recently used entry.
-``test_fault_table`` checks that a failed solve, cold or an extension,
-leaves the store as it was.  ``conftest`` empties the store before every
-test."""
+continues it, and either is byte for byte a cold solve; the byte budget
+drops the least recently used entry.  ``test_work_census`` checks that an
+extension runs only the added rows and a cut none, ``test_fault_table``
+that a failed solve, cold or an extension, leaves the store as it was.
+``conftest`` empties the store before every test."""
 
 import json
 import os
@@ -13,12 +13,11 @@ import threading
 
 import pytest
 
-from modschwarz import series, solver
+from modschwarz import solver
 from modschwarz.solver import (
     MAX_R,
     build_B,
     minimum_order,
-    n0_for,
     solve_eigen,
     solve_ode,
 )
@@ -63,62 +62,6 @@ def test_an_entry_is_the_cold_stage():
         assert stored is res
         assert res.X == solve_eigen(build_B(r))
         assert nbytes == sum(sys.getsizeof(x) for s in (res.g, res.S, res.R) for x in s.nums)
-
-
-@pytest.mark.parametrize("r", [3, 12])
-def test_an_extension_runs_only_the_added_rows(r, monkeypatch):
-    prev = solve_ode(r, 60)
-    passes, built, quotients, pairs, parts, rows = [], [], [], [], [], []
-    real_pass, real_build_g = solver.relation_series, solver.build_g
-    real_quotient, real_convolve = series._quotient, series._convolve
-    real_pair, real_part = solver._mul_pair, solver._division_part
-
-    def spy_pass(r, e4, M, g_size=0, start=None):
-        passes.append((M, start))
-        return real_pass(r, e4, M, g_size, start)
-
-    def spy_build_g(*args):
-        built.append(args)
-        return real_build_g(*args)
-
-    def spy_quotient(A, U, n, q=(), D=1):
-        quotients.append((n, len(q)))
-        return real_quotient(A, U, n, q, D)
-
-    def spy_convolve(a, b, n, start=0):
-        rows.append(n - start)
-        return real_convolve(a, b, n, start)
-
-    def spy_pair(x, y, e, start=None):
-        pairs.append(start)
-        return real_pair(x, y, e, start)
-
-    def spy_part(R, S, g, lo):
-        parts.append(lo)
-        return real_part(R, S, g, lo)
-
-    monkeypatch.setattr(solver, "relation_series", spy_pass)
-    monkeypatch.setattr(solver, "build_g", spy_build_g)
-    monkeypatch.setattr(series, "_quotient", spy_quotient)
-    monkeypatch.setattr(series, "_convolve", spy_convolve)
-    monkeypatch.setattr(solver, "_mul_pair", spy_pair)
-    monkeypatch.setattr(solver, "_division_part", spy_part)
-    N = 90
-    res = solve_ode(r, N)
-    size = -n0_for(r)
-    M0, M = prev.S.N, N + 3 * size + 4
-    # One pass, resumed from the stored g and S; no head pass, no build_g.
-    assert [(m, start[0] is prev.g and start[1] is prev.S) for m, start in passes] == [(M, True)]
-    assert built == []
-    # The quotient resumes after the stored R's coefficients.
-    assert quotients[0] == (len(res.R.nums), len(prev.R.nums))
-    # Each part from its first row past the stored window, and no
-    # convolution forms more rows than the extension adds.
-    assert pairs == [M0 + 1]
-    assert parts == [prev.division_residual.N + 1]
-    assert rows and max(rows) <= M - M0
-    assert res.certificate_failure() is None
-    assert entries()[r] is res
 
 
 def test_the_store_holds_one_entry_per_r_solved():
