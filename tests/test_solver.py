@@ -306,6 +306,29 @@ def test_solved_x_and_s_are_the_eigen_solve_and_the_integration(r, N):
     assert c_over_u == 0
 
 
+@pytest.mark.parametrize("r", [3, 12])
+def test_a_solve_calls_neither_the_eigen_solve_nor_the_integration(r, monkeypatch):
+    # The relation's pass gives X and S; a solve never integrates a series.
+    called = []
+
+    def spying_on(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            called.append(name)
+            return real(*args)
+
+        return spy
+
+    for name in ("build_B", "solve_eigen"):
+        monkeypatch.setattr(solver, name, spying_on(solver, name))
+    monkeypatch.setattr(
+        LaurentSeries, "theta_antider", spying_on(LaurentSeries, "theta_antider")
+    )
+    solve_ode(r, minimum_order(r))
+    assert called == []
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_residuals_vanish_on_full_windows(r, solved):
     res = solved[r]
@@ -459,6 +482,43 @@ def test_the_packed_pass_widens_before_a_rescale_outgrows_it(r):
     assert solver.relation_series(r, e4, M, g_size) == reference_relation_series(
         r, e4, M, g_size
     )
+
+
+def multiple_of(x: LaurentSeries, S: LaurentSeries) -> bool:
+    """Is x a nonzero rational multiple of S, on S's window?"""
+    return (
+        not x.is_zero()
+        and (x.m, x.n_min, x.N) == (S.m, S.n_min, S.N)
+        and all(a * S.nums[0] == b * x.nums[0] for a, b in zip(x.nums, S.nums))
+    )
+
+
+@pytest.mark.parametrize("r", [3, 12])
+def test_a_solve_makes_a_head_pass_and_one_full_pass_and_adds_no_s(r, monkeypatch):
+    passes, sums = [], []
+    real_pass = solver.relation_series
+    real_add = LaurentSeries.__add__
+
+    def spy_pass(r, e4, M, g_size=0):
+        passes.append((M, g_size))
+        return real_pass(r, e4, M, g_size)
+
+    def spy_add(a, b):
+        sums.append((a, b))
+        return real_add(a, b)
+
+    monkeypatch.setattr(solver, "relation_series", spy_pass)
+    monkeypatch.setattr(LaurentSeries, "__add__", spy_add)
+    N = minimum_order(r)
+    res = solve_ode(r, N)
+    size = -n0_for(r)
+    assert passes == [(-1, 0), (N + 3 * size + 4, res.g.coeff(size))]
+    assert sums  # the residuals add series
+    assert not [
+        x for pair in sums for x in pair
+        if isinstance(x, LaurentSeries) and multiple_of(x, res.S)
+    ]
+    assert multiple_of(res.S * Fraction(-2, 3), res.S)
 
 
 def test_theta_antider_raises_on_nonzero_constant():
